@@ -1,9 +1,10 @@
 """Model persistence: a one-line JSON envelope plus a trailing CRC32 line.
 
 Envelope fields: format_version, spec, feature_name, lag_param,
-class_labels, standardization_stats, parameters. Floats are serialized
-via repr and therefore round-trip bit-for-bit, so a loaded model predicts
-identically to the one saved.
+class_labels, standardization_stats, n_features, parameters. Floats are
+serialized via repr and therefore round-trip bit-for-bit, so a loaded model
+predicts identically to the one saved. A missing or mistyped field is a
+CorruptModelFile, like a bad checksum.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ..errors import CorruptModelFile
+from ..features import AUTOCORR
 from .base import ClassifierKind, ClassifierSpec, TrainedModel
 
 MODEL_FORMAT_VERSION = 1
@@ -51,6 +53,35 @@ def _params_from_jsonable(kind: ClassifierKind, params: dict[str, Any]) -> dict[
     if kind is ClassifierKind.LOGISTIC_REGRESSION:
         return {"weights": np.asarray(params["weights"], dtype=np.float64)}
     return params
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+# Envelope fields after format_version: (key, check, what the check expects).
+_FIELDS: tuple[tuple[str, Callable[[Any], bool], str], ...] = (
+    ("spec", lambda v: isinstance(v, dict), "an object"),
+    ("feature_name", lambda v: isinstance(v, str), "a string"),
+    ("lag_param", lambda v: v is None or _is_count(v), "null or a positive integer"),
+    ("class_labels", lambda v: isinstance(v, list) and len(v) >= 2
+     and all(isinstance(x, str) for x in v), "a list of >= 2 strings"),
+    ("standardization_stats", lambda v: v is None or (
+        isinstance(v, list) and len(v) == 2 and all(isinstance(x, list) for x in v)),
+     "null or a [means, stds] pair of lists"),
+    ("n_features", _is_count, "a positive integer"),
+    ("parameters", lambda v: isinstance(v, dict), "an object"),
+)
+
+
+def _check_fields(payload: dict, path) -> None:
+    for key, check, expected in _FIELDS:
+        if key not in payload:
+            raise CorruptModelFile(f"{path}: missing field {key!r}")
+        if not check(payload[key]):
+            raise CorruptModelFile(f"{path}: field {key!r} must be {expected}, got {payload[key]!r:.80}")
+    if payload["feature_name"] == AUTOCORR and payload["lag_param"] is None:
+        raise CorruptModelFile(f"{path}: an {AUTOCORR} model needs a lag_param")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -96,23 +127,30 @@ def load_model(path: str | Path) -> TrainedModel:
     except json.JSONDecodeError as exc:
         raise CorruptModelFile(f"{path}: invalid JSON payload: {exc}") from exc
 
+    if not isinstance(payload, dict):
+        raise CorruptModelFile(f"{path}: payload is not a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise CorruptModelFile(
             f"{path}: unsupported format_version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
         )
+    _check_fields(payload, path)
 
-    spec = ClassifierSpec.from_dict(payload["spec"])
-    stats = None
-    if payload["standardization_stats"] is not None:
-        means, stds = payload["standardization_stats"]
-        stats = (np.asarray(means, dtype=np.float64), np.asarray(stds, dtype=np.float64))
+    try:
+        spec = ClassifierSpec.from_dict(payload["spec"])
+        stats = None
+        if payload["standardization_stats"] is not None:
+            means, stds = payload["standardization_stats"]
+            stats = (np.asarray(means, dtype=np.float64), np.asarray(stds, dtype=np.float64))
+        parameters = _params_from_jsonable(spec.kind, payload["parameters"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptModelFile(f"{path}: malformed spec or parameters: {exc!r}") from exc
     return TrainedModel(
         spec=spec,
         feature_name=payload["feature_name"],
         lag_param=payload["lag_param"],
-        class_labels=list(payload["class_labels"]),
-        parameters=_params_from_jsonable(spec.kind, payload["parameters"]),
+        class_labels=payload["class_labels"],
+        parameters=parameters,
         standardization_stats=stats,
-        n_features=int(payload["n_features"]),
+        n_features=payload["n_features"],
     )

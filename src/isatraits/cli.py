@@ -78,6 +78,16 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _coerce(action: argparse.Action, raw: str):
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
         if raw.lower() in ("1", "true", "yes", "on"):
@@ -85,7 +95,10 @@ def _coerce(action: argparse.Action, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {action.dest!r}: {raw!r} is not a boolean")
-    value = action.type(raw) if action.type else raw
+    try:
+        value = action.type(raw) if action.type else raw
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {action.dest!r}: {exc}") from None
     if action.choices is not None and value not in action.choices:
         raise UsageError(f"config key {action.dest!r}: {value!r} not in {sorted(action.choices)}")
     return value
@@ -435,11 +448,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--task", required=True, choices=TASK_NAMES)
     p.add_argument("--feature", required=True, choices=FEATURE_NAMES)
     p.add_argument("--classifier", default="knn3", choices=SUITE_NAMES)
-    p.add_argument("--lag", type=int, default=None, help="autocorr lag (default: tuned per task/classifier)")
+    p.add_argument("--lag", type=_positive_int, default=None,
+                   help="autocorr lag (default: tuned per task/classifier)")
     p.add_argument("--c", type=float, default=None, help="logreg inverse regularization (default: tuned)")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_corpus_flags(p)
     p.add_argument("--report", default=None, help="write full JSON report here")
@@ -454,10 +468,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--feature", default=None, choices=FEATURE_NAMES, help="c mode: feature to use")
     p.add_argument("--classifier", default="knn3", choices=SUITE_NAMES, help="lag mode: classifier")
     p.add_argument("--grid", default=None, help="comma-separated grid values")
-    p.add_argument("--lag", type=int, default=None, help="c mode with autocorr: fixed lag")
+    p.add_argument("--lag", type=_positive_int, default=None, help="c mode with autocorr: fixed lag")
     p.add_argument("--c", type=float, default=None, help="lag mode with logreg: fixed c")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--trees", type=_positive_int, default=100)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="write the sweep table CSV here")
@@ -475,13 +489,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--endian-feature", default="endsig", choices=FEATURE_NAMES)
     p.add_argument("--endian-classifier", default="logreg", choices=SUITE_NAMES)
     p.add_argument("--endian-c", type=float, default=None)
-    p.add_argument("--endian-lag", type=int, default=None)
+    p.add_argument("--endian-lag", type=_positive_int, default=None)
     p.add_argument("--isvar-classifier", default="logreg", choices=SUITE_NAMES)
     p.add_argument("--isvar-c", type=float, default=None)
-    p.add_argument("--isvar-lag", type=int, default=None)
+    p.add_argument("--isvar-lag", type=_positive_int, default=None)
     p.add_argument("--width-classifier", default="logreg", choices=SUITE_NAMES)
     p.add_argument("--width-c", type=float, default=None)
-    p.add_argument("--width-lag", type=int, default=None)
+    p.add_argument("--width-lag", type=_positive_int, default=None)
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="directory for endian.model/isvar.model/width.model")
@@ -498,7 +512,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     registry["predict"] = p
 
     p = sub.add_parser("export-curves", help="mean autocorrelation per class as CSV")
-    p.add_argument("--lag", type=int, required=True)
+    p.add_argument("--lag", type=_positive_int, required=True)
     p.add_argument("--group-by", default="size-kind", choices=["size-kind", "fixed-bits"])
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")

@@ -30,12 +30,14 @@ from .errors import (
     InsufficientGroups,
     IsaTraitsError,
     LagTooLarge,
+    SampleTooShort,
 )
 from .features import (
     AUTOCORR,
     BIGRAMS,
     ENDSIG,
     FeatureVector,
+    autocorr_prefix,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
@@ -253,13 +255,17 @@ def run_evaluation(
     feature: FeatureConfig,
     classifier: ClassifierSpec,
     jobs: int = 1,
+    features: dict[int, FeatureVector] | None = None,
 ) -> EvaluationReport:
     """Full LOGOCV: extract features once, fit/score one model per fold,
     aggregate. Folds may run on jobs > 1 worker threads; results assemble
-    in group order either way."""
+    in group order either way. features, when given, holds the already
+    extracted `feature` of every eligible sample by manifest index (the
+    grid searches pass it so they extract once for a whole sweep)."""
     plan = plan_logocv(manifest, task)
     ids = eligible_ids(manifest, task)
-    features = _extract_all(manifest, ids, feature)
+    if features is None:
+        features = _extract_all(manifest, ids, feature)
     labels = {i: task_label(manifest.label_of(manifest.samples[i]), task) for i in ids}
 
     if jobs > 1:
@@ -310,10 +316,11 @@ def grid_search_c(
         raise ValueError("c grid must be non-empty")
     if any(c <= 0 for c in c_grid):
         raise ValueError("c values must be positive")
+    features = _extract_all(manifest, eligible_ids(manifest, task), feature)
     table = []
     for c in sorted(c_grid):
         spec = ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)
-        report = run_evaluation(manifest, task, feature, spec, jobs=jobs)
+        report = run_evaluation(manifest, task, feature, spec, jobs=jobs, features=features)
         table.append((c, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])  # ascending grid => ties keep smaller c
     return best[0], table
@@ -326,23 +333,25 @@ def grid_search_lag(
     lag_grid: Sequence[int],
     jobs: int = 1,
 ) -> tuple[int, list[tuple[int, float]]]:
-    """Sweep the autocorrelation lag over the grid; ties to the smaller lag."""
+    """Sweep the autocorrelation lag over the grid; ties to the smaller lag.
+
+    Every sample is loaded and extracted once, at the largest lag; each
+    lag's evaluation takes the prefix f(1..lag), which is bit-identical to
+    extracting at that lag."""
     if not lag_grid:
         raise ValueError("lag grid must be non-empty")
     if any(lag < 1 for lag in lag_grid):
         raise ValueError("lags must be positive")
-    ids = eligible_ids(manifest, task)
-    max_lag = max(lag_grid)
-    for i in ids:
-        ref = manifest.samples[i]
-        n = len(ref.load().data)
-        if max_lag > n - 2:
-            raise LagTooLarge(
-                f"lag {max_lag} too large for sample {ref.source_path} of {n} bytes"
-            )
+    try:
+        full = _extract_all(manifest, eligible_ids(manifest, task),
+                            FeatureConfig(AUTOCORR, max(lag_grid)))
+    except SampleTooShort as exc:
+        raise LagTooLarge(str(exc)) from exc
     table = []
     for lag in sorted(lag_grid):
-        report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier, jobs=jobs)
+        features = {i: autocorr_prefix(vec, lag) for i, vec in full.items()}
+        report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,
+                                jobs=jobs, features=features)
         table.append((lag, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])
     return best[0], table
@@ -360,9 +369,12 @@ class UnknownPrediction:
     per_stage: dict[str, dict]
 
 
-def _stage_predict(binary, model: TrainedModel, stage: str) -> str:
+def _stage_predict(binary, model: TrainedModel, stage: str, shared: FeatureVector | None) -> str:
     try:
-        vec = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
+        if model.feature_name == AUTOCORR and shared is not None and model.lag_param <= shared.lag_param:
+            vec = autocorr_prefix(shared, model.lag_param)
+        else:
+            vec = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
         return predict(model, [vec])[0]
     except IsaTraitsError as exc:
         exc.stage = stage
@@ -377,9 +389,14 @@ def predict_unknown(
 ) -> UnknownPrediction:
     """Stage 1 predicts endianness, stage 2 fixed vs variable size; only
     fixed-size predictions proceed to the width stage. Errors carry the
-    stage they came from."""
-    endianness = _stage_predict(binary, endian_model, "endianness")
-    size_kind = _stage_predict(binary, isvar_model, "isvar")
+    stage they came from. The autocorrelation is extracted once, at the
+    largest stage lag the binary is long enough for, and each stage takes
+    its prefix."""
+    lags = [m.lag_param for m in (endian_model, isvar_model, width_model)
+            if m.feature_name == AUTOCORR and m.lag_param <= len(binary.data) - 2]
+    shared = extract_feature(binary, FeatureConfig(AUTOCORR, max(lags))) if lags else None
+    endianness = _stage_predict(binary, endian_model, "endianness", shared)
+    size_kind = _stage_predict(binary, isvar_model, "isvar", shared)
     per_stage = {
         "endianness": {"prediction": endianness, "feature": endian_model.feature_name,
                        "classifier": name_of_spec(endian_model.spec)},
@@ -388,7 +405,7 @@ def predict_unknown(
     }
     fixed_bits = None
     if size_kind == SizeKind.FIXED.value:
-        width = _stage_predict(binary, width_model, "fixedwidth")
+        width = _stage_predict(binary, width_model, "fixedwidth", shared)
         fixed_bits = int(width)
         per_stage["fixedwidth"] = {"prediction": width, "feature": width_model.feature_name,
                                    "classifier": name_of_spec(width_model.spec)}

@@ -1,3 +1,6 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,20 @@ class TestDeterminism:
         assert predict(fit(spec, X, y), queries) == predict(fit(spec, X, y), queries)
 
 
+ENVELOPE_KEYS = ["spec", "feature_name", "lag_param", "class_labels",
+                 "standardization_stats", "n_features", "parameters"]
+
+
+def read_envelope(path):
+    return json.loads(path.read_text().splitlines()[0])
+
+
+def write_envelope(path, payload):
+    """Write a payload with a valid checksum, so only its content is wrong."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    path.write_text(f"{body}\ncrc32:{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n")
+
+
 class TestModelIO:
     @pytest.mark.parametrize("name", ["knn3", "gnb", "dtree", "logreg", "rforest"])
     def test_roundtrip_preserves_predictions(self, name, tmp_path):
@@ -281,18 +298,50 @@ class TestModelIO:
         assert "checksum" in str(err.value)
 
     def test_unsupported_version(self, tmp_path):
-        import json
-        import zlib
-
-        X, y = blobs(np.random.default_rng(12), n_per_class=5)
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name("gnb"), X, y), path)
-        payload = json.loads(path.read_text().splitlines()[0])
+        save_model(fit(spec_from_name("gnb"), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        payload = read_envelope(path)
         payload["format_version"] = 99
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
-        path.write_text(f"{body}\ncrc32:{crc:08x}\n")
+        write_envelope(path, payload)
         with pytest.raises(CorruptModelFile) as err:
             load_model(path)
         assert "format_version" in str(err.value)
         assert "99" in str(err.value)
+
+    @pytest.mark.parametrize("key", ENVELOPE_KEYS)
+    def test_missing_field(self, key, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(fit(spec_from_name("knn3"), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        payload = read_envelope(path)
+        del payload[key]
+        write_envelope(path, payload)
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(path)
+        assert key in str(err.value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("spec", "knn3"),
+        ("spec", {"kind": "knn"}),
+        ("feature_name", 7),
+        ("lag_param", -4),
+        ("class_labels", "neg,pos"),
+        ("standardization_stats", [[0.0]]),
+        ("n_features", "3"),
+        ("parameters", []),
+        ("parameters", {"train_x": [[0.0]]}),
+    ])
+    def test_mistyped_field(self, key, value, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(fit(spec_from_name("knn3"), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        payload = read_envelope(path)
+        payload[key] = value
+        write_envelope(path, payload)
+        with pytest.raises(CorruptModelFile):
+            load_model(path)
+
+    def test_payload_not_an_object(self, tmp_path):
+        path = tmp_path / "m.model"
+        write_envelope(path, [1, 2, 3])
+        with pytest.raises(CorruptModelFile):
+            load_model(path)
+

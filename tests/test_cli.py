@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,36 @@ class TestEvaluate:
         assert outputs[0] == outputs[1]
 
 
+class TestPositiveIntFlags:
+    @pytest.mark.parametrize("flag", ["--jobs", "--lag", "--trees"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_evaluate_rejects_non_positive(self, flag, value, endian_corpus):
+        proc = run_cli("evaluate", "--task", "isvar", "--feature", "autocorr", flag, value,
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv")
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--trees"])
+    def test_gridsearch_rejects_zero(self, flag, size_corpus):
+        proc = run_cli("gridsearch", "lag", "--task", "isvar", flag, "0",
+                       "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 2
+
+    def test_export_curves_rejects_zero_lag(self, size_corpus):
+        proc = run_cli("export-curves", "--lag", "0",
+                       "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 2
+
+    def test_config_value_rejected_as_usage_error(self, endian_corpus, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("jobs=0\n")
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
+                       "--config", cfg, "--corpus", endian_corpus,
+                       "--labels", endian_corpus / "labels.csv")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
 class TestGridsearch:
     def test_lag_sweep_three_rows(self, size_corpus, tmp_path):
         out = tmp_path / "table.csv"
@@ -273,6 +304,23 @@ class TestTrainPredict:
                        "--width-model", models_dir / "width.model",
                        query)
         assert proc.returncode == 1
+
+    def test_model_missing_spec_exit_1_one_line(self, models_dir, tmp_path):
+        lines = (models_dir / "isvar.model").read_text().splitlines()
+        payload = json.loads(lines[0])
+        del payload["spec"]
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        broken = tmp_path / "nospec.model"
+        broken.write_text(f"{body}\ncrc32:{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n")
+        query = le_fixed32_query(tmp_path / "query.bin")
+        proc = run_cli("predict",
+                       "--endian-model", models_dir / "endian.model",
+                       "--isvar-model", broken,
+                       "--width-model", models_dir / "width.model",
+                       query)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert "spec" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_tiny_binary_reports_stage(self, models_dir, tmp_path):
         query = tmp_path / "tiny.bin"

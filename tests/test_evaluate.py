@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from isatraits import evaluate
 from isatraits.classify import fit, spec_from_name
 from isatraits.corpus import (
     BinarySample,
@@ -295,6 +298,30 @@ class TestGridSearch:
                                       spec_from_name("knn3"), [8, 16])
         assert run() == run()
 
+    def test_lag_sweep_equals_one_evaluation_per_lag(self, fixedwidth_small):
+        spec = spec_from_name("knn1")
+        _, table = grid_search_lag(fixedwidth_small, Task.FIXED_WIDTH, spec, [4, 16, 64])
+        assert table == [
+            (lag, run_evaluation(fixedwidth_small, Task.FIXED_WIDTH,
+                                 FeatureConfig("autocorr", lag), spec).feature_accuracy)
+            for lag in (4, 16, 64)
+        ]
+
+    def test_c_sweep_extracts_each_sample_once(self, endian_small, monkeypatch):
+        calls = []
+        original = evaluate.endianness_signatures
+        monkeypatch.setattr(evaluate, "endianness_signatures",
+                            lambda binary: calls.append(binary.source_path) or original(binary))
+        _, table = grid_search_c(endian_small, Task.ENDIANNESS, FeatureConfig("endsig"),
+                                 [1e9, 1e10, 1e11])
+        assert sorted(calls) == sorted(ref.source_path for ref in endian_small.samples)
+        monkeypatch.undo()
+        assert table == [
+            (c, run_evaluation(endian_small, Task.ENDIANNESS, FeatureConfig("endsig"),
+                               spec_from_name("logreg", c=c)).feature_accuracy)
+            for c in (1e9, 1e10, 1e11)
+        ]
+
 
 def train_stage(manifest, task, config, spec):
     ids = eligible_ids(manifest, task)
@@ -351,6 +378,28 @@ class TestPredictUnknown:
         assert result.size_kind == "variable"
         assert result.fixed_bits is None
         assert "fixedwidth" not in result.per_stage
+
+    def test_autocorr_extracted_once_for_both_size_stages(self, stage_models, monkeypatch):
+        calls = []
+        original = evaluate.autocorrelation_feature
+        monkeypatch.setattr(evaluate, "autocorrelation_feature",
+                            lambda binary, l: calls.append(l) or original(binary, l))
+        binary = BinarySample(le_fixed32_binary(), "unknown", "mem://query")
+        assert predict_unknown(binary, *stage_models).fixed_bits == 32
+        assert calls == [32]
+
+    def test_stage_lags_share_the_largest_that_fits(self, stage_models, monkeypatch):
+        endian_model, isvar_model, width_model = stage_models
+        width_model = dataclasses.replace(width_model, lag_param=4000)  # longer than the binary
+        calls = []
+        original = evaluate.autocorrelation_feature
+        monkeypatch.setattr(evaluate, "autocorrelation_feature",
+                            lambda binary, l: calls.append(l) or original(binary, l))
+        binary = BinarySample(le_fixed32_binary(n_instr=512), "unknown", "mem://query")
+        with pytest.raises(SampleTooShort) as err:
+            predict_unknown(binary, endian_model, isvar_model, width_model)
+        assert err.value.stage == "fixedwidth"
+        assert calls == [32, 4000]
 
     def test_tiny_input_fails_at_stage_one(self, stage_models):
         binary = BinarySample(b"\x00", "unknown", "mem://tiny")

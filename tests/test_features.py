@@ -6,24 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isatraits.corpus import BinarySample, generate_synthetic_endian, generate_synthetic_fixedwidth
+from isatraits import evaluate
+from isatraits.classify import spec_from_name
+from isatraits.corpus import (
+    BinarySample,
+    SampleRef,
+    generate_synthetic_endian,
+    generate_synthetic_fixedwidth,
+)
 from isatraits.errors import LagTooLarge, SampleTooShort, WindowTooShort
+from isatraits.evaluate import Task, grid_search_lag
 from isatraits.features import (
     AUTOCORR,
+    AUTOCORR_BLOCK,
     BIGRAM_DIM,
+    DIRECT_LAGS,
     SIGNATURE_BIGRAMS,
     FeatureVector,
     LaggedWindowPair,
     autocorr_at_lag,
+    autocorr_prefix,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
+    lagged_products,
     mean_curve_by_class,
     pearson_r,
     write_feature_csv,
 )
 
-from oracles import autocorr_oracle, bigram_count_oracle, pearson_oracle
+from oracles import autocorr_oracle, autocorr_reference, bigram_count_oracle, pearson_oracle
 
 
 def sample(data: bytes, isa="test") -> BinarySample:
@@ -220,6 +232,90 @@ class TestAutocorrelationFeature:
         data = bytes(rng.randrange(256) for _ in range(256))
         vec = autocorrelation_feature(sample(data), 64)
         assert (vec.values >= -1.0).all() and (vec.values <= 1.0).all()
+
+
+def random_bytes(n, seed):
+    return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+def direct_lagged_product(series, k, chunk=1 << 20):
+    """sum_i s[i] * s[i + k] as int64 dot products over chunks of the series."""
+    total = 0
+    for start in range(0, series.size - k, chunk):
+        stop = min(start + chunk, series.size - k)
+        total += int(series[start:stop].astype(np.int64) @ series[start + k:stop + k].astype(np.int64))
+    return total
+
+
+class TestAutocorrKernel:
+    """The autocorrelation kernel against a per-lag loop: equal bit for bit,
+    not to a tolerance, because every moment it uses is an exact integer."""
+
+    def test_bit_equal_to_per_lag_reference_on_corpus(self):
+        manifest = generate_synthetic_fixedwidth([16, 32, 64], 2, 2, 4096, 2, seed=11)
+        for ref in manifest.samples:
+            data = ref.load().data
+            assert np.array_equal(autocorrelation_feature(sample(data), 256).values,
+                                  autocorr_reference(data, 256))
+
+    @pytest.mark.parametrize("n", [AUTOCORR_BLOCK - 1, AUTOCORR_BLOCK, AUTOCORR_BLOCK + 1])
+    def test_block_boundaries_with_lag_near_n(self, n):
+        data = random_bytes(n, seed=n)
+        l = n - 2
+        assert np.array_equal(autocorrelation_feature(sample(data), l).values,
+                              autocorr_reference(data, l))
+
+    @pytest.mark.parametrize("n", [200, AUTOCORR_BLOCK, AUTOCORR_BLOCK + 1, 2 * AUTOCORR_BLOCK + 70])
+    @pytest.mark.parametrize("lag", [1, 5, DIRECT_LAGS - 1, DIRECT_LAGS, 150])
+    def test_products_equal_int64_dots(self, n, lag):
+        series = np.frombuffer(random_bytes(n, seed=n + lag), dtype=np.uint8)
+        expected = [direct_lagged_product(series, k) for k in range(lag + 1)]
+        assert lagged_products(series, lag).tolist() == expected
+
+    def test_degenerate_series(self):
+        for data, l in [(bytes([7]) * 1000, 50), (bytes([0, 255]) * 5000, 300),
+                        (bytes([3, 9, 1]), 1), (bytes([255]) * (3 * AUTOCORR_BLOCK) + b"\0", 64)]:
+            assert np.array_equal(autocorrelation_feature(sample(data), l).values,
+                                  autocorr_reference(data, l))
+
+    def test_prefix_of_larger_lag(self):
+        data = random_bytes(3 * AUTOCORR_BLOCK + 17, seed=4)
+        full = autocorrelation_feature(sample(data), 1024)
+        for l in (1, 16, 100, 512, 1024):
+            own = autocorrelation_feature(sample(data), l)
+            cut = autocorr_prefix(full, l)
+            assert cut.lag_param == l
+            assert np.array_equal(cut.values, own.values)
+        with pytest.raises(ValueError):
+            autocorr_prefix(full, 1025)
+
+    def test_16mib_products_equal_int64_dot(self):
+        series = np.frombuffer(random_bytes(16 << 20, seed=16), dtype=np.uint8)
+        products = lagged_products(series, DIRECT_LAGS)
+        for k in (0, 1, 7, 33, DIRECT_LAGS):
+            assert int(products[k]) == direct_lagged_product(series, k)
+        assert np.array_equal(lagged_products(series, 16), products[:17])
+
+    def test_grid_search_lag_loads_and_extracts_each_sample_once(self, monkeypatch):
+        manifest = generate_synthetic_fixedwidth([16, 32], 2, 3, 2048, 2, seed=3)
+        loads, extractions = [], []
+        original_load = SampleRef.load
+        original_extract = evaluate.autocorrelation_feature
+
+        def counting_load(ref):
+            loads.append(ref.source_path)
+            return original_load(ref)
+
+        def counting_extract(binary, l):
+            extractions.append((binary.source_path, l))
+            return original_extract(binary, l)
+
+        monkeypatch.setattr(SampleRef, "load", counting_load)
+        monkeypatch.setattr(evaluate, "autocorrelation_feature", counting_extract)
+        grid_search_lag(manifest, Task.FIXED_VS_VARIABLE, spec_from_name("knn3"), [8, 32, 16])
+        paths = [ref.source_path for ref in manifest.samples]
+        assert sorted(loads) == sorted(paths)
+        assert sorted(extractions) == sorted((path, 32) for path in paths)
 
 
 class TestMeanCurve:
