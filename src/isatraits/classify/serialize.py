@@ -1,10 +1,16 @@
 """Model persistence: a one-line JSON envelope plus a trailing CRC32 line.
 
 Envelope fields: format_version, spec, feature_name, lag_param,
-class_labels, standardization_stats, n_features, parameters. Floats are
-serialized via repr and therefore round-trip bit-for-bit, so a loaded model
-predicts identically to the one saved. A missing or mistyped field is a
-CorruptModelFile, like a bad checksum.
+class_labels, standardization_stats, n_features, parameters. Parameters are
+arrays written as JSON lists, a decision tree or each forest tree as its
+five parallel node arrays (see tree.py). Floats are serialized via repr and
+therefore round-trip bit-for-bit, so a loaded model predicts identically to
+the one saved. A missing or mistyped field is a CorruptModelFile, like a
+bad checksum, and so is a tree predict could not walk: arrays of unequal
+length, a feature, child or class index out of range, a child that does
+not come after its node, a non-finite threshold, or a forest whose tree
+count is not its spec's. Format version 2 introduced the array trees;
+version 1 (trees as nested objects) is rejected like any other version.
 """
 
 from __future__ import annotations
@@ -18,27 +24,43 @@ import numpy as np
 
 from ..errors import CorruptModelFile
 from ..features import AUTOCORR
+from . import tree
 from .base import ClassifierKind, ClassifierSpec, TrainedModel
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
-def _params_to_jsonable(kind: ClassifierKind, params: dict[str, Any]) -> dict[str, Any]:
-    if kind is ClassifierKind.KNN:
-        return {
-            "train_x": params["train_x"].tolist(),
-            "train_y": params["train_y"].tolist(),
-            "k": params["k"],
-        }
-    if kind is ClassifierKind.GAUSSIAN_NB:
-        return {key: params[key].tolist() for key in ("log_priors", "means", "variances")}
-    if kind is ClassifierKind.LOGISTIC_REGRESSION:
-        return {"weights": params["weights"].tolist()}
-    # Trees and forests are already nested dicts of python scalars.
-    return params
+def _jsonable(value: Any) -> Any:
+    """Arrays as (nested) lists; every classifier's parameters are arrays,
+    dicts and lists of them, and python scalars."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(item) for item in value]
+    return value
 
 
-def _params_from_jsonable(kind: ClassifierKind, params: dict[str, Any]) -> dict[str, Any]:
+def _tree_from_jsonable(raw: Any, n_features: int, n_classes: int) -> dict[str, np.ndarray]:
+    if not isinstance(raw, dict):
+        raise ValueError("a tree must be an object of arrays")
+    arrays = {}
+    for name in tree.TREE_FIELDS:
+        kinds, dtype, what = (("if", np.float64, "numbers") if name == "threshold"
+                              else ("i", np.int64, "integers"))
+        values = np.asarray(raw[name])
+        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
+            raise ValueError(f"tree field {name!r} must be a flat list of {what}")
+        arrays[name] = values.astype(dtype)
+    tree.check_tree(arrays, n_features, n_classes)
+    return arrays
+
+
+def _params_from_jsonable(
+    spec: ClassifierSpec, params: dict[str, Any], n_features: int, n_classes: int
+) -> dict[str, Any]:
+    kind = spec.kind
     if kind is ClassifierKind.KNN:
         return {
             "train_x": np.asarray(params["train_x"], dtype=np.float64),
@@ -52,7 +74,12 @@ def _params_from_jsonable(kind: ClassifierKind, params: dict[str, Any]) -> dict[
         }
     if kind is ClassifierKind.LOGISTIC_REGRESSION:
         return {"weights": np.asarray(params["weights"], dtype=np.float64)}
-    return params
+    if kind is ClassifierKind.DECISION_TREE:
+        return {"tree": _tree_from_jsonable(params["tree"], n_features, n_classes)}
+    trees = params["trees"]
+    if not isinstance(trees, list) or len(trees) != spec.trees:
+        raise ValueError(f"a forest of spec.trees={spec.trees} needs that many trees")
+    return {"trees": [_tree_from_jsonable(raw, n_features, n_classes) for raw in trees]}
 
 
 def _is_count(value: Any) -> bool:
@@ -97,7 +124,7 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
         "class_labels": model.class_labels,
         "standardization_stats": stats,
         "n_features": model.n_features,
-        "parameters": _params_to_jsonable(model.spec.kind, model.parameters),
+        "parameters": _jsonable(model.parameters),
     }
     body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
@@ -142,7 +169,8 @@ def load_model(path: str | Path) -> TrainedModel:
         if payload["standardization_stats"] is not None:
             means, stds = payload["standardization_stats"]
             stats = (np.asarray(means, dtype=np.float64), np.asarray(stds, dtype=np.float64))
-        parameters = _params_from_jsonable(spec.kind, payload["parameters"])
+        parameters = _params_from_jsonable(spec, payload["parameters"], payload["n_features"],
+                                           len(payload["class_labels"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(f"{path}: malformed spec or parameters: {exc!r}") from exc
     return TrainedModel(

@@ -52,7 +52,7 @@ from .evaluate import (
     write_report_csv,
     write_report_json,
 )
-from .features import FEATURE_NAMES, mean_curve_by_class
+from .features import FEATURE_NAMES, autocorr_prefix, mean_curve_by_class
 
 TASK_NAMES = tuple(task.value for task in Task)
 
@@ -260,14 +260,24 @@ def cmd_gridsearch(args, argv) -> int:
     return 0
 
 
-def _fit_stage(manifest: CorpusManifest, task: Task, feature: FeatureConfig, spec):
-    ids = eligible_ids(manifest, task)
-    X, y = [], []
-    for i in ids:
-        ref = manifest.samples[i]
-        X.append(extract_feature(ref.load(), feature))
-        y.append(task_label(manifest.label_of(ref), task))
-    return fit(spec, X, y)
+def _fit_stage(manifest: CorpusManifest, task: Task, features: dict, spec):
+    """Fit on features, the task's vectors by manifest index."""
+    labels = [task_label(manifest.label_of(manifest.samples[i]), task) for i in features]
+    return fit(spec, list(features.values()), labels)
+
+
+def _extract_stages(manifest: CorpusManifest, stages: dict[Task, FeatureConfig]) -> dict[Task, dict]:
+    """Each stage's feature vector of every sample eligible for it, by
+    manifest index. A sample's autocorrelation is extracted once, at the
+    largest lag of the stages it serves, and cut to each stage's lag."""
+    widest: dict[int, int] = {}
+    for task, feature in stages.items():
+        for i in eligible_ids(manifest, task):
+            widest[i] = max(widest.get(i, 0), feature.lag)
+    full = {i: extract_feature(manifest.samples[i].load(), FeatureConfig(AUTOCORR, lag))
+            for i, lag in widest.items()}
+    return {task: {i: autocorr_prefix(full[i], feature.lag) for i in eligible_ids(manifest, task)}
+            for task, feature in stages.items()}
 
 
 def cmd_train(args, argv) -> int:
@@ -294,7 +304,9 @@ def cmd_train(args, argv) -> int:
         else DEFAULT_LOGREG_C.get((Task.ENDIANNESS, args.endian_feature), 1.0),
         seed=args.seed,
     )
-    endian_model = _fit_stage(endian_manifest, Task.ENDIANNESS, endian_feature, endian_spec)
+    endian_features = {i: extract_feature(endian_manifest.samples[i].load(), endian_feature)
+                       for i in eligible_ids(endian_manifest, Task.ENDIANNESS)}
+    endian_model = _fit_stage(endian_manifest, Task.ENDIANNESS, endian_features, endian_spec)
     save_model(endian_model, out_dir / "endian.model")
 
     size_manifest = corpus_for(args.size_corpus, args.size_labels)
@@ -306,10 +318,6 @@ def cmd_train(args, argv) -> int:
         else DEFAULT_LOGREG_C.get((Task.FIXED_VS_VARIABLE, AUTOCORR), 1.0),
         seed=args.seed,
     )
-    isvar_model = _fit_stage(
-        size_manifest, Task.FIXED_VS_VARIABLE, FeatureConfig(AUTOCORR, isvar_lag), isvar_spec)
-    save_model(isvar_model, out_dir / "isvar.model")
-
     width_lag = args.width_lag or DEFAULT_AUTOCORR_LAGS.get(
         (Task.FIXED_WIDTH, args.width_classifier), 128)
     width_spec = spec_from_name(
@@ -318,8 +326,15 @@ def cmd_train(args, argv) -> int:
         else DEFAULT_LOGREG_C.get((Task.FIXED_WIDTH, AUTOCORR), 1.0),
         seed=args.seed,
     )
-    width_model = _fit_stage(
-        size_manifest, Task.FIXED_WIDTH, FeatureConfig(AUTOCORR, width_lag), width_spec)
+    size_features = _extract_stages(size_manifest, {
+        Task.FIXED_VS_VARIABLE: FeatureConfig(AUTOCORR, isvar_lag),
+        Task.FIXED_WIDTH: FeatureConfig(AUTOCORR, width_lag),
+    })
+    isvar_model = _fit_stage(size_manifest, Task.FIXED_VS_VARIABLE,
+                             size_features[Task.FIXED_VS_VARIABLE], isvar_spec)
+    save_model(isvar_model, out_dir / "isvar.model")
+    width_model = _fit_stage(size_manifest, Task.FIXED_WIDTH, size_features[Task.FIXED_WIDTH],
+                             width_spec)
     save_model(width_model, out_dir / "width.model")
 
     for name in ("endian.model", "isvar.model", "width.model"):
@@ -419,7 +434,8 @@ def cmd_stats(args, argv) -> int:
 def _add_corpus_flags(p, labels_required=True):
     p.add_argument("--corpus", required=True, help="corpus root: <root>/<isa>/<files...>")
     p.add_argument("--labels", required=labels_required, help="label CSV path")
-    p.add_argument("--cap", type=int, default=None, help="max files per ISA (lexicographic-first)")
+    p.add_argument("--cap", type=_positive_int, default=None,
+                   help="max files per ISA (lexicographic-first)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -496,7 +512,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--width-classifier", default="logreg", choices=SUITE_NAMES)
     p.add_argument("--width-c", type=float, default=None)
     p.add_argument("--width-lag", type=_positive_int, default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="directory for endian.model/isvar.model/width.model")
     p.add_argument("--config", default=None)

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 import zlib
 
 import numpy as np
@@ -13,9 +15,11 @@ from isatraits.classify import (
     save_model,
     spec_from_name,
 )
+from isatraits.classify import tree
 from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTrainingSet
 
 from conftest import fv
+from oracles import flatten_reference, forest_reference, tree_reference, walk_reference
 
 
 def fvs(rows, name="test"):
@@ -168,7 +172,7 @@ class TestDecisionTree:
         X = fvs([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = ["a", "a", "b", "b"]
         model = fit(spec_from_name("dtree"), X, y)
-        assert model.parameters["tree"]["feature"] == 0
+        assert model.parameters["tree"]["feature"][0] == 0  # the root
 
 
 class TestRandomForest:
@@ -184,6 +188,98 @@ class TestRandomForest:
         a = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y), queries)
         b = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y), queries)
         assert a == b
+
+
+def _tree_cases():
+    """(name, X, y, n_classes): the shapes the tie and stopping rules care about."""
+    rng = np.random.default_rng(21)
+    cases = [
+        ("two-classes", rng.normal(size=(40, 5)), rng.integers(0, 2, 40), 2),
+        ("three-classes", rng.normal(size=(45, 6)), rng.integers(0, 3, 45), 3),
+        ("tied-values", rng.integers(0, 3, size=(50, 4)).astype(float), rng.integers(0, 3, 50), 3),
+        ("n-equals-2", np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), 2),
+        ("many-classes", rng.normal(size=(60, 3)), rng.integers(0, 9, 60), 9),
+    ]
+    rows = rng.normal(size=(12, 3))
+    cases.append(("duplicate-rows", np.vstack([rows, rows, rows[:5]]), rng.integers(0, 2, 29), 2))
+    constant = rng.normal(size=(30, 4))
+    constant[:, 1] = 7.0
+    cases.append(("constant-column", constant, rng.integers(0, 3, 30), 3))
+    return cases
+
+
+TREE_CASES = _tree_cases()
+
+
+def assert_same_tree(flat, reference):
+    expected = flatten_reference(reference)
+    for name in tree.TREE_FIELDS:
+        assert flat[name].tolist() == expected[name], name
+
+
+@pytest.mark.parametrize("name, X, y, n_classes", TREE_CASES, ids=[c[0] for c in TREE_CASES])
+class TestFlatTrees:
+    """The lock-step array grower against the recursive one-node-at-a-time
+    grower it replaced, node for node, and the vectorised predict against
+    walking each row."""
+
+    def test_tree_matches_reference(self, name, X, y, n_classes):
+        assert_same_tree(tree.train_tree(X, y, n_classes)["tree"], tree_reference(X, y, n_classes))
+
+    def test_forest_matches_reference(self, name, X, y, n_classes):
+        n_trees = 2 * tree.BLOCK_TREES + 3  # the last block is partial
+        flat = tree.train_forest(X, y, n_classes, n_trees, seed=5)["trees"]
+        reference = forest_reference(X, y, n_classes, n_trees, seed=5)
+        assert len(flat) == n_trees
+        for grown, expected in zip(flat, reference):
+            assert_same_tree(grown, expected)
+
+    def test_predict_matches_walk(self, name, X, y, n_classes):
+        queries = np.vstack([X, np.random.default_rng(22).normal(size=(25, X.shape[1]))])
+        single = tree.train_tree(X, y, n_classes)
+        walked = [walk_reference(tree_reference(X, y, n_classes), row) for row in queries]
+        assert tree.predict_tree_indices(single, queries).tolist() == walked
+
+        forest = tree.train_forest(X, y, n_classes, 7, seed=1)
+        votes = np.zeros((queries.shape[0], n_classes), dtype=np.int64)
+        for root in forest_reference(X, y, n_classes, 7, seed=1):
+            for i, row in enumerate(queries):
+                votes[i, walk_reference(root, row)] += 1
+        assert tree.predict_forest_indices(forest, queries, n_classes).tolist() == \
+            np.argmax(votes, axis=1).tolist()
+
+
+class TestTreeGrowth:
+    def test_adjacent_float_values_still_split(self):
+        # The midpoint of two adjacent floats can round to the upper one;
+        # the split must still separate them, or growth never ends.
+        low = 1.0 + np.finfo(float).eps
+        high = np.nextafter(low, 2.0)
+        assert (low + high) / 2.0 == high
+        X = np.array([[low], [high], [low], [high]])
+        grown = tree.train_tree(X, np.array([0, 1, 0, 1]), 2)["tree"]
+        assert grown["threshold"][0] == low
+        assert tree.predict_tree_indices({"tree": grown}, X).tolist() == [0, 1, 0, 1]
+
+    def test_tree_deeper_than_the_recursion_limit(self, tmp_path):
+        # Alternating labels on one feature grow a chain: every split peels
+        # off one row, so the tree is n - 1 levels deep.
+        n = 600
+        X = fvs(np.arange(n, dtype=float)[:, None])
+        y = ["ab"[i % 2] for i in range(n)]
+        path = tmp_path / "deep.model"
+        save_model(fit(spec_from_name("dtree"), X[:4], y[:4]), path)  # imports done at full limit
+        predict(load_model(path), X[:4])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            model = fit(spec_from_name("dtree"), X, y)
+            save_model(model, path)
+            predicted = predict(load_model(path), X)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert model.parameters["tree"]["value"].size == 2 * n - 1
+        assert predicted == y
 
 
 class TestStandardization:
@@ -345,3 +441,86 @@ class TestModelIO:
         with pytest.raises(CorruptModelFile):
             load_model(path)
 
+
+def _set(name, index, value):
+    def mutate(grown):
+        grown[name][index] = value
+    return mutate
+
+
+# One corruption per load-time tree check, with words of the check's
+# message; each keeps the file's CRC valid.
+TREE_CORRUPTIONS = {
+    "missing-threshold": (lambda grown: grown.pop("threshold"), "threshold"),
+    "unequal-lengths": (lambda grown: grown["value"].append(0), "equal length"),
+    "empty-arrays": (lambda grown: grown.update({name: [] for name in tree.TREE_FIELDS}),
+                     "non-empty"),
+    "fractional-feature": (_set("feature", 0, 0.5), "list of integers"),
+    "feature-too-large": (_set("feature", 0, 3), "feature index"),
+    "feature-below-minus-one": (_set("feature", 0, -2), "feature index"),
+    "left-child-is-itself": (_set("left", 0, 0), "left child"),
+    "right-child-before-node": (_set("right", 0, -1), "right child"),
+    "right-child-outside": (lambda grown: grown["right"].__setitem__(0, len(grown["right"])),
+                            "right child"),
+    "class-too-large": (_set("value", -1, 2), "class outside"),
+    "class-negative": (_set("value", 0, -1), "class outside"),
+    "threshold-nan": (_set("threshold", 0, float("nan")), "not finite"),
+    "threshold-infinite": (_set("threshold", 0, float("inf")), "not finite"),
+}
+
+
+class TestTreeModelIO:
+    @pytest.fixture
+    def dtree_file(self, tmp_path):
+        path = tmp_path / "dtree.model"
+        save_model(fit(spec_from_name("dtree"), *blobs(np.random.default_rng(13), n_per_class=6)),
+                   path)
+        return path
+
+    def test_saved_as_arrays(self, dtree_file):
+        payload = read_envelope(dtree_file)
+        assert payload["format_version"] == 2
+        grown = payload["parameters"]["tree"]
+        assert sorted(grown) == sorted(tree.TREE_FIELDS)
+        assert all(isinstance(grown[name], list) for name in tree.TREE_FIELDS)
+
+    @pytest.mark.parametrize("corruption", list(TREE_CORRUPTIONS))
+    def test_corrupt_tree_rejected(self, corruption, dtree_file):
+        mutate, words = TREE_CORRUPTIONS[corruption]
+        payload = read_envelope(dtree_file)
+        mutate(payload["parameters"]["tree"])
+        write_envelope(dtree_file, payload)
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(dtree_file)
+        assert words in str(err.value)
+
+    @pytest.mark.parametrize("count", [7, 9])
+    def test_forest_tree_count_must_match_spec(self, count, tmp_path):
+        path = tmp_path / "rforest.model"
+        X, y = blobs(np.random.default_rng(14), n_per_class=6)
+        save_model(fit(spec_from_name("rforest", trees=8, seed=1), X, y), path)
+        payload = read_envelope(path)
+        trees = payload["parameters"]["trees"]
+        payload["parameters"]["trees"] = (trees * 2)[:count]
+        write_envelope(path, payload)
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(path)
+        assert "spec.trees=8" in str(err.value)
+
+    def test_corrupt_forest_tree_rejected(self, tmp_path):
+        path = tmp_path / "rforest.model"
+        X, y = blobs(np.random.default_rng(14), n_per_class=6)
+        save_model(fit(spec_from_name("rforest", trees=8, seed=1), X, y), path)
+        payload = read_envelope(path)
+        payload["parameters"]["trees"][5]["value"][0] = 5
+        write_envelope(path, payload)
+        with pytest.raises(CorruptModelFile):
+            load_model(path)
+
+    def test_version_one_rejected(self, dtree_file):
+        payload = read_envelope(dtree_file)
+        payload["format_version"] = 1
+        write_envelope(dtree_file, payload)
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(dtree_file)
+        assert "format_version 1" in str(err.value)

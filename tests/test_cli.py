@@ -9,6 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isatraits import cli, evaluate
+from isatraits.classify import fit, save_model, spec_from_name
+from isatraits.corpus import parse_label_registry, scan_corpus
+from isatraits.evaluate import AUTOCORR, Task
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -231,6 +236,24 @@ class TestPositiveIntFlags:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "gridsearch"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_cap_checked_at_parse_time(self, command, route, size_corpus, tmp_path):
+        head = (["evaluate", "--task", "isvar", "--feature", "autocorr", "--lag", 16]
+                if command == "evaluate" else ["gridsearch", "lag", "--task", "isvar"])
+        if route == "flag":
+            cap = ["--cap", "0"]
+        else:
+            cfg = tmp_path / "cap.conf"
+            cfg.write_text("cap=0\n")
+            cap = ["--config", cfg]
+        proc = run_cli(*head, *cap, "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if "error" in line]
+        assert len(errors) == 1 and "cap" in errors[0]
+        assert "Traceback" not in proc.stderr
+
+
 class TestGridsearch:
     def test_lag_sweep_three_rows(self, size_corpus, tmp_path):
         out = tmp_path / "table.csv"
@@ -321,6 +344,52 @@ class TestTrainPredict:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1
         assert "spec" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_tree_model_missing_threshold_exit_1_one_line(self, endian_corpus, size_corpus,
+                                                         tmp_path):
+        out = tmp_path / "models"
+        proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", size_corpus,
+                       "--width-classifier", "dtree", "--isvar-lag", 64, "--width-lag", 64,
+                       "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads((out / "width.model").read_text().splitlines()[0])
+        del payload["parameters"]["tree"]["threshold"]
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        (out / "width.model").write_text(f"{body}\ncrc32:{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n")
+        proc = run_cli("predict", "--endian-model", out / "endian.model",
+                       "--isvar-model", out / "isvar.model", "--width-model", out / "width.model",
+                       le_fixed32_query(tmp_path / "query.bin"))
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert "threshold" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_train_extracts_each_size_sample_once(self, endian_corpus, size_corpus, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        original = evaluate.autocorrelation_feature
+        monkeypatch.setattr(evaluate, "autocorrelation_feature",
+                            lambda binary, l: calls.append((binary.source_path, l))
+                            or original(binary, l))
+        out = tmp_path / "models"
+        assert cli.main(["train", "--endian-corpus", str(endian_corpus),
+                         "--size-corpus", str(size_corpus), "--isvar-lag", "64",
+                         "--width-lag", "32", "--out", str(out)]) == 0
+        monkeypatch.undo()
+
+        manifest = scan_corpus(size_corpus, parse_label_registry(size_corpus / "labels.csv"))
+        isvar_ids = evaluate.eligible_ids(manifest, Task.FIXED_VS_VARIABLE)
+        assert sorted(calls) == sorted((manifest.samples[i].source_path, 64) for i in isvar_ids)
+
+        # The width model is the one fitted on vectors extracted at its own lag.
+        width_ids = evaluate.eligible_ids(manifest, Task.FIXED_WIDTH)
+        direct = fit(
+            spec_from_name("logreg", c=evaluate.DEFAULT_LOGREG_C[(Task.FIXED_WIDTH, AUTOCORR)]),
+            [evaluate.autocorrelation_feature(manifest.samples[i].load(), 32) for i in width_ids],
+            [evaluate.task_label(manifest.label_of(manifest.samples[i]), Task.FIXED_WIDTH)
+             for i in width_ids],
+        )
+        save_model(direct, tmp_path / "direct.model")
+        assert (tmp_path / "direct.model").read_text() == (out / "width.model").read_text()
 
     def test_tiny_binary_reports_stage(self, models_dir, tmp_path):
         query = tmp_path / "tiny.bin"
