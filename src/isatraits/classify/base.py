@@ -1,14 +1,17 @@
 """Classifier suite core: specs, trained models, fit/predict dispatch.
 
-The suite is self-contained (numpy + a generic scipy minimizer); each
-algorithm lives in its own module and exposes train()/predict_indices()
-working on float64 matrices and integer class indices. Class labels are
-sorted lexicographically at fit time, and every tie rule below resolves
-to the lowest class index, so results are fully deterministic.
+The suite is self-contained: numpy, plus scipy's L-BFGS minimizer, which
+only logistic.train() imports (the fit is its one caller), so prediction
+and every other learner run on numpy alone. Each algorithm lives in its
+own module and exposes train()/predict_indices() working on float64
+matrices and integer class indices. Class labels are sorted
+lexicographically at fit time, and every tie rule below resolves to the
+lowest class index, so results are fully deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Sequence
@@ -41,6 +44,8 @@ class ClassifierSpec:
     standardize: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.c):  # model files and reports must stay valid JSON
+            raise ValueError(f"c must be finite, got {self.c}")
         if self.kind is ClassifierKind.KNN and self.k not in (1, 3, 5):
             raise ValueError(f"knn neighbor count must be 1, 3 or 5, got {self.k}")
         if self.kind is ClassifierKind.LOGISTIC_REGRESSION and not self.c > 0:

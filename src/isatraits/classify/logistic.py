@@ -4,6 +4,11 @@ The objective is sum of per-sample log losses plus ||W||^2 / (2c), bias
 excluded from the penalty, so c is inverse regularization strength.
 Optimization runs L-BFGS to gradient norm <= 1e-6 or 1000 iterations;
 weights start at zero, so fits are deterministic.
+
+scipy.optimize is imported inside train(), the only place that calls it.
+Importing it costs more than half a second of a fresh process, and
+prediction is a matrix product and an argmax, so predicting with a
+logistic model (and any use of the other classifiers) never loads scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy.optimize import minimize
 
 GRAD_TOL = 1e-6
 MAX_ITER = 1000
@@ -39,6 +43,8 @@ def _loss_and_grad(
 
 
 def train(X: np.ndarray, y: np.ndarray, n_classes: int, c: float) -> dict[str, Any]:
+    from scipy.optimize import minimize  # the only scipy import; see the module docstring
+
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     onehot = np.zeros((n, n_classes), dtype=np.float64)

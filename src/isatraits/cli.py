@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,6 +89,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw!r}")
+    return value
+
+
 def _coerce(action: argparse.Action, raw: str):
     if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
         if raw.lower() in ("1", "true", "yes", "on"):
@@ -159,8 +170,8 @@ def _parse_int_list(raw: str, flag: str, as_float: bool = False) -> list:
         raise UsageError(f"{flag}: could not parse {raw!r}") from None
     if not values:
         raise UsageError(f"{flag}: empty list")
-    if any(v <= 0 for v in values):
-        raise UsageError(f"{flag}: values must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise UsageError(f"{flag}: values must be positive and finite")
     return values
 
 
@@ -466,7 +477,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--classifier", default="knn3", choices=SUITE_NAMES)
     p.add_argument("--lag", type=_positive_int, default=None,
                    help="autocorr lag (default: tuned per task/classifier)")
-    p.add_argument("--c", type=float, default=None, help="logreg inverse regularization (default: tuned)")
+    p.add_argument("--c", type=_positive_float, default=None, help="logreg inverse regularization (default: tuned)")
     p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -485,7 +496,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--classifier", default="knn3", choices=SUITE_NAMES, help="lag mode: classifier")
     p.add_argument("--grid", default=None, help="comma-separated grid values")
     p.add_argument("--lag", type=_positive_int, default=None, help="c mode with autocorr: fixed lag")
-    p.add_argument("--c", type=float, default=None, help="lag mode with logreg: fixed c")
+    p.add_argument("--c", type=_positive_float, default=None, help="lag mode with logreg: fixed c")
     p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -504,13 +515,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--size-labels", default=None)
     p.add_argument("--endian-feature", default="endsig", choices=FEATURE_NAMES)
     p.add_argument("--endian-classifier", default="logreg", choices=SUITE_NAMES)
-    p.add_argument("--endian-c", type=float, default=None)
+    p.add_argument("--endian-c", type=_positive_float, default=None)
     p.add_argument("--endian-lag", type=_positive_int, default=None)
     p.add_argument("--isvar-classifier", default="logreg", choices=SUITE_NAMES)
-    p.add_argument("--isvar-c", type=float, default=None)
+    p.add_argument("--isvar-c", type=_positive_float, default=None)
     p.add_argument("--isvar-lag", type=_positive_int, default=None)
     p.add_argument("--width-classifier", default="logreg", choices=SUITE_NAMES)
-    p.add_argument("--width-c", type=float, default=None)
+    p.add_argument("--width-c", type=_positive_float, default=None)
     p.add_argument("--width-lag", type=_positive_int, default=None)
     p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -561,6 +572,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

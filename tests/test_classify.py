@@ -43,6 +43,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=0.0)
 
+    @pytest.mark.parametrize("kind", list(ClassifierKind))
+    @pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+    def test_c_finite(self, kind, c):
+        with pytest.raises(ValueError, match="finite"):
+            ClassifierSpec(kind, c=c)
+
     def test_trees_positive(self):
         with pytest.raises(ValueError):
             ClassifierSpec(ClassifierKind.RANDOM_FOREST, trees=0)
@@ -433,6 +439,18 @@ class TestModelIO:
         payload[key] = value
         write_envelope(path, payload)
         with pytest.raises(CorruptModelFile):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["logreg", "knn3"])
+    @pytest.mark.parametrize("c", [float("inf"), float("nan")])
+    def test_non_finite_c(self, name, c, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(fit(spec_from_name(name), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        payload = read_envelope(path)
+        payload["spec"]["c"] = c
+        write_envelope(path, payload)
+        assert ("Infinity" if c > 0 else "NaN") in path.read_text()
+        with pytest.raises(CorruptModelFile, match="finite"):
             load_model(path)
 
     def test_payload_not_an_object(self, tmp_path):

@@ -254,6 +254,146 @@ class TestPositiveIntFlags:
         assert "Traceback" not in proc.stderr
 
 
+def one_error_line(proc, word):
+    assert proc.returncode == 2, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert len(errors) == 1 and word in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+class TestPositiveFiniteC:
+    BAD = ["inf", "-inf", "nan", "0", "-1", "1e400", "abc"]
+
+    def flag_or_config(self, route, key, value, tmp_path):
+        """The arguments that set key, and the name its error line shows."""
+        if route == "flag":
+            return [f"--{key}", value], f"--{key}"
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"{key}={value}\n")
+        return ["--config", cfg], repr(key.replace("-", "_"))
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_evaluate_c(self, value, route, endian_corpus, tmp_path):
+        c_args, name = self.flag_or_config(route, "c", value, tmp_path)
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
+                       "--classifier", "logreg", *c_args,
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv",
+                       "--report", tmp_path / "report.json")
+        one_error_line(proc, name)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("key", ["endian-c", "isvar-c", "width-c"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_train_stage_c(self, key, route, endian_corpus, size_corpus, tmp_path):
+        c_args, name = self.flag_or_config(route, key, "inf", tmp_path)
+        proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", size_corpus,
+                       *c_args, "--out", tmp_path / "models")
+        one_error_line(proc, name)
+        assert not (tmp_path / "models").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_gridsearch_lag_c(self, route, size_corpus, tmp_path):
+        c_args, name = self.flag_or_config(route, "c", "nan", tmp_path)
+        proc = run_cli("gridsearch", "lag", "--task", "isvar", "--classifier", "logreg", *c_args,
+                       "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
+        one_error_line(proc, name)
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1,inf", "0.5,nan,2", "1e400"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_gridsearch_c_grid(self, grid, route, endian_corpus, tmp_path):
+        grid_args, _ = self.flag_or_config(route, "grid", grid, tmp_path)
+        proc = run_cli("gridsearch", "c", "--task", "endianness", "--feature", "endsig",
+                       *grid_args,
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv")
+        one_error_line(proc, "--grid: values must be positive and finite")
+
+    def test_finite_c_accepted(self, endian_corpus, tmp_path):
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
+                       "--classifier", "logreg", "--c", "1e10",
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv",
+                       "--report", tmp_path / "report.json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["c"] == 1e10
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+        (MemoryError(), "allocation failed"),
+    ])
+    def test_one_line_exit_1(self, exc, detail, monkeypatch, capsys, tmp_path):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate_synthetic_endian", exhausted)
+        code = cli.main(["synth", "endian", "--isas", "1", "--files", "1",
+                         "--len", "100000000000", "--out", str(tmp_path / "corpus")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {detail}\n"
+
+
+# Runs one CLI command in a fresh interpreter, then prints the scipy
+# modules it loaded as the last stderr line.
+SCIPY_PROBE = """
+import json, sys
+from isatraits.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def scipy_loaded_by(*args):
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *map(str, args)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestScipyOnlyForLogregFit:
+    def test_predict_with_logreg_models(self, models_dir, tmp_path):
+        for name in ("endian", "isvar", "width"):
+            assert '"kind":"logistic_regression"' in (models_dir / f"{name}.model").read_text()
+        assert scipy_loaded_by("predict",
+                               "--endian-model", models_dir / "endian.model",
+                               "--isvar-model", models_dir / "isvar.model",
+                               "--width-model", models_dir / "width.model",
+                               le_fixed32_query(tmp_path / "query.bin")) == []
+
+    def test_gridsearch_lag_knn3(self, size_corpus):
+        assert scipy_loaded_by("gridsearch", "lag", "--task", "isvar", "--classifier", "knn3",
+                               "--grid", "16,32", "--corpus", size_corpus,
+                               "--labels", size_corpus / "labels.csv") == []
+
+    @pytest.mark.parametrize("classifier", ["knn1", "gnb", "dtree", "rforest"])
+    def test_evaluate_other_classifiers(self, classifier, size_corpus):
+        assert scipy_loaded_by("evaluate", "--task", "isvar", "--feature", "autocorr",
+                               "--lag", 16, "--classifier", classifier, "--trees", 5,
+                               "--corpus", size_corpus, "--labels", size_corpus / "labels.csv") == []
+
+    def test_synth(self, tmp_path):
+        assert scipy_loaded_by("synth", "endian", "--isas", 1, "--files", 1, "--len", 1024,
+                               "--out", tmp_path / "corpus") == []
+
+    def test_stats(self, endian_corpus):
+        assert scipy_loaded_by("stats", "--labels", endian_corpus / "labels.csv",
+                               "--corpus", endian_corpus) == []
+
+    def test_export_curves(self, size_corpus):
+        assert scipy_loaded_by("export-curves", "--lag", 8, "--corpus", size_corpus,
+                               "--labels", size_corpus / "labels.csv") == []
+
+    def test_logreg_fit_loads_scipy(self, endian_corpus):
+        loaded = scipy_loaded_by("evaluate", "--task", "endianness", "--feature", "endsig",
+                                 "--classifier", "logreg", "--corpus", endian_corpus,
+                                 "--labels", endian_corpus / "labels.csv")
+        assert "scipy.optimize" in loaded
+
+
 class TestGridsearch:
     def test_lag_sweep_three_rows(self, size_corpus, tmp_path):
         out = tmp_path / "table.csv"

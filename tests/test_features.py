@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ from isatraits.features import (
     DIRECT_LAGS,
     SIGNATURE_BIGRAMS,
     FeatureVector,
+    _bigram_counts,
     LaggedWindowPair,
     autocorr_at_lag,
     autocorr_prefix,
@@ -90,6 +92,37 @@ class TestEndiannessSignatures:
             full = bigram_histogram(sample(data))
             for slot, bin_index in enumerate(SIGNATURE_BIGRAMS):
                 assert sig.values[slot] == full.values[bin_index]
+
+    @staticmethod
+    def assert_equals_histogram_bins(data: bytes):
+        expected = _bigram_counts(data)[list(SIGNATURE_BIGRAMS)] / (len(data) - 1)
+        values = endianness_signatures(sample(data)).values
+        assert values.dtype == np.float64
+        assert np.array_equal(values, expected), data[:16]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_short_input_over_signature_bytes(self, n):
+        alphabet = (0x00, 0x01, 0x10, 0xFE, 0xFF)
+        for combo in itertools.product(alphabet, repeat=n):
+            self.assert_equals_histogram_bins(bytes(combo))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 4096, 65537])
+    def test_random_inputs(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_equals_histogram_bins(rng.integers(0, 256, n, dtype=np.uint8).tobytes())
+        signature_bytes = np.array([0x00, 0x01, 0xFE, 0xFF], dtype=np.uint8)
+        self.assert_equals_histogram_bins(rng.choice(signature_bytes, n).tobytes())
+
+    @pytest.mark.parametrize("byte", [0xFF, 0xFE, 0x00, 0x01])
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_constant_runs(self, byte, n):
+        self.assert_equals_histogram_bins(bytes([byte]) * n)
+
+    @pytest.mark.parametrize("slot, pair", enumerate(SIGNATURE_BIGRAMS))
+    def test_pair_in_last_two_bytes(self, slot, pair):
+        data = b"\x10" * 99 + pair.to_bytes(2, "big")
+        self.assert_equals_histogram_bins(data)
+        assert endianness_signatures(sample(data)).values[slot] == 1 / 100
 
     def test_le_files_favor_0100_over_0001(self):
         manifest = generate_synthetic_endian(2, 16, 4096, seed=21)  # 32 LE files
