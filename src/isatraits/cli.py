@@ -79,14 +79,21 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(lowest: int, kind: str):
+    """An argparse type: an int >= lowest, else a usage error naming the flag."""
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _positive_float(raw: str) -> float:
@@ -183,6 +190,8 @@ def cmd_synth(args, argv) -> int:
     if args.mode == "endian":
         manifest = generate_synthetic_endian(args.isas, args.files, args.len, args.seed)
     else:
+        if args.isas_per_width == 0 and args.variable == 0:
+            raise UsageError("--isas-per-width 0 with --variable 0 makes an empty corpus")
         widths = _parse_int_list(args.widths, "--widths")
         manifest = generate_synthetic_fixedwidth(
             widths, args.isas_per_width, args.files, args.len, args.variable, args.seed
@@ -460,13 +469,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known ground truth")
     p.add_argument("mode", choices=["endian", "fixedwidth"])
-    p.add_argument("--isas", type=int, default=4, help="endian mode: ISAs per endianness class")
+    p.add_argument("--isas", type=_positive_int, default=4,
+                   help="endian mode: ISAs per endianness class")
     p.add_argument("--widths", default="16,32", help="fixedwidth mode: comma-separated widths in bits")
-    p.add_argument("--isas-per-width", type=int, default=3)
-    p.add_argument("--variable", type=int, default=0, help="fixedwidth mode: variable-size ISA count")
-    p.add_argument("--files", type=int, required=True, help="files per ISA")
-    p.add_argument("--len", type=int, required=True, help="bytes per file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--isas-per-width", type=_non_negative_int, default=3)
+    p.add_argument("--variable", type=_non_negative_int, default=0,
+                   help="fixedwidth mode: variable-size ISA count")
+    p.add_argument("--files", type=_positive_int, required=True, help="files per ISA")
+    p.add_argument("--len", type=_positive_int, required=True, help="bytes per file")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=cmd_synth)
     registry["synth"] = p
@@ -481,7 +492,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_corpus_flags(p)
     p.add_argument("--report", default=None, help="write full JSON report here")
     p.add_argument("--csv", default=None, help="write per-fold CSV here")
@@ -499,7 +510,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--c", type=_positive_float, default=None, help="lag mode with logreg: fixed c")
     p.add_argument("--trees", type=_positive_int, default=100)
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="write the sweep table CSV here")
     p.add_argument("--config", default=None)
@@ -524,7 +535,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--width-c", type=_positive_float, default=None)
     p.add_argument("--width-lag", type=_positive_int, default=None)
     p.add_argument("--cap", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="directory for endian.model/isvar.model/width.model")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)

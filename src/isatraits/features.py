@@ -13,23 +13,38 @@ Three extractors:
 
 All extractors are pure functions of (bytes, parameters).
 
-The autocorrelation kernel computes every lag 1..l at once. The lagged
-products sum_i s[i]*s[i+k] are summed one block of AUTOCORR_BLOCK bytes at
-a time, each block against itself plus the l bytes that follow it: by a
-zero-padded real FFT (Wiener-Khinchin), or by one dot product per lag when
-l < DIRECT_LAGS. The window sums Sx, Sy, Sxx and Syy of every lag come from
-the series total, the lag-0 product and cumulative sums over the first and
-last l bytes. That costs O(n log(block + l)) time (O(n l) on the direct
-path) and O(block + l) extra memory; the series stays uint8 and is never
-copied whole.
+The autocorrelation kernel computes every lag 1..l at once, from the exact
+integer lagged products p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two
+paths:
 
-The result is exact, not approximate: every moment is an integer below
-2**53, and each block's FFT error is far below 0.5 (under 1e-6 for blocks
-of 8 to 32 KiB, even of all-0xff bytes), so rounding each block's products
-to the nearest integer recovers them exactly. The Pearson formula then runs
-in float64 on the same integers that a per-lag loop sums, so f(1..l) is
-bit-identical to the per-lag computation, and to the first l values of
-f(1..L) for any L >= l.
+* GEMM (l <= GEMM_LAGS): the series is read as rows of width
+  w = max(l, GEMM_MIN_WIDTH), GEMM_ROWS rows at a time, each chunk copied
+  into a reused float32 buffer next to the row that follows each of its
+  rows. One float32 matrix product per chunk gives every sum of
+  s[i]*s[i+k] over the chunk's i in one residue class mod w; p[k] is its
+  k-th diagonal. Every entry sums at most GEMM_ROWS byte products of at
+  most 255**2, and 256 * 255**2 < 2**24, so each float32 partial sum is an
+  exact integer whatever order, thread split or FMA the BLAS uses. The
+  diagonals are summed in float64, exact below 2**53. O(n l) time.
+* FFT (l > GEMM_LAGS): one block of AUTOCORR_BLOCK bytes at a time, each
+  block correlated with itself plus the l bytes that follow it by a
+  zero-padded real FFT (Wiener-Khinchin). Every moment is an integer below
+  2**53 and each block's FFT error is far below 0.5 (under 1e-6 for blocks
+  of 8 to 32 KiB, even of all-0xff bytes), so rounding each block's
+  products to the nearest integer recovers them exactly.
+  O(n log(block + l)) time.
+
+Which path is faster was measured (table in CHANGES.md): at 4 MiB and lag
+128 the GEMM path took about 40 ms against about 200 ms for the FFT, and
+at 8 KiB the FFT is as fast from about lag 256 up. Both paths keep the
+series uint8 and copy it only one chunk or block at a time, so extra
+memory is O(GEMM_ROWS * l + l**2) or O(block + l), never O(n).
+
+The window sums Sx, Sy, Sxx and Syy of every lag come from the series
+total, the lag-0 product and cumulative sums over the first and last l
+bytes. The Pearson formula then runs in float64 on the same integers that
+a per-lag loop sums, so f(1..l) is bit-identical to the per-lag
+computation, and to the first l values of f(1..L) for any L >= l.
 """
 
 from __future__ import annotations
@@ -45,6 +60,8 @@ from .errors import IsaTraitsError, LagTooLarge, SampleTooShort, WindowTooShort
 
 BIGRAM_DIM = 256 * 256
 SIGNATURE_BIGRAMS = (0xFFFE, 0xFEFF, 0x0001, 0x0100)
+# Each signature pair as the native uint16 whose two bytes are the pair.
+_SIGNATURE_WORDS = np.array(SIGNATURE_BIGRAMS, dtype=">u2").view(np.uint16)
 
 BIGRAMS = "bigrams"
 ENDSIG = "endsig"
@@ -104,13 +121,16 @@ def endianness_signatures(sample: BinarySample) -> FeatureVector:
     (0xfffe, 0xfeff, 0x0001, 0x0100)."""
     if len(sample.data) < 2:
         raise SampleTooShort(f"bigram extraction needs >= 2 bytes, got {len(sample.data)}")
-    # The four pairs are counted directly: the same integers as the full
-    # 65536-bin histogram, at a fifth of its cost on large inputs.
-    arr = np.frombuffer(sample.data, dtype=np.uint8)
-    first, second = arr[:-1], arr[1:]
-    counts = [np.count_nonzero((first == pair >> 8) & (second == pair & 0xFF))
-              for pair in SIGNATURE_BIGRAMS]
-    values = np.array(counts, dtype=np.float64) / (len(sample.data) - 1)
+    # The four pairs are counted directly, the same integers as the full
+    # 65536-bin histogram: every pair is one 2-byte word of the bytes read
+    # at an even or at an odd offset, compared in native order against the
+    # pair's big-endian word.
+    data, n = sample.data, len(sample.data)
+    even = np.frombuffer(data, dtype=np.uint16, count=n // 2)
+    odd = np.frombuffer(data, dtype=np.uint16, offset=1, count=(n - 1) // 2)
+    counts = [np.count_nonzero(even == word) + np.count_nonzero(odd == word)
+              for word in _SIGNATURE_WORDS]
+    values = np.array(counts, dtype=np.float64) / (n - 1)
     return FeatureVector(ENDSIG, values)
 
 
@@ -144,12 +164,21 @@ def pearson_r(pair: LaggedWindowPair) -> float:
     return _pearson(x, y)
 
 
-# Bytes per block of the autocorrelation kernel. Transforms of about 8K
-# points stay in cache; at 32K points each point cost 1.6x as much.
+# Bytes per block of the FFT path. Transforms of about 8K points stay in
+# cache; at 32K points each point cost 1.6x as much.
 AUTOCORR_BLOCK = 8 * 1024
-# Below this many lags, one dot product per lag beats the FFT on a block
-# (at 64 lags both take about 0.3 ms per 8 KiB block).
-DIRECT_LAGS = 64
+# Up to this many lags the GEMM path is used, above it the FFT path. The
+# GEMM costs O(l) per byte, a block's FFT O(log(block + l)); on 8 KiB
+# samples the two are level at 256 lags and the FFT is 2x faster at 512
+# (table in CHANGES.md).
+GEMM_LAGS = 256
+# Rows per GEMM chunk. Each float32 product entry sums GEMM_ROWS byte
+# products of at most 255**2, so it stays an integer below 2**24: exact in
+# any summation order.
+GEMM_ROWS = 256
+# Narrowest row of the GEMM path: below it the per-chunk overhead dominates,
+# so small lags use rows this wide and read fewer diagonals.
+GEMM_MIN_WIDTH = 32
 
 
 @lru_cache(maxsize=128)
@@ -171,10 +200,6 @@ def _fast_len(target: int) -> int:
 
 def _block_products(ext: np.ndarray, count: int, max_lag: int, size: int) -> np.ndarray:
     # sum_{i < count, i + k < len(ext)} ext[i] * ext[i + k] for k = 0..max_lag.
-    if max_lag < DIRECT_LAGS:
-        x = ext.astype(np.float64)  # integer sums below 2**53: exact in float64
-        spans = [max(0, min(count, x.size - k)) for k in range(max_lag + 1)]
-        return np.array([x[:m] @ x[k:k + m] for k, m in enumerate(spans)]).astype(np.int64)
     head = np.fft.rfft(ext[:count], size)
     if count == ext.size:  # nothing follows the block: |X|^2, no cross term
         spec = head.real * head.real + head.imag * head.imag
@@ -183,10 +208,7 @@ def _block_products(ext: np.ndarray, count: int, max_lag: int, size: int) -> np.
     return np.rint(np.fft.irfft(spec, size)[: max_lag + 1]).astype(np.int64)
 
 
-def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """Exact int64 sums p[k] = sum_i s[i] * s[i + k] for k = 0..max_lag over a
-    uint8 series, one block of AUTOCORR_BLOCK bytes (plus the max_lag bytes
-    after it) at a time."""
+def _fft_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     n = series.size
     block = AUTOCORR_BLOCK
     size = _fast_len(min(n, block) + max_lag)
@@ -195,6 +217,43 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
         out += _block_products(series[start:start + block + max_lag], min(block, n - start),
                                max_lag, size)
     return out
+
+
+def _gemm_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+    # Row r of a chunk is s[r*w:(r+1)*w], zero past the end of the series.
+    # Row r of buf is [row r | row r+1], so prod = this_row.T @ buf holds at
+    # [a, a + k] the sum of s[i] * s[i + k] over the chunk's i = a (mod w),
+    # for k = 0..w: diagonal k of prod, summed, is the chunk's p[k].
+    n = series.size
+    w = max(max_lag, GEMM_MIN_WIDTH)
+    rows = min(GEMM_ROWS, max(1, -(-n // w)))
+    step = rows * w
+    buf = np.empty((rows, 2 * w), dtype=np.float32)
+    this_row, next_row = buf[:, :w], buf[:, w:]
+    prod = np.empty((w, 2 * w), dtype=np.float32)
+    item = prod.itemsize
+    diagonals = np.lib.stride_tricks.as_strided(
+        prod, shape=(max_lag + 1, w), strides=(item, (2 * w + 1) * item))
+    out = np.zeros(max_lag + 1, dtype=np.float64)  # integer sums below 2**53: exact
+    for start in range(0, n, step):
+        seg = series[start:start + step + w]
+        if seg.size < step + w:
+            seg = np.concatenate([seg, np.zeros(step + w - seg.size, dtype=np.uint8)])
+        seg = seg.reshape(rows + 1, w)
+        this_row[:] = seg[:-1]
+        next_row[:] = seg[1:]
+        np.matmul(this_row.T, buf, out=prod)
+        out += diagonals.sum(axis=1, dtype=np.float64)
+    return out.astype(np.int64)
+
+
+def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+    """Exact int64 sums p[k] = sum_i s[i] * s[i + k] for k = 0..max_lag over a
+    uint8 series: by float32 matrix products for max_lag <= GEMM_LAGS, by
+    FFTs over blocks of AUTOCORR_BLOCK bytes above."""
+    if max_lag <= GEMM_LAGS:
+        return _gemm_products(series, max_lag)
+    return _fft_products(series, max_lag)
 
 
 def _autocorr_values(series: np.ndarray, l: int) -> np.ndarray:

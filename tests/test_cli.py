@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -261,21 +262,22 @@ def one_error_line(proc, word):
     assert "Traceback" not in proc.stderr
 
 
+def flag_or_config(route, key, value, tmp_path):
+    """The arguments that set key, and the name its error line shows."""
+    if route == "flag":
+        return [f"--{key}", value], f"--{key}"
+    cfg = tmp_path / "c.conf"
+    cfg.write_text(f"{key}={value}\n")
+    return ["--config", cfg], repr(key.replace("-", "_"))
+
+
 class TestPositiveFiniteC:
     BAD = ["inf", "-inf", "nan", "0", "-1", "1e400", "abc"]
-
-    def flag_or_config(self, route, key, value, tmp_path):
-        """The arguments that set key, and the name its error line shows."""
-        if route == "flag":
-            return [f"--{key}", value], f"--{key}"
-        cfg = tmp_path / "c.conf"
-        cfg.write_text(f"{key}={value}\n")
-        return ["--config", cfg], repr(key.replace("-", "_"))
 
     @pytest.mark.parametrize("value", BAD)
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_evaluate_c(self, value, route, endian_corpus, tmp_path):
-        c_args, name = self.flag_or_config(route, "c", value, tmp_path)
+        c_args, name = flag_or_config(route, "c", value, tmp_path)
         proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
                        "--classifier", "logreg", *c_args,
                        "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv",
@@ -286,7 +288,7 @@ class TestPositiveFiniteC:
     @pytest.mark.parametrize("key", ["endian-c", "isvar-c", "width-c"])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_train_stage_c(self, key, route, endian_corpus, size_corpus, tmp_path):
-        c_args, name = self.flag_or_config(route, key, "inf", tmp_path)
+        c_args, name = flag_or_config(route, key, "inf", tmp_path)
         proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", size_corpus,
                        *c_args, "--out", tmp_path / "models")
         one_error_line(proc, name)
@@ -294,7 +296,7 @@ class TestPositiveFiniteC:
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_gridsearch_lag_c(self, route, size_corpus, tmp_path):
-        c_args, name = self.flag_or_config(route, "c", "nan", tmp_path)
+        c_args, name = flag_or_config(route, "c", "nan", tmp_path)
         proc = run_cli("gridsearch", "lag", "--task", "isvar", "--classifier", "logreg", *c_args,
                        "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
         one_error_line(proc, name)
@@ -302,7 +304,7 @@ class TestPositiveFiniteC:
     @pytest.mark.parametrize("grid", ["nan", "inf", "1,inf", "0.5,nan,2", "1e400"])
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_gridsearch_c_grid(self, grid, route, endian_corpus, tmp_path):
-        grid_args, _ = self.flag_or_config(route, "grid", grid, tmp_path)
+        grid_args, _ = flag_or_config(route, "grid", grid, tmp_path)
         proc = run_cli("gridsearch", "c", "--task", "endianness", "--feature", "endsig",
                        *grid_args,
                        "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv")
@@ -315,6 +317,50 @@ class TestPositiveFiniteC:
                        "--report", tmp_path / "report.json")
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["config"]["c"] == 1e10
+
+
+class TestCountAndSeedFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--isas", "0"), ("--files", "-2"), ("--len", "0"), ("--isas-per-width", "-1"),
+        ("--variable", "-1"), ("--seed", "-1"), ("--files", "two"),
+    ])
+    def test_synth_checks_counts_at_parse_time(self, flag, value, tmp_path):
+        counts = {"--isas": "2", "--files": "1", "--len": "2048"}
+        counts[flag] = value
+        mode = "endian" if flag == "--isas" else "fixedwidth"
+        proc = run_cli("synth", mode, *itertools.chain(*counts.items()),
+                       *([] if flag in counts else [flag, value]), "--out", tmp_path / "c")
+        one_error_line(proc, flag)
+        assert not (tmp_path / "c").exists()
+
+    def test_synth_rejects_empty_fixedwidth_corpus(self, tmp_path):
+        proc = run_cli("synth", "fixedwidth", "--isas-per-width", 0, "--files", 1,
+                       "--len", 2048, "--out", tmp_path / "c")
+        one_error_line(proc, "--isas-per-width 0 with --variable 0")
+        assert not (tmp_path / "c").exists()
+
+    def test_synth_zero_counts_allowed_when_corpus_is_not_empty(self, tmp_path):
+        proc = run_cli("synth", "fixedwidth", "--isas-per-width", 0, "--variable", 2,
+                       "--files", 1, "--len", 2048, "--out", tmp_path / "c")
+        assert proc.returncode == 0, proc.stderr
+        assert "total: 2 samples in 2 groups" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["evaluate", "gridsearch", "train"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, command, route, size_corpus, tmp_path):
+        seed_args, name = flag_or_config(route, "seed", "-1", tmp_path)
+        corpus = ["--corpus", size_corpus, "--labels", size_corpus / "labels.csv"]
+        head = {
+            "evaluate": ["evaluate", "--task", "isvar", "--feature", "autocorr",
+                         "--classifier", "rforest", *corpus],
+            "gridsearch": ["gridsearch", "lag", "--task", "isvar", "--classifier", "rforest",
+                           *corpus],
+            "train": ["train", "--corpus", size_corpus, "--isvar-classifier", "rforest",
+                      "--out", tmp_path / "models"],
+        }[command]
+        proc = run_cli(*head, *seed_args)
+        one_error_line(proc, name)
+        assert not (tmp_path / "models").exists()
 
 
 class TestMemoryError:

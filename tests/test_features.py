@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from isatraits.features import (
     AUTOCORR,
     AUTOCORR_BLOCK,
     BIGRAM_DIM,
-    DIRECT_LAGS,
+    GEMM_LAGS,
+    GEMM_MIN_WIDTH,
+    GEMM_ROWS,
     SIGNATURE_BIGRAMS,
     FeatureVector,
     _bigram_counts,
@@ -123,6 +126,14 @@ class TestEndiannessSignatures:
         data = b"\x10" * 99 + pair.to_bytes(2, "big")
         self.assert_equals_histogram_bins(data)
         assert endianness_signatures(sample(data)).values[slot] == 1 / 100
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 100])
+    @pytest.mark.parametrize("slot, pair", enumerate(SIGNATURE_BIGRAMS))
+    def test_pair_at_last_offset_of_odd_and_even_lengths(self, slot, pair, n):
+        # The last pair starts at an even offset when n is even, an odd one when n is odd.
+        data = b"\x10" * (n - 2) + pair.to_bytes(2, "big")
+        self.assert_equals_histogram_bins(data)
+        assert endianness_signatures(sample(data)).values[slot] == 1 / (n - 1)
 
     def test_le_files_favor_0100_over_0001(self):
         manifest = generate_synthetic_endian(2, 16, 4096, seed=21)  # 32 LE files
@@ -299,11 +310,30 @@ class TestAutocorrKernel:
                               autocorr_reference(data, l))
 
     @pytest.mark.parametrize("n", [200, AUTOCORR_BLOCK, AUTOCORR_BLOCK + 1, 2 * AUTOCORR_BLOCK + 70])
-    @pytest.mark.parametrize("lag", [1, 5, DIRECT_LAGS - 1, DIRECT_LAGS, 150])
+    @pytest.mark.parametrize("lag", [1, 5, 63, 64, 150, GEMM_LAGS, GEMM_LAGS + 1])
     def test_products_equal_int64_dots(self, n, lag):
         series = np.frombuffer(random_bytes(n, seed=n + lag), dtype=np.uint8)
         expected = [direct_lagged_product(series, k) for k in range(lag + 1)]
         assert lagged_products(series, lag).tolist() == expected
+
+    @pytest.mark.parametrize("fill", ["random", "0xff"])
+    @pytest.mark.parametrize("lag", [1, GEMM_LAGS, GEMM_LAGS + 1])
+    def test_products_at_chunk_boundaries(self, lag, fill):
+        # A GEMM chunk is GEMM_ROWS rows of width max(lag, GEMM_MIN_WIDTH);
+        # all-0xff bytes give the largest float32 partial sums.
+        width = max(lag, GEMM_MIN_WIDTH)
+        ends = {GEMM_ROWS * lag, GEMM_ROWS * width, 2 * GEMM_ROWS * width}
+        for n in sorted(end + d for end in ends for d in (-1, 0, 1)):
+            if fill == "random":
+                series = np.frombuffer(random_bytes(n, seed=n), dtype=np.uint8)
+            else:
+                series = np.full(n, 0xFF, dtype=np.uint8)
+            wide = series.astype(np.int64)
+            expected = [int(wide[:n - k] @ wide[k:]) for k in range(lag + 1)]
+            assert lagged_products(series, lag).tolist() == expected, n
+
+    def test_gemm_chunk_sums_are_exact_in_float32(self):
+        assert GEMM_ROWS * 255**2 < 2**24
 
     def test_degenerate_series(self):
         for data, l in [(bytes([7]) * 1000, 50), (bytes([0, 255]) * 5000, 300),
@@ -324,10 +354,21 @@ class TestAutocorrKernel:
 
     def test_16mib_products_equal_int64_dot(self):
         series = np.frombuffer(random_bytes(16 << 20, seed=16), dtype=np.uint8)
-        products = lagged_products(series, DIRECT_LAGS)
-        for k in (0, 1, 7, 33, DIRECT_LAGS):
+        products = lagged_products(series, GEMM_LAGS)
+        for k in (0, 1, 7, 33, GEMM_LAGS):
             assert int(products[k]) == direct_lagged_product(series, k)
         assert np.array_equal(lagged_products(series, 16), products[:17])
+
+    def test_16mib_kernel_allocates_no_series_copy(self):
+        series = np.frombuffer(random_bytes(16 << 20, seed=16), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            for lag in (1, GEMM_LAGS, GEMM_LAGS + 1):
+                tracemalloc.reset_peak()
+                lagged_products(series, lag)
+                assert tracemalloc.get_traced_memory()[1] < 4 << 20, lag
+        finally:
+            tracemalloc.stop()
 
     def test_grid_search_lag_loads_and_extracts_each_sample_once(self, monkeypatch):
         manifest = generate_synthetic_fixedwidth([16, 32], 2, 3, 2048, 2, seed=3)
