@@ -1,8 +1,7 @@
 """Classifier suite core: specs, trained models, fit/predict dispatch.
 
-The suite is self-contained: numpy, plus scipy's L-BFGS minimizer, which
-only logistic.train() imports (the fit is its one caller), so prediction
-and every other learner run on numpy alone. Each algorithm lives in its
+The suite is self-contained and runs on numpy alone; logistic regression
+brings its own L-BFGS minimizer. Each algorithm lives in its
 own module and exposes train()/predict_indices() working on float64
 matrices and integer class indices. Class labels are sorted
 lexicographically at fit time, and every tie rule below resolves to the

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -254,12 +253,10 @@ def run_evaluation(
     task: Task,
     feature: FeatureConfig,
     classifier: ClassifierSpec,
-    jobs: int = 1,
     features: dict[int, FeatureVector] | None = None,
 ) -> EvaluationReport:
-    """Full LOGOCV: extract features once, fit/score one model per fold,
-    aggregate. Folds may run on jobs > 1 worker threads; results assemble
-    in group order either way. features, when given, holds the already
+    """Full LOGOCV: extract features once, fit/score one model per fold in
+    group order, aggregate. features, when given, holds the already
     extracted `feature` of every eligible sample by manifest index (the
     grid searches pass it so they extract once for a whole sweep)."""
     plan = plan_logocv(manifest, task)
@@ -268,13 +265,7 @@ def run_evaluation(
         features = _extract_all(manifest, ids, feature)
     labels = {i: task_label(manifest.label_of(manifest.samples[i]), task) for i in ids}
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_fold = list(pool.map(
-                lambda fold: _run_fold(fold, features, labels, classifier), plan.folds
-            ))
-    else:
-        per_fold = [_run_fold(fold, features, labels, classifier) for fold in plan.folds]
+    per_fold = [_run_fold(fold, features, labels, classifier) for fold in plan.folds]
 
     feature_accuracy = mean_fold_accuracy([fr.accuracy for fr in per_fold])
     total = sum(fr.n_test for fr in per_fold)
@@ -308,7 +299,6 @@ def grid_search_c(
     task: Task,
     feature: FeatureConfig,
     c_grid: Sequence[float],
-    jobs: int = 1,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Sweep logistic-regression c over the grid; best is the argmax of
     feature accuracy, ties to the smaller c."""
@@ -320,7 +310,7 @@ def grid_search_c(
     table = []
     for c in sorted(c_grid):
         spec = ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)
-        report = run_evaluation(manifest, task, feature, spec, jobs=jobs, features=features)
+        report = run_evaluation(manifest, task, feature, spec, features=features)
         table.append((c, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])  # ascending grid => ties keep smaller c
     return best[0], table
@@ -331,7 +321,6 @@ def grid_search_lag(
     task: Task,
     classifier: ClassifierSpec,
     lag_grid: Sequence[int],
-    jobs: int = 1,
 ) -> tuple[int, list[tuple[int, float]]]:
     """Sweep the autocorrelation lag over the grid; ties to the smaller lag.
 
@@ -351,7 +340,7 @@ def grid_search_lag(
     for lag in sorted(lag_grid):
         features = {i: autocorr_prefix(vec, lag) for i, vec in full.items()}
         report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,
-                                jobs=jobs, features=features)
+                                features=features)
         table.append((lag, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])
     return best[0], table

@@ -17,7 +17,8 @@ The autocorrelation kernel computes every lag 1..l at once, from the exact
 integer lagged products p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two
 paths:
 
-* GEMM (l <= GEMM_LAGS): the series is read as rows of width
+* GEMM (l <= GEMM_LAGS, or l <= GEMM_MAX_LAGS on a series of at least
+  GEMM_WIDE_ROWS rows of width l): the series is read as rows of width
   w = max(l, GEMM_MIN_WIDTH), GEMM_ROWS rows at a time, each chunk copied
   into a reused float32 buffer next to the row that follows each of its
   rows. One float32 matrix product per chunk gives every sum of
@@ -26,7 +27,7 @@ paths:
   most 255**2, and 256 * 255**2 < 2**24, so each float32 partial sum is an
   exact integer whatever order, thread split or FMA the BLAS uses. The
   diagonals are summed in float64, exact below 2**53. O(n l) time.
-* FFT (l > GEMM_LAGS): one block of AUTOCORR_BLOCK bytes at a time, each
+* FFT (every other l): one block of AUTOCORR_BLOCK bytes at a time, each
   block correlated with itself plus the l bytes that follow it by a
   zero-padded real FFT (Wiener-Khinchin). Every moment is an integer below
   2**53 and each block's FFT error is far below 0.5 (under 1e-6 for blocks
@@ -34,9 +35,12 @@ paths:
   products to the nearest integer recovers them exactly.
   O(n log(block + l)) time.
 
-Which path is faster was measured (table in CHANGES.md): at 4 MiB and lag
-128 the GEMM path took about 40 ms against about 200 ms for the FFT, and
-at 8 KiB the FFT is as fast from about lag 256 up. Both paths keep the
+Which path is faster was measured (tables in CHANGES.md): at 4 MiB and
+lag 128 the GEMM path took about 40 ms against about 200 ms for the FFT.
+The GEMM path's cost per byte grows with l and, on short series, with its
+per-chunk work, so on 8 KiB the FFT is as fast from about lag 256 up, while
+at lag 512 the GEMM path is about twice as fast from 64 KiB up. Both paths
+keep the
 series uint8 and copy it only one chunk or block at a time, so extra
 memory is O(GEMM_ROWS * l + l**2) or O(block + l), never O(n).
 
@@ -167,11 +171,17 @@ def pearson_r(pair: LaggedWindowPair) -> float:
 # Bytes per block of the FFT path. Transforms of about 8K points stay in
 # cache; at 32K points each point cost 1.6x as much.
 AUTOCORR_BLOCK = 8 * 1024
-# Up to this many lags the GEMM path is used, above it the FFT path. The
-# GEMM costs O(l) per byte, a block's FFT O(log(block + l)); on 8 KiB
-# samples the two are level at 256 lags and the FFT is 2x faster at 512
-# (table in CHANGES.md).
+# Up to this many lags the GEMM path is used on any series. The GEMM costs
+# O(l) per byte, a block's FFT O(log(block + l)); on 8 KiB samples the two
+# are level at 256 lags and the FFT is 2x faster at 512 (table in CHANGES.md).
 GEMM_LAGS = 256
+# Up to this many lags the GEMM path is also used on a series of at least
+# GEMM_WIDE_ROWS rows of width l, where its per-chunk work is spread over
+# enough rows: at lag 512 it took 0.4-0.6 of the FFT's time from 64 KiB up,
+# but 0.6-1.2 at 32 KiB and 1.2-2.3 at 8-16 KiB. At lag 1024 the FFT is
+# faster at every size (tables in CHANGES.md).
+GEMM_MAX_LAGS = 512
+GEMM_WIDE_ROWS = 128
 # Rows per GEMM chunk. Each float32 product entry sums GEMM_ROWS byte
 # products of at most 255**2, so it stays an integer below 2**24: exact in
 # any summation order.
@@ -249,9 +259,12 @@ def _gemm_products(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Exact int64 sums p[k] = sum_i s[i] * s[i + k] for k = 0..max_lag over a
-    uint8 series: by float32 matrix products for max_lag <= GEMM_LAGS, by
-    FFTs over blocks of AUTOCORR_BLOCK bytes above."""
-    if max_lag <= GEMM_LAGS:
+    uint8 series: by float32 matrix products for max_lag <= GEMM_LAGS and
+    for max_lag <= GEMM_MAX_LAGS on a series of at least GEMM_WIDE_ROWS rows
+    of width max_lag, by FFTs over blocks of AUTOCORR_BLOCK bytes otherwise.
+    Both are exact, so the choice changes only the time taken."""
+    if max_lag <= GEMM_LAGS or (max_lag <= GEMM_MAX_LAGS
+                                and series.size >= GEMM_WIDE_ROWS * max_lag):
         return _gemm_products(series, max_lag)
     return _fft_products(series, max_lag)
 

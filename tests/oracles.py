@@ -6,7 +6,8 @@ on it, and a dict-based bigram pair counter. The exceptions are
 autocorr_reference, a per-lag numpy loop in float64 arithmetic kept for
 bit-equality checks of the FFT autocorrelation kernel, and tree_reference,
 the recursive one-node-at-a-time CART grower kept for node-for-node checks
-of the batched tree grower.
+of the batched tree grower, and logreg_reference, the logistic-regression
+fit by scipy's L-BFGS-B that the package used before its own minimizer.
 """
 
 import math
@@ -173,3 +174,25 @@ def flatten_reference(root):
 
     visit(root)
     return out
+
+
+def logreg_reference(X, y, n_classes, c):
+    """The (d + 1, n_classes) logistic-regression weights fitted by scipy's
+    L-BFGS-B from zero, on the package's own objective and stopping rules."""
+    from scipy.optimize import minimize
+
+    from isatraits.classify.logistic import FTOL, GRAD_TOL, MAX_FUN, MAX_ITER, _loss_and_grad
+
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    result = minimize(
+        _loss_and_grad,
+        np.zeros((d + 1) * n_classes),
+        args=(Xb, y, onehot, c),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": FTOL, "maxfun": MAX_FUN},
+    )
+    return result.x.reshape(d + 1, n_classes)

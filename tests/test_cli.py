@@ -227,6 +227,18 @@ class TestPositiveIntFlags:
                        "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
         assert proc.returncode == 2
 
+    def test_jobs_is_reserved(self, size_corpus, tmp_path):
+        runs = []
+        for jobs in (1, 3):
+            per_fold = tmp_path / f"jobs{jobs}.csv"
+            proc = run_cli("evaluate", "--task", "isvar", "--feature", "autocorr", "--lag", 16,
+                           "--classifier", "rforest", "--trees", 5, "--jobs", jobs,
+                           "--corpus", size_corpus, "--labels", size_corpus / "labels.csv",
+                           "--csv", per_fold)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout.replace(str(per_fold), "CSV"), per_fold.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_config_value_rejected_as_usage_error(self, endian_corpus, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("jobs=0\n")
@@ -392,6 +404,14 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 sys.exit(code)
 """
 
+# Runs one CLI command in a fresh interpreter where importing scipy fails.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # `import scipy` and `import scipy.x` raise ImportError
+from isatraits.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 def scipy_loaded_by(*args):
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *map(str, args)],
@@ -400,7 +420,12 @@ def scipy_loaded_by(*args):
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-class TestScipyOnlyForLogregFit:
+def run_without_scipy(*args):
+    return subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *map(str, args)],
+                          capture_output=True, text=True)
+
+
+class TestNoScipyLoaded:
     def test_predict_with_logreg_models(self, models_dir, tmp_path):
         for name in ("endian", "isvar", "width"):
             assert '"kind":"logistic_regression"' in (models_dir / f"{name}.model").read_text()
@@ -433,11 +458,34 @@ class TestScipyOnlyForLogregFit:
         assert scipy_loaded_by("export-curves", "--lag", 8, "--corpus", size_corpus,
                                "--labels", size_corpus / "labels.csv") == []
 
-    def test_logreg_fit_loads_scipy(self, endian_corpus):
-        loaded = scipy_loaded_by("evaluate", "--task", "endianness", "--feature", "endsig",
-                                 "--classifier", "logreg", "--corpus", endian_corpus,
-                                 "--labels", endian_corpus / "labels.csv")
-        assert "scipy.optimize" in loaded
+    def test_evaluate_logreg(self, endian_corpus):
+        assert scipy_loaded_by("evaluate", "--task", "endianness", "--feature", "endsig",
+                               "--classifier", "logreg", "--corpus", endian_corpus,
+                               "--labels", endian_corpus / "labels.csv") == []
+
+
+class TestRunsWithoutScipy:
+    def test_train(self, endian_corpus, size_corpus, tmp_path):
+        proc = run_without_scipy("train", "--endian-corpus", endian_corpus,
+                                 "--size-corpus", size_corpus,
+                                 "--isvar-lag", 64, "--width-lag", 64, "--out", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "endian.model", "isvar.model", "width.model"]
+
+    def test_evaluate_logreg(self, size_corpus):
+        proc = run_without_scipy("evaluate", "--task", "isvar", "--feature", "autocorr",
+                                 "--lag", 16, "--classifier", "logreg", "--corpus", size_corpus,
+                                 "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert "accuracy" in proc.stdout
+
+    def test_blocking_works(self):
+        proc = subprocess.run([sys.executable, "-c",
+                               'import sys; sys.modules["scipy"] = None; import scipy.optimize'],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "ImportError" in proc.stderr or "ModuleNotFoundError" in proc.stderr
 
 
 class TestGridsearch:

@@ -230,17 +230,6 @@ class TestRunEvaluation:
         lone_fold = next(fr for fr in report.per_fold if fr.isa_name == "synthW64_0")
         assert lone_fold.accuracy == 0.0
 
-    def test_parallel_folds_identical(self, fixedwidth_small):
-        args = (fixedwidth_small, Task.FIXED_VS_VARIABLE, FeatureConfig("autocorr", 16),
-                spec_from_name("knn3"))
-        assert run_evaluation(*args, jobs=1) == run_evaluation(*args, jobs=3)
-
-    def test_parallel_forest_folds_identical(self, fixedwidth_small):
-        # Forest growth keeps all its state per fit, so folds on threads agree.
-        args = (fixedwidth_small, Task.FIXED_WIDTH, FeatureConfig("autocorr", 16),
-                spec_from_name("rforest", trees=30, seed=2))
-        assert run_evaluation(*args, jobs=1) == run_evaluation(*args, jobs=3)
-
     def test_extraction_error_carries_sample_path(self, endian_small):
         with pytest.raises(SampleTooShort) as err:
             run_evaluation(endian_small, Task.ENDIANNESS, FeatureConfig("autocorr", 4096),

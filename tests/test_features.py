@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isatraits import evaluate
+from isatraits import evaluate, features
 from isatraits.classify import spec_from_name
 from isatraits.corpus import (
     BinarySample,
@@ -23,8 +23,10 @@ from isatraits.features import (
     AUTOCORR_BLOCK,
     BIGRAM_DIM,
     GEMM_LAGS,
+    GEMM_MAX_LAGS,
     GEMM_MIN_WIDTH,
     GEMM_ROWS,
+    GEMM_WIDE_ROWS,
     SIGNATURE_BIGRAMS,
     FeatureVector,
     _bigram_counts,
@@ -332,6 +334,26 @@ class TestAutocorrKernel:
             expected = [int(wide[:n - k] @ wide[k:]) for k in range(lag + 1)]
             assert lagged_products(series, lag).tolist() == expected, n
 
+    @pytest.mark.parametrize("lag, n, path", [
+        (GEMM_LAGS, GEMM_MIN_WIDTH, "gemm"),
+        (GEMM_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_LAGS + 1) - 1, "fft"),
+        (GEMM_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_LAGS + 1), "gemm"),
+        (GEMM_MAX_LAGS, GEMM_WIDE_ROWS * GEMM_MAX_LAGS - 1, "fft"),
+        (GEMM_MAX_LAGS, GEMM_WIDE_ROWS * GEMM_MAX_LAGS, "gemm"),
+        (GEMM_MAX_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_MAX_LAGS + 1), "fft"),
+    ])
+    def test_path_chosen_from_lag_and_size(self, lag, n, path, monkeypatch):
+        taken = []
+        for name in ("_gemm_products", "_fft_products"):
+            def spy(series, max_lag, kernel=getattr(features, name), name=name):
+                taken.append(name)
+                return kernel(series, max_lag)
+            monkeypatch.setattr(features, name, spy)
+        series = np.frombuffer(random_bytes(n, seed=lag), dtype=np.uint8)
+        expected = [direct_lagged_product(series, k) for k in range(lag + 1)]
+        assert lagged_products(series, lag).tolist() == expected
+        assert taken == [f"_{path}_products"]
+
     def test_gemm_chunk_sums_are_exact_in_float32(self):
         assert GEMM_ROWS * 255**2 < 2**24
 
@@ -363,7 +385,7 @@ class TestAutocorrKernel:
         series = np.frombuffer(random_bytes(16 << 20, seed=16), dtype=np.uint8)
         tracemalloc.start()
         try:
-            for lag in (1, GEMM_LAGS, GEMM_LAGS + 1):
+            for lag in (1, GEMM_LAGS, GEMM_MAX_LAGS, GEMM_MAX_LAGS + 1):
                 tracemalloc.reset_peak()
                 lagged_products(series, lag)
                 assert tracemalloc.get_traced_memory()[1] < 4 << 20, lag

@@ -1,17 +1,17 @@
-"""scipy may be imported only inside a function of classify/logistic.py.
+"""No module of the package imports scipy.
 
-Importing scipy.optimize costs more than half a second of a fresh process,
-and only the logistic-regression fit needs it. A module-level import
-anywhere in the package would put that cost back on every command,
-`predict` included; this test fails on it before it ships.
+The package runs on numpy alone: even the logistic-regression fit has its
+own L-BFGS minimizer, because importing scipy.optimize costs more than half
+a second and about 50 MB of a fresh process, against milliseconds for a
+fit. An import of scipy anywhere in the package, even one deferred into a
+function, would put that cost back on a command; this test fails on it
+before it ships.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isatraits"
-ALLOWED = PACKAGE / "classify" / "logistic.py"
-SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _is_scipy(name: str) -> bool:
@@ -31,31 +31,18 @@ def _imported_names(node: ast.AST) -> list[str]:
     return []
 
 
-def scipy_imports(source: str) -> list[tuple[int, bool]]:
-    """(line, inside a function) for each import of scipy or a submodule."""
-    found = []
-
-    def visit(node: ast.AST, in_function: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if any(_is_scipy(name) for name in _imported_names(child)):
-                found.append((child.lineno, in_function))
-            visit(child, in_function or isinstance(child, SCOPES))
-
-    visit(ast.parse(source), False)
-    return found
+def scipy_imports(source: str) -> list[int]:
+    """The line of each import of scipy or a submodule, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if any(_is_scipy(name) for name in _imported_names(node)))
 
 
-def test_scipy_imported_only_inside_logistic_functions():
+def test_no_scipy_import_anywhere():
     offenders = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for line, in_function in scipy_imports(path.read_text(encoding="utf-8")):
-            if not (path == ALLOWED and in_function):
-                offenders.append(f"{path.relative_to(PACKAGE)}:{line}")
+        for line in scipy_imports(path.read_text(encoding="utf-8")):
+            offenders.append(f"{path.relative_to(PACKAGE)}:{line}")
     assert offenders == []
-
-
-def test_logistic_fit_is_the_one_import():
-    assert [inside for _, inside in scipy_imports(ALLOWED.read_text(encoding="utf-8"))] == [True]
 
 
 def test_guard_sees_every_import_form():
@@ -72,6 +59,4 @@ def test_guard_sees_every_import_form():
         "    return importlib.import_module('scipy.stats')",
         "lazy = lambda: __import__('scipy')",
     ])
-    assert scipy_imports(source) == [
-        (1, False), (2, False), (3, False), (7, False), (9, True), (10, True), (11, True),
-    ]
+    assert scipy_imports(source) == [1, 2, 3, 7, 9, 10, 11]
