@@ -19,19 +19,17 @@ from .evaluate import (
     compute_baseline,
     grid_search_c,
     grid_search_lag,
+    mean_curve_by_class,
     plan_logocv,
     predict_unknown,
     run_evaluation,
 )
 from .features import (
     FeatureVector,
-    LaggedWindowPair,
     autocorr_at_lag,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
-    mean_curve_by_class,
-    pearson_r,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +42,6 @@ __all__ = [
     "FeatureVector",
     "InstructionSizeSpec",
     "IsaLabel",
-    "LaggedWindowPair",
     "SampleRef",
     "SizeKind",
     "Task",
@@ -60,7 +57,6 @@ __all__ = [
     "grid_search_lag",
     "mean_curve_by_class",
     "parse_label_registry",
-    "pearson_r",
     "plan_logocv",
     "predict_unknown",
     "run_evaluation",

@@ -23,8 +23,6 @@ from .classify import SUITE_NAMES, fit, load_model, save_model, spec_from_name
 from .corpus import (
     BinarySample,
     CorpusManifest,
-    IsaLabel,
-    SizeKind,
     generate_synthetic_endian,
     generate_synthetic_fixedwidth,
     manifest_summary,
@@ -43,9 +41,10 @@ from .evaluate import (
     Task,
     compute_baseline,
     eligible_ids,
-    extract_feature,
+    extract_features,
     grid_search_c,
     grid_search_lag,
+    mean_curve_by_class,
     predict_unknown,
     run_evaluation,
     task_label,
@@ -53,9 +52,16 @@ from .evaluate import (
     write_report_csv,
     write_report_json,
 )
-from .features import FEATURE_NAMES, autocorr_prefix, mean_curve_by_class
+from .features import FEATURE_NAMES
 
 TASK_NAMES = tuple(task.value for task in Task)
+# The pipeline's stages: (task, prefix of its --<prefix>-* flags and of its
+# <prefix>.model file, prefix of its --<corpus>-corpus/--<corpus>-labels flags).
+STAGES = (
+    (Task.ENDIANNESS, "endian", "endian"),
+    (Task.FIXED_VS_VARIABLE, "isvar", "size"),
+    (Task.FIXED_WIDTH, "width", "size"),
+)
 # Folds run serially: a fold's fit and predict are short numpy calls under
 # the interpreter lock, so worker threads only contended (a forest
 # evaluation took 1.30 s on two threads against 0.83 s on one). --jobs is
@@ -129,46 +135,48 @@ def _coerce(action: argparse.Action, raw: str):
 
 
 def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser, argv: list[str]) -> None:
-    if not getattr(args, "config", None):
-        return
     actions = {a.dest: a for a in subparser._actions if a.option_strings}
-    for key, raw in _parse_config_file(args.config).items():
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise UsageError(f"unknown config key {key!r}")
-        action = actions[dest]
-        if any(opt in argv for opt in action.option_strings):
-            continue  # explicit flag wins
-        setattr(args, dest, _coerce(action, raw))
+    if getattr(args, "config", None):
+        for key, raw in _parse_config_file(args.config).items():
+            dest = key.replace("-", "_")
+            if dest not in actions:
+                raise UsageError(f"unknown config key {key!r}")
+            action = actions[dest]
+            if any(opt in argv for opt in action.option_strings):
+                continue  # explicit flag wins
+            setattr(args, dest, _coerce(action, raw))
+    missing = ["/".join(a.option_strings) for a in actions.values()
+               if a.required and getattr(args, a.dest) is None]
+    if missing:
+        subparser.error(f"the following arguments are required: {', '.join(missing)}")
 
 
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
 
-def _load_manifest(corpus: str, labels: str, cap: int | None) -> CorpusManifest:
-    registry = parse_label_registry(labels)
+def _scan(corpus: str, registry: dict, cap: int | None = None) -> CorpusManifest:
     manifest = scan_corpus(corpus, registry, per_isa_cap=cap)
     for name in manifest.warnings:
         print(f"warning: unknown ISA directory {name!r} skipped", file=sys.stderr)
     return manifest
 
 
-def _resolve_lag(args, task: Task, classifier: str) -> int:
-    if args.lag is not None:
-        return args.lag
+def _load_manifest(corpus: str, labels: str, cap: int | None) -> CorpusManifest:
+    return _scan(corpus, parse_label_registry(labels), cap)
+
+
+def _resolve_lag(lag: int | None, task: Task, classifier: str, flag: str = "--lag") -> int:
+    if lag is not None:
+        return lag
     default = DEFAULT_AUTOCORR_LAGS.get((task, classifier))
     if default is None:
-        raise UsageError(
-            f"no default lag for task {task.value} with classifier {classifier}; pass --lag"
-        )
+        raise UsageError(f"no default lag for task {task.value} with classifier {classifier}; pass {flag}")
     return default
 
 
-def _resolve_c(args, task: Task, feature: str) -> float:
-    if args.c is not None:
-        return args.c
-    return DEFAULT_LOGREG_C.get((task, feature), 1.0)
+def _resolve_c(c: float | None, task: Task, feature: str) -> float:
+    return c if c is not None else DEFAULT_LOGREG_C.get((task, feature), 1.0)
 
 
 def _labels_sha256(path: str) -> str:
@@ -210,11 +218,11 @@ def cmd_synth(args, argv) -> int:
 
 def cmd_evaluate(args, argv) -> int:
     task = Task(args.task)
-    lag = _resolve_lag(args, task, args.classifier) if args.feature == AUTOCORR else None
+    lag = _resolve_lag(args.lag, task, args.classifier) if args.feature == AUTOCORR else None
     feature = FeatureConfig(args.feature, lag)
     spec = spec_from_name(
         args.classifier,
-        c=_resolve_c(args, task, args.feature),
+        c=_resolve_c(args.c, task, args.feature),
         trees=args.trees,
         seed=args.seed,
         standardize=args.standardize,
@@ -267,12 +275,12 @@ def cmd_gridsearch(args, argv) -> int:
     if args.mode == "c":
         if args.feature is None:
             raise UsageError("gridsearch c requires --feature")
-        lag = _resolve_lag(args, task, "logreg") if args.feature == AUTOCORR else None
+        lag = _resolve_lag(args.lag, task, "logreg") if args.feature == AUTOCORR else None
         grid = _parse_int_list(args.grid, "--grid", as_float=True) if args.grid else list(DEFAULT_C_GRID)
         best, table = grid_search_c(manifest, task, FeatureConfig(args.feature, lag), grid)
         print(f"best c: {best:g}")
     else:
-        spec = spec_from_name(args.classifier, c=_resolve_c(args, task, AUTOCORR),
+        spec = spec_from_name(args.classifier, c=_resolve_c(args.c, task, AUTOCORR),
                               trees=args.trees, seed=args.seed)
         grid = _parse_int_list(args.grid, "--grid") if args.grid else list(DEFAULT_LAG_GRID)
         best, table = grid_search_lag(manifest, task, spec, grid)
@@ -285,95 +293,41 @@ def cmd_gridsearch(args, argv) -> int:
     return 0
 
 
-def _fit_stage(manifest: CorpusManifest, task: Task, features: dict, spec):
-    """Fit on features, the task's vectors by manifest index."""
-    labels = [task_label(manifest.label_of(manifest.samples[i]), task) for i in features]
-    return fit(spec, list(features.values()), labels)
-
-
-def _extract_stages(manifest: CorpusManifest, stages: dict[Task, FeatureConfig]) -> dict[Task, dict]:
-    """Each stage's feature vector of every sample eligible for it, by
-    manifest index. A sample's autocorrelation is extracted once, at the
-    largest lag of the stages it serves, and cut to each stage's lag."""
-    widest: dict[int, int] = {}
-    for task, feature in stages.items():
-        for i in eligible_ids(manifest, task):
-            widest[i] = max(widest.get(i, 0), feature.lag)
-    full = {i: extract_feature(manifest.samples[i].load(), FeatureConfig(AUTOCORR, lag))
-            for i, lag in widest.items()}
-    return {task: {i: autocorr_prefix(full[i], feature.lag) for i in eligible_ids(manifest, task)}
-            for task, feature in stages.items()}
-
-
 def cmd_train(args, argv) -> int:
-    def corpus_for(stage_corpus, stage_labels):
-        corpus = stage_corpus or args.corpus
-        if corpus is None:
-            raise UsageError("no corpus given for a stage; pass --corpus or the per-stage flag")
-        labels = stage_labels or args.labels or str(Path(corpus) / "labels.csv")
-        return _load_manifest(corpus, labels, args.cap)
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    by_corpus: dict[str, list] = {}  # corpus flag prefix -> its stages, in STAGES order
+    for task, prefix, corpus in STAGES:
+        name = getattr(args, f"{prefix}_feature", AUTOCORR)
+        classifier = getattr(args, f"{prefix}_classifier")
+        lag = (_resolve_lag(getattr(args, f"{prefix}_lag"), task, classifier, f"--{prefix}-lag")
+               if name == AUTOCORR else None)
+        spec = spec_from_name(classifier, c=_resolve_c(getattr(args, f"{prefix}_c"), task, name),
+                              seed=args.seed)
+        by_corpus.setdefault(corpus, []).append((task, prefix, FeatureConfig(name, lag), spec))
 
-    if args.endian_feature == AUTOCORR and args.endian_lag is None:
-        raise UsageError("--endian-feature autocorr requires --endian-lag")
-    endian_manifest = corpus_for(args.endian_corpus, args.endian_labels)
-    endian_feature = FeatureConfig(
-        args.endian_feature,
-        args.endian_lag if args.endian_feature == AUTOCORR else None,
-    )
-    endian_spec = spec_from_name(
-        args.endian_classifier,
-        c=args.endian_c if args.endian_c is not None
-        else DEFAULT_LOGREG_C.get((Task.ENDIANNESS, args.endian_feature), 1.0),
-        seed=args.seed,
-    )
-    endian_features = {i: extract_feature(endian_manifest.samples[i].load(), endian_feature)
-                       for i in eligible_ids(endian_manifest, Task.ENDIANNESS)}
-    endian_model = _fit_stage(endian_manifest, Task.ENDIANNESS, endian_features, endian_spec)
-    save_model(endian_model, out_dir / "endian.model")
+    for corpus, stages in by_corpus.items():
+        root = getattr(args, f"{corpus}_corpus") or args.corpus
+        if root is None:
+            raise UsageError("no corpus given for a stage; pass --corpus or the per-stage flag")
+        labels = getattr(args, f"{corpus}_labels") or args.labels or str(Path(root) / "labels.csv")
+        manifest = _load_manifest(root, labels, args.cap)
+        features = extract_features(manifest, {task: (eligible_ids(manifest, task), feature)
+                                               for task, _, feature, _ in stages})
+        for task, prefix, _, spec in stages:
+            y = [task_label(manifest.label_of(manifest.samples[i]), task) for i in features[task]]
+            save_model(fit(spec, list(features[task].values()), y), out_dir / f"{prefix}.model")
 
-    size_manifest = corpus_for(args.size_corpus, args.size_labels)
-    isvar_lag = args.isvar_lag or DEFAULT_AUTOCORR_LAGS.get(
-        (Task.FIXED_VS_VARIABLE, args.isvar_classifier), 128)
-    isvar_spec = spec_from_name(
-        args.isvar_classifier,
-        c=args.isvar_c if args.isvar_c is not None
-        else DEFAULT_LOGREG_C.get((Task.FIXED_VS_VARIABLE, AUTOCORR), 1.0),
-        seed=args.seed,
-    )
-    width_lag = args.width_lag or DEFAULT_AUTOCORR_LAGS.get(
-        (Task.FIXED_WIDTH, args.width_classifier), 128)
-    width_spec = spec_from_name(
-        args.width_classifier,
-        c=args.width_c if args.width_c is not None
-        else DEFAULT_LOGREG_C.get((Task.FIXED_WIDTH, AUTOCORR), 1.0),
-        seed=args.seed,
-    )
-    size_features = _extract_stages(size_manifest, {
-        Task.FIXED_VS_VARIABLE: FeatureConfig(AUTOCORR, isvar_lag),
-        Task.FIXED_WIDTH: FeatureConfig(AUTOCORR, width_lag),
-    })
-    isvar_model = _fit_stage(size_manifest, Task.FIXED_VS_VARIABLE,
-                             size_features[Task.FIXED_VS_VARIABLE], isvar_spec)
-    save_model(isvar_model, out_dir / "isvar.model")
-    width_model = _fit_stage(size_manifest, Task.FIXED_WIDTH, size_features[Task.FIXED_WIDTH],
-                             width_spec)
-    save_model(width_model, out_dir / "width.model")
-
-    for name in ("endian.model", "isvar.model", "width.model"):
-        print(f"wrote {out_dir / name}")
+    for _, prefix, _ in STAGES:
+        print(f"wrote {out_dir / f'{prefix}.model'}")
     return 0
 
 
 def cmd_predict(args, argv) -> int:
-    endian_model = load_model(args.endian_model)
-    isvar_model = load_model(args.isvar_model)
-    width_model = load_model(args.width_model)
+    models = [load_model(getattr(args, f"{prefix}_model")) for _, prefix, _ in STAGES]
     data = Path(args.binary).read_bytes()
     sample = BinarySample(data, isa_name="unknown", source_path=args.binary)
-    result = predict_unknown(sample, endian_model, isvar_model, width_model)
+    result = predict_unknown(sample, *models)
     payload = {
         "endianness": result.endianness,
         "size_kind": result.size_kind,
@@ -387,19 +341,8 @@ def cmd_predict(args, argv) -> int:
 
 def cmd_export_curves(args, argv) -> int:
     manifest = _load_manifest(args.corpus, args.labels, args.cap)
-
-    def by_size_kind(label: IsaLabel):
-        if label.inst_size.kind in (SizeKind.FIXED, SizeKind.VARIABLE):
-            return label.inst_size.kind.value
-        return None
-
-    def by_fixed_bits(label: IsaLabel):
-        if label.inst_size.kind is SizeKind.FIXED:
-            return str(label.inst_size.fixed_bits)
-        return None
-
-    class_of = by_size_kind if args.group_by == "size-kind" else by_fixed_bits
-    curves = mean_curve_by_class(manifest, args.lag, class_of)
+    task = Task.FIXED_VS_VARIABLE if args.group_by == "size-kind" else Task.FIXED_WIDTH
+    curves = mean_curve_by_class(manifest, args.lag, task)
     if not curves:
         raise EmptyLabelList("no samples matched the requested grouping")
 
@@ -444,7 +387,7 @@ def cmd_stats(args, argv) -> int:
             print(f"{title} baseline: n/a (no eligible ISAs)")
 
     if args.corpus:
-        manifest = scan_corpus(args.corpus, registry)
+        manifest = _scan(args.corpus, registry)
         print("file counts per ISA:")
         for isa, count in manifest.counts_per_isa().items():
             print(f"  {isa}: {count}")
@@ -525,20 +468,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("train", help="fit the three stage models and write model files")
     p.add_argument("--corpus", default=None, help="corpus for all stages unless overridden")
     p.add_argument("--labels", default=None)
-    p.add_argument("--endian-corpus", default=None)
-    p.add_argument("--endian-labels", default=None)
-    p.add_argument("--size-corpus", default=None, help="corpus for isvar and width stages")
-    p.add_argument("--size-labels", default=None)
+    for corpus in dict.fromkeys(corpus for _, _, corpus in STAGES):
+        p.add_argument(f"--{corpus}-corpus", default=None, help="corpus for its stages (default: --corpus)")
+        p.add_argument(f"--{corpus}-labels", default=None)
     p.add_argument("--endian-feature", default="endsig", choices=FEATURE_NAMES)
-    p.add_argument("--endian-classifier", default="logreg", choices=SUITE_NAMES)
-    p.add_argument("--endian-c", type=_positive_float, default=None)
-    p.add_argument("--endian-lag", type=_positive_int, default=None)
-    p.add_argument("--isvar-classifier", default="logreg", choices=SUITE_NAMES)
-    p.add_argument("--isvar-c", type=_positive_float, default=None)
-    p.add_argument("--isvar-lag", type=_positive_int, default=None)
-    p.add_argument("--width-classifier", default="logreg", choices=SUITE_NAMES)
-    p.add_argument("--width-c", type=_positive_float, default=None)
-    p.add_argument("--width-lag", type=_positive_int, default=None)
+    for _, prefix, _ in STAGES:
+        p.add_argument(f"--{prefix}-classifier", default="logreg", choices=SUITE_NAMES)
+        p.add_argument(f"--{prefix}-c", type=_positive_float, default=None)
+        p.add_argument(f"--{prefix}-lag", type=_positive_int, default=None)
     p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="directory for endian.model/isvar.model/width.model")
@@ -547,9 +484,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     registry["train"] = p
 
     p = sub.add_parser("predict", help="classify one binary with trained stage models")
-    p.add_argument("--endian-model", required=True)
-    p.add_argument("--isvar-model", required=True)
-    p.add_argument("--width-model", required=True)
+    for _, prefix, _ in STAGES:
+        p.add_argument(f"--{prefix}-model", required=True)
     p.add_argument("binary", help="path to the binary to classify")
     p.set_defaults(func=cmd_predict)
     registry["predict"] = p
@@ -575,7 +511,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
+    # A command that takes --config checks its required flags in
+    # _apply_config, after the file has had the chance to supply them.
+    deferred = [a for p in registry.values() if "--config" in p._option_string_actions
+                for a in p._actions if a.required and a.option_strings]
+    for action in deferred:
+        action.required = False
     args = parser.parse_args(argv)
+    for action in deferred:
+        action.required = True
     try:
         _apply_config(args, registry[args.command], argv)
         return args.func(args, argv)

@@ -50,10 +50,6 @@ class SampleTooShort(IsaTraitsError):
     """Sample has too few bytes for the requested feature."""
 
 
-class WindowTooShort(IsaTraitsError):
-    """Pearson windows need at least two elements."""
-
-
 class LagTooLarge(IsaTraitsError):
     """Requested lag exceeds what a sample's length permits."""
 

@@ -20,7 +20,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Hashable, Mapping, Sequence, TextIO
+
+import numpy as np
 
 from .classify import ClassifierKind, ClassifierSpec, TrainedModel, fit, name_of_spec, predict
 from .corpus import CorpusManifest, IsaLabel, SizeKind
@@ -85,6 +87,48 @@ def extract_feature(sample, config: FeatureConfig) -> FeatureVector:
     if config.name == ENDSIG:
         return endianness_signatures(sample)
     return autocorrelation_feature(sample, config.lag)
+
+
+def extract_features(
+    manifest: CorpusManifest,
+    stages: Mapping[Hashable, tuple[Sequence[int], FeatureConfig]],
+) -> dict[Hashable, dict[int, FeatureVector]]:
+    """Each stage's feature of each of its samples, by manifest index; stages
+    maps a key to (sample ids, feature). Every sample is loaded once, in
+    manifest order, and its autocorrelation extracted once, at the largest
+    lag any stage asks of it; each stage gets the prefix at its own lag,
+    bit-identical to extracting at that lag. Errors name the sample."""
+    wanted: dict[int, dict[str, int]] = {}  # id -> feature name -> largest lag (0: none)
+    for ids, feature in stages.values():
+        for i in ids:
+            lags = wanted.setdefault(i, {})
+            lags[feature.name] = max(lags.get(feature.name, 0), feature.lag or 0)
+    extracted: dict[int, dict[str, FeatureVector]] = {}
+    for i in sorted(wanted):
+        ref = manifest.samples[i]
+        try:
+            sample = ref.load()
+            extracted[i] = {name: extract_feature(sample, FeatureConfig(name, lag or None))
+                            for name, lag in wanted[i].items()}
+        except IsaTraitsError as exc:
+            raise type(exc)(f"{ref.source_path}: {exc}") from exc
+    return {key: {i: autocorr_prefix(extracted[i][AUTOCORR], feature.lag)
+                  if feature.name == AUTOCORR else extracted[i][feature.name] for i in ids}
+            for key, (ids, feature) in stages.items()}
+
+
+def mean_curve_by_class(manifest: CorpusManifest, l: int, task: Task) -> dict[str, np.ndarray]:
+    """Element-wise mean autocorrelation vector of each of the task's classes
+    over the samples eligible for it. Summation runs in manifest order, so
+    results are bit-for-bit reproducible."""
+    ids = eligible_ids(manifest, task)
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for i, vec in extract_features(manifest, {task: (ids, FeatureConfig(AUTOCORR, l))})[task].items():
+        klass = task_label(manifest.label_of(manifest.samples[i]), task)
+        sums[klass] = sums.get(klass, 0.0) + vec.values
+        counts[klass] = counts.get(klass, 0) + 1
+    return {klass: sums[klass] / counts[klass] for klass in sums}
 
 
 # Tuned lag defaults for the autocorrelation feature, by (task, classifier).
@@ -214,17 +258,6 @@ class EvaluationReport:
     single_isa_classes: tuple[str, ...]  # unlearnable under LOGOCV
 
 
-def _extract_all(manifest: CorpusManifest, ids: Sequence[int], config: FeatureConfig):
-    features: dict[int, FeatureVector] = {}
-    for i in ids:
-        ref = manifest.samples[i]
-        try:
-            features[i] = extract_feature(ref.load(), config)
-        except IsaTraitsError as exc:
-            raise type(exc)(f"{ref.source_path}: {exc}") from exc
-    return features
-
-
 def _run_fold(
     fold: Fold,
     features: dict[int, FeatureVector],
@@ -262,7 +295,7 @@ def run_evaluation(
     plan = plan_logocv(manifest, task)
     ids = eligible_ids(manifest, task)
     if features is None:
-        features = _extract_all(manifest, ids, feature)
+        features = extract_features(manifest, {task: (ids, feature)})[task]
     labels = {i: task_label(manifest.label_of(manifest.samples[i]), task) for i in ids}
 
     per_fold = [_run_fold(fold, features, labels, classifier) for fold in plan.folds]
@@ -306,7 +339,7 @@ def grid_search_c(
         raise ValueError("c grid must be non-empty")
     if any(c <= 0 for c in c_grid):
         raise ValueError("c values must be positive")
-    features = _extract_all(manifest, eligible_ids(manifest, task), feature)
+    features = extract_features(manifest, {task: (eligible_ids(manifest, task), feature)})[task]
     table = []
     for c in sorted(c_grid):
         spec = ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)
@@ -331,16 +364,16 @@ def grid_search_lag(
         raise ValueError("lag grid must be non-empty")
     if any(lag < 1 for lag in lag_grid):
         raise ValueError("lags must be positive")
+    ids = eligible_ids(manifest, task)
     try:
-        full = _extract_all(manifest, eligible_ids(manifest, task),
-                            FeatureConfig(AUTOCORR, max(lag_grid)))
+        features = extract_features(manifest, {lag: (ids, FeatureConfig(AUTOCORR, lag))
+                                               for lag in lag_grid})
     except SampleTooShort as exc:
         raise LagTooLarge(str(exc)) from exc
     table = []
     for lag in sorted(lag_grid):
-        features = {i: autocorr_prefix(vec, lag) for i, vec in full.items()}
         report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,
-                                features=features)
+                                features=features[lag])
         table.append((lag, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])
     return best[0], table
@@ -358,16 +391,36 @@ class UnknownPrediction:
     per_stage: dict[str, dict]
 
 
-def _stage_predict(binary, model: TrainedModel, stage: str, shared: FeatureVector | None) -> str:
+def _check_stage_model(task: Task, model: TrainedModel) -> None:
+    """Model files come from outside the program, so each must predict its
+    own stage's classes: LE/BE, fixed/variable, or decimal bit widths."""
+    labels = model.class_labels
+    if task is Task.ENDIANNESS:
+        ok = set(labels) <= {"LE", "BE"}
+    elif task is Task.FIXED_VS_VARIABLE:
+        ok = set(labels) <= {SizeKind.FIXED.value, SizeKind.VARIABLE.value}
+    else:
+        ok = all(label.isascii() and label.isdecimal() for label in labels)
+    if not ok:
+        raise IsaTraitsError(f"not a {task.value} model: its classes are {', '.join(labels)}",
+                             stage=task.value)
+
+
+def _run_stage(binary, task: Task, model: TrainedModel, shared: FeatureVector | None,
+               per_stage: dict[str, dict]) -> str:
+    """One stage's prediction; its details go to per_stage[task.value]."""
     try:
         if model.feature_name == AUTOCORR and shared is not None and model.lag_param <= shared.lag_param:
             vec = autocorr_prefix(shared, model.lag_param)
         else:
             vec = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
-        return predict(model, [vec])[0]
+        prediction = predict(model, [vec])[0]
     except IsaTraitsError as exc:
-        exc.stage = stage
+        exc.stage = task.value
         raise
+    per_stage[task.value] = {"prediction": prediction, "feature": model.feature_name,
+                             "classifier": name_of_spec(model.spec)}
+    return prediction
 
 
 def predict_unknown(
@@ -380,24 +433,20 @@ def predict_unknown(
     fixed-size predictions proceed to the width stage. Errors carry the
     stage they came from. The autocorrelation is extracted once, at the
     largest stage lag the binary is long enough for, and each stage takes
-    its prefix."""
-    lags = [m.lag_param for m in (endian_model, isvar_model, width_model)
+    its prefix. Each model must be one fitted for its stage."""
+    models = {Task.ENDIANNESS: endian_model, Task.FIXED_VS_VARIABLE: isvar_model,
+              Task.FIXED_WIDTH: width_model}
+    for task, model in models.items():
+        _check_stage_model(task, model)
+    lags = [m.lag_param for m in models.values()
             if m.feature_name == AUTOCORR and m.lag_param <= len(binary.data) - 2]
     shared = extract_feature(binary, FeatureConfig(AUTOCORR, max(lags))) if lags else None
-    endianness = _stage_predict(binary, endian_model, "endianness", shared)
-    size_kind = _stage_predict(binary, isvar_model, "isvar", shared)
-    per_stage = {
-        "endianness": {"prediction": endianness, "feature": endian_model.feature_name,
-                       "classifier": name_of_spec(endian_model.spec)},
-        "isvar": {"prediction": size_kind, "feature": isvar_model.feature_name,
-                  "classifier": name_of_spec(isvar_model.spec)},
-    }
+    per_stage: dict[str, dict] = {}
+    endianness = _run_stage(binary, Task.ENDIANNESS, endian_model, shared, per_stage)
+    size_kind = _run_stage(binary, Task.FIXED_VS_VARIABLE, isvar_model, shared, per_stage)
     fixed_bits = None
     if size_kind == SizeKind.FIXED.value:
-        width = _stage_predict(binary, width_model, "fixedwidth", shared)
-        fixed_bits = int(width)
-        per_stage["fixedwidth"] = {"prediction": width, "feature": width_model.feature_name,
-                                   "classifier": name_of_spec(width_model.spec)}
+        fixed_bits = int(_run_stage(binary, Task.FIXED_WIDTH, width_model, shared, per_stage))
     return UnknownPrediction(endianness, size_kind, fixed_bits, per_stage)
 
 

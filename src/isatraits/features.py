@@ -55,12 +55,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
-from .corpus import BinarySample, CorpusManifest, IsaLabel
-from .errors import IsaTraitsError, LagTooLarge, SampleTooShort, WindowTooShort
+from .corpus import BinarySample
+from .errors import LagTooLarge, SampleTooShort
 
 BIGRAM_DIM = 256 * 256
 SIGNATURE_BIGRAMS = (0xFFFE, 0xFEFF, 0x0001, 0x0100)
@@ -84,24 +83,6 @@ class FeatureVector:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class LaggedWindowPair:
-    """Equal-length leading/trailing windows of a series under some lag."""
-
-    x: np.ndarray
-    y: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        if len(self.x) != self.n or len(self.y) != self.n:
-            raise ValueError(f"window lengths {len(self.x)}/{len(self.y)} do not match n={self.n}")
-
-    @classmethod
-    def from_series(cls, series: np.ndarray, lag: int) -> "LaggedWindowPair":
-        n = len(series) - lag
-        return cls(series[:n], series[lag:], n)
 
 
 def _bigram_counts(data: bytes) -> np.ndarray:
@@ -149,23 +130,6 @@ def _pearson_from_moments(m, sx, sy, sxx, syy, sxy) -> np.ndarray:
         r = (m * sxy - sx * sy) / np.sqrt(dx * dy)
     r = np.where((dx > 0.0) & (dy > 0.0), r, 0.0)
     return np.minimum(1.0, np.maximum(-1.0, r))
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    return float(_pearson_from_moments(
-        np.float64(x.size), np.float64(x.sum()), np.float64(y.sum()),
-        np.float64(x @ x), np.float64(y @ y), np.float64(x @ y),
-    ))
-
-
-def pearson_r(pair: LaggedWindowPair) -> float:
-    """Pearson correlation of the two windows; 0.0 when either window has
-    zero variance."""
-    if pair.n < 2:
-        raise WindowTooShort(f"pearson needs windows of >= 2 samples, got {pair.n}")
-    x = np.asarray(pair.x, dtype=np.float64)
-    y = np.asarray(pair.y, dtype=np.float64)
-    return _pearson(x, y)
 
 
 # Bytes per block of the FFT path. Transforms of about 8K points stay in
@@ -315,41 +279,3 @@ def autocorr_prefix(vec: FeatureVector, l: int) -> FeatureVector:
     if vec.feature_name != AUTOCORR or vec.lag_param is None or l > vec.lag_param:
         raise ValueError(f"cannot cut lag {l} from a {vec.feature_name} vector of lag {vec.lag_param}")
     return FeatureVector(AUTOCORR, vec.values[:l], lag_param=l)
-
-
-def mean_curve_by_class(
-    manifest: CorpusManifest,
-    l: int,
-    class_of: Callable[[IsaLabel], str | None],
-) -> dict[str, np.ndarray]:
-    """Element-wise mean autocorrelation vector per class.
-
-    class_of maps an IsaLabel to a class name, or None to exclude the
-    ISA. Classes with no members are omitted. Summation runs in manifest
-    order so results are bit-for-bit reproducible.
-    """
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for ref in manifest.samples:
-        klass = class_of(manifest.label_of(ref))
-        if klass is None:
-            continue
-        try:
-            vec = autocorrelation_feature(ref.load(), l)
-        except IsaTraitsError as exc:
-            raise type(exc)(f"{ref.source_path}: {exc}") from exc
-        if klass not in sums:
-            sums[klass] = np.zeros(l, dtype=np.float64)
-            counts[klass] = 0
-        sums[klass] += vec.values
-        counts[klass] += 1
-    return {klass: sums[klass] / counts[klass] for klass in sums}
-
-
-def write_feature_csv(rows: Iterable[tuple[str, str, FeatureVector]], fh: TextIO) -> None:
-    """Serialize (sample_path, isa, vector) rows as
-    sample_path,isa,feature_name,v0,v1,... for external plotting."""
-    for path, isa, vec in rows:
-        cells = [path, isa, vec.feature_name]
-        cells.extend(repr(float(v)) for v in vec.values)
-        fh.write(",".join(cells) + "\n")

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import shutil
 import subprocess
 import sys
 import zlib
@@ -13,7 +14,10 @@ import pytest
 from isatraits import cli, evaluate
 from isatraits.classify import fit, save_model, spec_from_name
 from isatraits.corpus import parse_label_registry, scan_corpus
-from isatraits.evaluate import AUTOCORR, Task
+from isatraits.evaluate import AUTOCORR, DEFAULT_AUTOCORR_LAGS, DEFAULT_LOGREG_C, Task
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*.conf"))
 
 
 def run_cli(*args, cwd=None):
@@ -194,6 +198,38 @@ class TestEvaluate:
                        "--config", cfg, "--corpus", endian_corpus,
                        "--labels", endian_corpus / "labels.csv")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_config_uses_the_tuned_tables(self, config, endian_corpus, size_corpus,
+                                                  tmp_path):
+        keys = dict(line.split("=", 1) for line in config.read_text().splitlines()
+                    if line and not line.startswith("#"))
+        task = Task(keys["task"])
+        corpus = endian_corpus if task is Task.ENDIANNESS else size_corpus
+        report = tmp_path / "report.json"
+        proc = run_cli("evaluate", "--config", config, "--corpus", corpus,
+                       "--labels", corpus / "labels.csv", "--report", report)
+        assert proc.returncode == 0, proc.stderr
+        settings = json.loads(report.read_text())["config"]
+        assert settings["c"] == DEFAULT_LOGREG_C[(task, keys["feature"])]
+        assert settings["lag"] == (DEFAULT_AUTOCORR_LAGS[(task, keys["classifier"])]
+                                   if keys["feature"] == AUTOCORR else None)
+
+    def test_gridsearch_c_takes_task_from_config(self, endian_corpus):
+        proc = run_cli("gridsearch", "c", "--config", CONFIG_DIR / "endianness-signatures.conf",
+                       "--grid", "1e9,1e10", "--corpus", endian_corpus,
+                       "--labels", endian_corpus / "labels.csv")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("best c: 1e+09\n")
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_required_flag_missing_after_config(self, route, endian_corpus, tmp_path):
+        cfg = tmp_path / "task.conf"
+        cfg.write_text("task=endianness\n")
+        head = ["--config", cfg] if route == "config" else ["--task", "endianness"]
+        proc = run_cli("evaluate", *head, "--corpus", endian_corpus,
+                       "--labels", endian_corpus / "labels.csv")
+        one_error_line(proc, "required: --feature")
 
     def test_rerun_reproduces_report(self, endian_corpus, tmp_path):
         outputs = []
@@ -625,6 +661,32 @@ class TestTrainPredict:
         save_model(direct, tmp_path / "direct.model")
         assert (tmp_path / "direct.model").read_text() == (out / "width.model").read_text()
 
+    def test_train_error_names_the_file(self, endian_corpus, size_corpus, tmp_path):
+        corpus = tmp_path / "size"
+        shutil.copytree(size_corpus, corpus)
+        (corpus / "synthVAR_0" / "zz_short.bin").write_bytes(b"abc")
+        proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", corpus,
+                       "--out", tmp_path / "models")
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert str(corpus / "synthVAR_0" / "zz_short.bin") + ": autocorrelation" in proc.stderr
+
+    # Model files passed for other stages, by (endian, isvar, width) flag;
+    # TestPredictUnknown in test_evaluate.py covers every swap.
+    @pytest.mark.parametrize("files, stage", [
+        (("isvar", "endian", "width"), "endianness"),
+        (("endian", "isvar", "endian"), "fixedwidth"),
+        (("endian", "isvar", "isvar"), "fixedwidth"),
+    ])
+    def test_model_of_another_stage_exit_1(self, files, stage, models_dir, tmp_path):
+        flags = [arg for flag, name in zip(("--endian-model", "--isvar-model", "--width-model"), files)
+                 for arg in (flag, models_dir / f"{name}.model")]
+        proc = run_cli("predict", *flags, le_fixed32_query(tmp_path / "query.bin"))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: [stage={stage}] not a {stage} model")
+
     def test_tiny_binary_reports_stage(self, models_dir, tmp_path):
         query = tmp_path / "tiny.bin"
         query.write_bytes(b"\x00")
@@ -672,6 +734,15 @@ class TestStats:
                        "--corpus", endian_corpus)
         assert proc.returncode == 0
         assert "synthLE_0: 4" in proc.stdout
+
+    def test_corpus_warns_about_unknown_isa(self, endian_corpus, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(endian_corpus, corpus)
+        (corpus / "mystery").mkdir()
+        (corpus / "mystery" / "a.bin").write_bytes(bytes(64))
+        proc = run_cli("stats", "--labels", corpus / "labels.csv", "--corpus", corpus)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: unknown ISA directory 'mystery' skipped\n"
 
     def test_empty_labels_exit_1(self, tmp_path):
         empty = tmp_path / "empty.csv"

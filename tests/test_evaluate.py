@@ -16,7 +16,13 @@ from isatraits.corpus import (
     generate_synthetic_fixedwidth,
     parse_label_registry,
 )
-from isatraits.errors import EmptyLabelList, InsufficientGroups, LagTooLarge, SampleTooShort
+from isatraits.errors import (
+    EmptyLabelList,
+    InsufficientGroups,
+    IsaTraitsError,
+    LagTooLarge,
+    SampleTooShort,
+)
 from isatraits.evaluate import (
     DEFAULT_C_GRID,
     DEFAULT_LAG_GRID,
@@ -25,6 +31,7 @@ from isatraits.evaluate import (
     compute_baseline,
     eligible_ids,
     extract_feature,
+    extract_features,
     grid_search_c,
     grid_search_lag,
     mean_fold_accuracy,
@@ -237,6 +244,42 @@ class TestRunEvaluation:
         assert "synth" in str(err.value)
 
 
+class TestExtractFeatures:
+    def test_stages_share_one_load_and_one_autocorr_per_sample(self, fixedwidth_small,
+                                                               monkeypatch):
+        manifest = fixedwidth_small
+        isvar = eligible_ids(manifest, Task.FIXED_VS_VARIABLE)
+        width = eligible_ids(manifest, Task.FIXED_WIDTH)
+        stages = {"isvar": (isvar, FeatureConfig("autocorr", 8)),
+                  "width": (width, FeatureConfig("autocorr", 32)),
+                  "endsig": (isvar, FeatureConfig("endsig"))}
+        loads, lags = [], []
+        original_load, original_extract = SampleRef.load, evaluate.autocorrelation_feature
+        monkeypatch.setattr(SampleRef, "load", lambda ref: loads.append(ref) or original_load(ref))
+        monkeypatch.setattr(evaluate, "autocorrelation_feature",
+                            lambda binary, l: lags.append((binary.source_path, l))
+                            or original_extract(binary, l))
+        features = extract_features(manifest, stages)
+        monkeypatch.undo()
+
+        assert loads == [manifest.samples[i] for i in isvar]  # once each, in manifest order
+        assert sorted(lags) == sorted((manifest.samples[i].source_path, 32 if i in width else 8)
+                                      for i in isvar)
+        for key, (ids, config) in stages.items():
+            assert list(features[key]) == ids
+            for i in ids:
+                direct = extract_feature(manifest.samples[i].load(), config)
+                assert features[key][i].lag_param == direct.lag_param
+                assert np.array_equal(features[key][i].values, direct.values)
+
+    def test_error_names_the_sample(self, fixedwidth_small):
+        ids = eligible_ids(fixedwidth_small, Task.FIXED_WIDTH)
+        with pytest.raises(SampleTooShort) as err:
+            extract_features(fixedwidth_small, {0: (ids, FeatureConfig("autocorr", 8)),
+                                                1: (ids, FeatureConfig("autocorr", 4096))})
+        assert str(err.value).startswith(fixedwidth_small.samples[ids[0]].source_path + ": ")
+
+
 class TestGridSearch:
     def test_default_grids_match_protocol(self):
         assert DEFAULT_LAG_GRID == (16, 32, 64, 128, 256, 512, 1024)
@@ -401,3 +444,19 @@ class TestPredictUnknown:
         with pytest.raises(SampleTooShort) as err:
             predict_unknown(binary, *stage_models)
         assert err.value.stage == "endianness"
+
+    # order[k] is the index in stage_models (endian, isvar, width) of the
+    # model passed for stage k: every pairing of a model with another stage.
+    @pytest.mark.parametrize("order, stage", [
+        ((1, 0, 2), "endianness"),
+        ((2, 1, 2), "endianness"),
+        ((0, 0, 2), "isvar"),
+        ((0, 2, 2), "isvar"),
+        ((0, 1, 0), "fixedwidth"),
+        ((0, 1, 1), "fixedwidth"),
+    ])
+    def test_model_of_another_stage_rejected(self, stage_models, order, stage):
+        binary = BinarySample(le_fixed32_binary(), "unknown", "mem://query")
+        with pytest.raises(IsaTraitsError, match=f"not a {stage} model") as err:
+            predict_unknown(binary, *(stage_models[i] for i in order))
+        assert err.value.stage == stage

@@ -1,4 +1,3 @@
-import io
 import itertools
 import random
 import tracemalloc
@@ -16,8 +15,8 @@ from isatraits.corpus import (
     generate_synthetic_endian,
     generate_synthetic_fixedwidth,
 )
-from isatraits.errors import LagTooLarge, SampleTooShort, WindowTooShort
-from isatraits.evaluate import Task, grid_search_lag
+from isatraits.errors import LagTooLarge, SampleTooShort
+from isatraits.evaluate import Task, grid_search_lag, mean_curve_by_class
 from isatraits.features import (
     AUTOCORR,
     AUTOCORR_BLOCK,
@@ -30,19 +29,15 @@ from isatraits.features import (
     SIGNATURE_BIGRAMS,
     FeatureVector,
     _bigram_counts,
-    LaggedWindowPair,
     autocorr_at_lag,
     autocorr_prefix,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
     lagged_products,
-    mean_curve_by_class,
-    pearson_r,
-    write_feature_csv,
 )
 
-from oracles import autocorr_oracle, autocorr_reference, bigram_count_oracle, pearson_oracle
+from oracles import autocorr_oracle, autocorr_reference, bigram_count_oracle
 
 
 def sample(data: bytes, isa="test") -> BinarySample:
@@ -164,43 +159,33 @@ class TestEndiannessSignatures:
 
 
 class TestPearson:
+    """The Pearson formula of the autocorrelation, on windows whose value is
+    known: s[:n-k] against s[k:]."""
+
     def test_identical_sequences(self):
-        pair = LaggedWindowPair(np.array([1.0, 2, 3]), np.array([1.0, 2, 3]), 3)
-        assert pearson_r(pair) == 1.0
+        assert autocorr_at_lag(sample(bytes([1, 2, 3, 1, 2, 3])), 3) == 1.0
 
     def test_exact_anticorrelation(self):
-        pair = LaggedWindowPair(np.array([1.0, 2, 3]), np.array([3.0, 2, 1]), 3)
-        assert pearson_r(pair) == -1.0
+        assert autocorr_at_lag(sample(bytes([1, 2, 3, 2, 1])), 2) == -1.0
 
     def test_oracle_value_for_hump(self):
-        x = [1, 2, 3, 4]
-        y = [2, 4, 4, 2]
-        expected = pearson_oracle(x, y)
-        assert expected == 0.0  # numerator 4*30 - 10*12 vanishes
-        pair = LaggedWindowPair(np.array(x, dtype=float), np.array(y, dtype=float), 4)
-        assert pearson_r(pair) == expected
+        data = bytes([0, 0, 2, 1])  # windows [0, 0, 2] and [0, 2, 1]
+        expected = autocorr_oracle(data, 1)
+        assert expected == 0.0  # numerator 3*2 - 2*3 vanishes
+        assert autocorr_at_lag(sample(data), 1) == expected
 
     def test_zero_variance_sentinel(self):
-        pair = LaggedWindowPair(np.array([5.0, 5, 5]), np.array([1.0, 2, 3]), 3)
-        assert pearson_r(pair) == 0.0
+        assert autocorr_at_lag(sample(bytes([5, 5, 5, 1, 2, 3])), 3) == 0.0
+        assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3).values[2] == 0.0
 
-    def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
-            pearson_r(LaggedWindowPair(np.array([1.0]), np.array([2.0]), 1))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            LaggedWindowPair(np.array([1.0, 2]), np.array([1.0, 2, 3]), 2)
-
-    @given(st.lists(st.integers(0, 255), min_size=2, max_size=64),
-           st.lists(st.integers(0, 255), min_size=2, max_size=64))
+    @given(st.lists(st.integers(0, 255), min_size=3, max_size=64), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_range_and_oracle_agreement(self, xs, ys):
-        n = min(len(xs), len(ys))
-        pair = LaggedWindowPair(np.array(xs[:n], dtype=float), np.array(ys[:n], dtype=float), n)
-        r = pearson_r(pair)
-        assert -1.0 <= r <= 1.0
-        assert r == pytest.approx(pearson_oracle(xs[:n], ys[:n]), abs=1e-9)
+    def test_range_and_oracle_agreement(self, xs, data):
+        k = data.draw(st.integers(1, len(xs) - 2))
+        values = autocorrelation_feature(sample(bytes(xs)), k).values
+        assert ((values >= -1.0) & (values <= 1.0)).all()
+        for lag in (1, k):
+            assert values[lag - 1] == pytest.approx(autocorr_oracle(xs, lag), abs=1e-9)
 
 
 class TestAutocorrAtLag:
@@ -415,41 +400,29 @@ class TestAutocorrKernel:
 
 
 class TestMeanCurve:
-    @staticmethod
-    def kind_of(label):
-        return label.inst_size.kind.value if label.inst_size.kind.value != "unknown" else None
-
     def test_single_sample_class_is_identity(self):
         manifest = generate_synthetic_fixedwidth([16], 1, 1, 2048, 1, seed=2)
-        curves = mean_curve_by_class(manifest, 8, self.kind_of)
+        curves = mean_curve_by_class(manifest, 8, Task.FIXED_VS_VARIABLE)
         own = autocorrelation_feature(manifest.samples[0].load(), 8).values
         assert np.array_equal(curves["fixed"], own)
 
     def test_two_sample_mean(self):
         manifest = generate_synthetic_fixedwidth([16], 1, 2, 2048, 0, seed=2)
-        curves = mean_curve_by_class(manifest, 8, self.kind_of)
+        curves = mean_curve_by_class(manifest, 8, Task.FIXED_VS_VARIABLE)
         a, b = (autocorrelation_feature(r.load(), 8).values for r in manifest.samples)
         assert np.allclose(curves["fixed"], (a + b) / 2.0, atol=0)
 
     def test_fixed_beats_variable_at_period(self):
         manifest = generate_synthetic_fixedwidth([32], 2, 3, 4096, 2, seed=2)
-        curves = mean_curve_by_class(manifest, 8, self.kind_of)
+        curves = mean_curve_by_class(manifest, 8, Task.FIXED_VS_VARIABLE)
         assert curves["fixed"][3] > curves["variable"][3]
 
     def test_excluded_classes_omitted(self, endian_small):
-        curves = mean_curve_by_class(endian_small, 8, self.kind_of)
+        curves = mean_curve_by_class(endian_small, 8, Task.FIXED_VS_VARIABLE)
         assert curves == {}  # endian corpus has unknown size kind everywhere
 
     def test_error_identifies_sample(self):
         manifest = generate_synthetic_fixedwidth([16], 1, 1, 2048, 0, seed=2)
         with pytest.raises(SampleTooShort) as err:
-            mean_curve_by_class(manifest, 4096, self.kind_of)
+            mean_curve_by_class(manifest, 4096, Task.FIXED_VS_VARIABLE)
         assert "synthW16_0" in str(err.value)
-
-
-class TestCsvExport:
-    def test_row_format(self):
-        vec = FeatureVector("endsig", np.array([0.25, 0.0, 0.5, 0.125]))
-        out = io.StringIO()
-        write_feature_csv([("corpus/a/f.bin", "a", vec)], out)
-        assert out.getvalue() == "corpus/a/f.bin,a,endsig,0.25,0.0,0.5,0.125\n"
