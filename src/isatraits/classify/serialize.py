@@ -6,11 +6,17 @@ arrays written as JSON lists, a decision tree or each forest tree as its
 five parallel node arrays (see tree.py). Floats are serialized via repr and
 therefore round-trip bit-for-bit, so a loaded model predicts identically to
 the one saved. A missing or mistyped field is a CorruptModelFile, like a
-bad checksum, and so is a tree predict could not walk: arrays of unequal
-length, a feature, child or class index out of range, a child that does
-not come after its node, a non-finite threshold, or a forest whose tree
-count is not its spec's. Format version 2 introduced the array trees;
-version 1 (trees as nested objects) is rejected like any other version.
+bad checksum, and so are parameters predict could not use: an array that
+is not finite or not of the shape n_features and the class count give it
+(kNN training rows, Gaussian NB priors, means and variances, logistic
+weights, standardization means and stds), a kNN class outside the class
+labels or a k other than the spec's, a variance that is not positive,
+standardization stats present without spec.standardize or missing with
+it, and a tree predict could not walk: arrays of unequal length, a
+feature, child or class index out of range, a child that does not come
+after its node, or a forest whose tree count is not its spec's. Format
+version 2 introduced the array trees; version 1 (trees as nested objects)
+is rejected like any other version.
 """
 
 from __future__ import annotations
@@ -42,17 +48,30 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
+def _array(raw: Any, name: str, shape: tuple, integers: bool = False) -> np.ndarray:
+    """raw as a non-empty, finite float64 (or int64) array of the given
+    shape; a None in shape is any length."""
+    what = "integers" if integers else "numbers"
+    try:
+        values = np.asarray(raw)
+    except ValueError:  # ragged nested lists
+        raise ValueError(f"{name!r} must be a rectangular array of shape {shape}") from None
+    if values.size and values.dtype.kind not in ("i" if integers else "if"):
+        raise ValueError(f"{name!r} must be a list of {what}")
+    if values.size == 0 or values.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(values.shape, shape)):
+        raise ValueError(f"{name!r} must be a non-empty array of shape {shape}, got {values.shape}")
+    values = values.astype(np.int64 if integers else np.float64)
+    if not np.all(np.isfinite(values)):  # NaN scores would pick class 0 silently
+        raise ValueError(f"{name!r} holds a value that is not finite")
+    return values
+
+
 def _tree_from_jsonable(raw: Any, n_features: int, n_classes: int) -> dict[str, np.ndarray]:
     if not isinstance(raw, dict):
         raise ValueError("a tree must be an object of arrays")
-    arrays = {}
-    for name in tree.TREE_FIELDS:
-        kinds, dtype, what = (("if", np.float64, "numbers") if name == "threshold"
-                              else ("i", np.int64, "integers"))
-        values = np.asarray(raw[name])
-        if values.ndim != 1 or (values.size and values.dtype.kind not in kinds):
-            raise ValueError(f"tree field {name!r} must be a flat list of {what}")
-        arrays[name] = values.astype(dtype)
+    arrays = {name: _array(raw[name], name, (None,), integers=name != "threshold")
+              for name in tree.TREE_FIELDS}
     tree.check_tree(arrays, n_features, n_classes)
     return arrays
 
@@ -60,20 +79,25 @@ def _tree_from_jsonable(raw: Any, n_features: int, n_classes: int) -> dict[str, 
 def _params_from_jsonable(
     spec: ClassifierSpec, params: dict[str, Any], n_features: int, n_classes: int
 ) -> dict[str, Any]:
+    """The parameters as arrays; a ValueError unless predict can use them."""
     kind = spec.kind
     if kind is ClassifierKind.KNN:
-        return {
-            "train_x": np.asarray(params["train_x"], dtype=np.float64),
-            "train_y": np.asarray(params["train_y"], dtype=np.int64),
-            "k": int(params["k"]),
-        }
+        train_x = _array(params["train_x"], "train_x", (None, n_features))
+        train_y = _array(params["train_y"], "train_y", (train_x.shape[0],), integers=True)
+        if train_y.min() < 0 or train_y.max() >= n_classes:
+            raise ValueError(f"'train_y' holds a class outside [0, {n_classes})")
+        if params["k"] != spec.k:
+            raise ValueError(f"'k' must be spec.k={spec.k}, got {params['k']!r}")
+        return {"train_x": train_x, "train_y": train_y, "k": spec.k}
     if kind is ClassifierKind.GAUSSIAN_NB:
-        return {
-            key: np.asarray(params[key], dtype=np.float64)
-            for key in ("log_priors", "means", "variances")
-        }
+        gnb = {"log_priors": _array(params["log_priors"], "log_priors", (n_classes,))}
+        for key in ("means", "variances"):
+            gnb[key] = _array(params[key], key, (n_classes, n_features))
+        if not np.all(gnb["variances"] > 0):
+            raise ValueError("'variances' must all be > 0")
+        return gnb
     if kind is ClassifierKind.LOGISTIC_REGRESSION:
-        return {"weights": np.asarray(params["weights"], dtype=np.float64)}
+        return {"weights": _array(params["weights"], "weights", (n_features + 1, n_classes))}
     if kind is ClassifierKind.DECISION_TREE:
         return {"tree": _tree_from_jsonable(params["tree"], n_features, n_classes)}
     trees = params["trees"]
@@ -165,11 +189,14 @@ def load_model(path: str | Path) -> TrainedModel:
 
     try:
         spec = ClassifierSpec.from_dict(payload["spec"])
-        stats = None
-        if payload["standardization_stats"] is not None:
-            means, stds = payload["standardization_stats"]
-            stats = (np.asarray(means, dtype=np.float64), np.asarray(stds, dtype=np.float64))
-        parameters = _params_from_jsonable(spec, payload["parameters"], payload["n_features"],
+        n_features = payload["n_features"]
+        stats = payload["standardization_stats"]
+        if (stats is not None) != spec.standardize:
+            raise ValueError("standardization_stats must be present iff spec.standardize")
+        if stats is not None:
+            stats = tuple(_array(values, name, (n_features,))
+                          for name, values in zip(("means", "stds"), stats))
+        parameters = _params_from_jsonable(spec, payload["parameters"], n_features,
                                            len(payload["class_labels"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(f"{path}: malformed spec or parameters: {exc!r}") from exc

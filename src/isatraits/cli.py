@@ -6,7 +6,8 @@ gridsearch (c or lag sweep), train (fit the three stage models), predict
 autocorrelation per class), stats (label counts and baselines).
 
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. A --config
-file supplies flat key=value defaults; explicit flags override it.
+file's key=value lines are read as flags placed before the command line's
+own, so argparse checks them and any explicit flag overrides them.
 """
 
 from __future__ import annotations
@@ -78,17 +79,38 @@ class UsageError(Exception):
 # Config files: flat key=value lines, keys named after long flags.
 # ----------------------------------------------------------------------
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    pairs: dict[str, str] = {}
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
+
+
+def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
+    """A --config file's key=value lines as the flags they name: --key=value
+    for a flag that takes a value, the bare flag for a true switch and
+    nothing for a false one. Placed before the command line's own flags,
+    they lose to any spelling of the same flag there, since argparse keeps
+    the last occurrence; argparse also checks their values."""
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    flags: dict[argparse.Action, str | None] = {}  # a repeated key: its last line wins
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip().strip('"')
-    return pairs
+        key, value = (part.strip() for part in line.split("=", 1))
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}")
+        flag, value = action.option_strings[0], value.strip('"')
+        if action.nargs != 0:
+            flags[action] = f"{flag}={value}"
+        elif value.lower() in _TRUE + _FALSE:
+            flags[action] = flag if value.lower() in _TRUE else None
+        else:
+            raise UsageError(f"argument {flag}: config value {value!r} is not one of "
+                             + "/".join(_TRUE + _FALSE))
+    return [flag for flag in flags.values() if flag]
 
 
 def _int_at_least(lowest: int, kind: str):
@@ -116,39 +138,6 @@ def _positive_float(raw: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw!r}")
     return value
-
-
-def _coerce(action: argparse.Action, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {action.dest!r}: {raw!r} is not a boolean")
-    try:
-        value = action.type(raw) if action.type else raw
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"config key {action.dest!r}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"config key {action.dest!r}: {value!r} not in {sorted(action.choices)}")
-    return value
-
-
-def _apply_config(args: argparse.Namespace, subparser: argparse.ArgumentParser, argv: list[str]) -> None:
-    actions = {a.dest: a for a in subparser._actions if a.option_strings}
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(args.config).items():
-            dest = key.replace("-", "_")
-            if dest not in actions:
-                raise UsageError(f"unknown config key {key!r}")
-            action = actions[dest]
-            if any(opt in argv for opt in action.option_strings):
-                continue  # explicit flag wins
-            setattr(args, dest, _coerce(action, raw))
-    missing = ["/".join(a.option_strings) for a in actions.values()
-               if a.required and getattr(args, a.dest) is None]
-    if missing:
-        subparser.error(f"the following arguments are required: {', '.join(missing)}")
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +168,11 @@ def _resolve_c(c: float | None, task: Task, feature: str) -> float:
     return c if c is not None else DEFAULT_LOGREG_C.get((task, feature), 1.0)
 
 
+def _class_order(classes, task: Task) -> list[str]:
+    """A task's class labels in output order: widths by value, others by name."""
+    return sorted(classes, key=int) if task is Task.FIXED_WIDTH else sorted(classes)
+
+
 def _labels_sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -200,7 +194,7 @@ def _parse_int_list(raw: str, flag: str, as_float: bool = False) -> list:
 # Commands
 # ----------------------------------------------------------------------
 
-def cmd_synth(args, argv) -> int:
+def cmd_synth(args) -> int:
     if args.mode == "endian":
         manifest = generate_synthetic_endian(args.isas, args.files, args.len, args.seed)
     else:
@@ -216,7 +210,7 @@ def cmd_synth(args, argv) -> int:
     return 0
 
 
-def cmd_evaluate(args, argv) -> int:
+def cmd_evaluate(args) -> int:
     task = Task(args.task)
     lag = _resolve_lag(args.lag, task, args.classifier) if args.feature == AUTOCORR else None
     feature = FeatureConfig(args.feature, lag)
@@ -269,7 +263,7 @@ def cmd_evaluate(args, argv) -> int:
     return 0
 
 
-def cmd_gridsearch(args, argv) -> int:
+def cmd_gridsearch(args) -> int:
     task = Task(args.task)
     manifest = _load_manifest(args.corpus, args.labels, args.cap)
     if args.mode == "c":
@@ -293,9 +287,7 @@ def cmd_gridsearch(args, argv) -> int:
     return 0
 
 
-def cmd_train(args, argv) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_train(args) -> int:
     by_corpus: dict[str, list] = {}  # corpus flag prefix -> its stages, in STAGES order
     for task, prefix, corpus in STAGES:
         name = getattr(args, f"{prefix}_feature", AUTOCORR)
@@ -306,6 +298,9 @@ def cmd_train(args, argv) -> int:
                               seed=args.seed)
         by_corpus.setdefault(corpus, []).append((task, prefix, FeatureConfig(name, lag), spec))
 
+    # Every stage is fitted before any file is written, so a failing stage
+    # leaves --out as it was.
+    models = []
     for corpus, stages in by_corpus.items():
         root = getattr(args, f"{corpus}_corpus") or args.corpus
         if root is None:
@@ -316,14 +311,17 @@ def cmd_train(args, argv) -> int:
                                                for task, _, feature, _ in stages})
         for task, prefix, _, spec in stages:
             y = [task_label(manifest.label_of(manifest.samples[i]), task) for i in features[task]]
-            save_model(fit(spec, list(features[task].values()), y), out_dir / f"{prefix}.model")
+            models.append((prefix, fit(spec, list(features[task].values()), y)))
 
-    for _, prefix, _ in STAGES:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for prefix, model in models:
+        save_model(model, out_dir / f"{prefix}.model")
         print(f"wrote {out_dir / f'{prefix}.model'}")
     return 0
 
 
-def cmd_predict(args, argv) -> int:
+def cmd_predict(args) -> int:
     models = [load_model(getattr(args, f"{prefix}_model")) for _, prefix, _ in STAGES]
     data = Path(args.binary).read_bytes()
     sample = BinarySample(data, isa_name="unknown", source_path=args.binary)
@@ -339,7 +337,7 @@ def cmd_predict(args, argv) -> int:
     return 0
 
 
-def cmd_export_curves(args, argv) -> int:
+def cmd_export_curves(args) -> int:
     manifest = _load_manifest(args.corpus, args.labels, args.cap)
     task = Task.FIXED_VS_VARIABLE if args.group_by == "size-kind" else Task.FIXED_WIDTH
     curves = mean_curve_by_class(manifest, args.lag, task)
@@ -349,7 +347,7 @@ def cmd_export_curves(args, argv) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         out.write("class,k,mean_f_k\n")
-        for klass in sorted(curves):
+        for klass in _class_order(curves, task):
             for k, value in enumerate(curves[klass], start=1):
                 out.write(f"{klass},{k},{float(value)!r}\n")
     finally:
@@ -359,7 +357,7 @@ def cmd_export_curves(args, argv) -> int:
     return 0
 
 
-def cmd_stats(args, argv) -> int:
+def cmd_stats(args) -> int:
     registry = parse_label_registry(args.labels)
     if not registry:
         raise EmptyLabelList(f"label file {args.labels} has no rows")
@@ -375,11 +373,7 @@ def cmd_stats(args, argv) -> int:
         counts: dict[str, int] = {}
         for x in labels:
             counts[x] = counts.get(x, 0) + 1
-        if task is Task.FIXED_WIDTH:
-            ordered = sorted(counts, key=int)
-        else:
-            ordered = sorted(counts)
-        print(f"{title} classes: " + " ".join(f"{k}:{counts[k]}" for k in ordered))
+        print(f"{title} classes: " + " ".join(f"{k}:{counts[k]}" for k in _class_order(counts, task)))
         if labels:
             b = compute_baseline(labels)
             print(f"{title} baseline: {b.most_frequent_count}/{b.total_count} = {b.baseline:.3f}")
@@ -511,8 +505,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    # A command that takes --config checks its required flags in
-    # _apply_config, after the file has had the chance to supply them.
+    # The first parse only finds the command and its --config file, so a
+    # command that takes --config does not yet insist on flags the file may
+    # supply. The second parse sees the file's flags and checks everything.
     deferred = [a for p in registry.values() if "--config" in p._option_string_actions
                 for a in p._actions if a.required and a.option_strings]
     for action in deferred:
@@ -521,16 +516,16 @@ def main(argv: list[str] | None = None) -> int:
     for action in deferred:
         action.required = True
     try:
-        _apply_config(args, registry[args.command], argv)
-        return args.func(args, argv)
+        if getattr(args, "config", None):
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, registry[args.command])
+        args = parser.parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         registry[args.command].print_usage(sys.stderr)
         return 2
-    except (IsaTraitsError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (IsaTraitsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

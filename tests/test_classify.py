@@ -542,3 +542,83 @@ class TestTreeModelIO:
         with pytest.raises(CorruptModelFile) as err:
             load_model(dtree_file)
         assert "format_version 1" in str(err.value)
+
+
+def _params(mutate):
+    def on_payload(payload):
+        mutate(payload["parameters"])
+    return on_payload
+
+
+def _widen(key):
+    """Add a column to every row of a matrix parameter."""
+    return _params(lambda params: [row.append(0.0) for row in params[key]])
+
+
+def _stats(value):
+    def on_payload(payload):
+        payload["standardization_stats"] = value
+    return on_payload
+
+
+# One corruption per load-time check of a learner's parameters, by
+# (classifier, standardize, mutation of the envelope, words of the check's
+# message); each keeps the file's CRC valid and the envelope's field types.
+PARAMETER_CORRUPTIONS = {
+    "knn-class-too-large": ("knn3", False, _params(lambda p: p["train_y"].__setitem__(0, 5)),
+                            "class outside"),
+    "knn-class-negative": ("knn3", False, _params(lambda p: p["train_y"].__setitem__(0, -1)),
+                           "class outside"),
+    "knn-fractional-class": ("knn3", False, _params(lambda p: p["train_y"].__setitem__(0, 0.5)),
+                             "integers"),
+    "knn-extra-column": ("knn3", False, _widen("train_x"), "'train_x' must be a non-empty"),
+    "knn-no-rows": ("knn3", False, _params(lambda p: p.update(train_x=[], train_y=[])),
+                    "'train_x' must be a non-empty"),
+    "knn-label-missing": ("knn3", False, _params(lambda p: p["train_y"].pop()),
+                          "'train_y' must be a non-empty"),
+    "knn-k-negative": ("knn3", False, _params(lambda p: p.update(k=-3)), "spec.k=3"),
+    "knn-k-not-the-spec's": ("knn3", False, _params(lambda p: p.update(k=5)), "spec.k=3"),
+    "knn-text-row": ("knn1", False, _params(lambda p: p["train_x"].__setitem__(0, "abc")),
+                     "'train_x'"),
+    "knn-infinite-value": ("knn3", False,
+                           _params(lambda p: p["train_x"][2].__setitem__(1, float("inf"))),
+                           "not finite"),
+    "gnb-extra-class-row": ("gnb", False, _params(lambda p: p["means"].append([0.0] * 3)),
+                            "'means' must be a non-empty"),
+    "gnb-extra-prior": ("gnb", False, _params(lambda p: p["log_priors"].append(0.0)),
+                        "'log_priors' must be a non-empty"),
+    "gnb-short-variances": ("gnb", False, _params(lambda p: p["variances"][0].pop()),
+                            "'variances'"),
+    "gnb-zero-variance": ("gnb", False, _params(lambda p: p["variances"][1].__setitem__(2, 0.0)),
+                          "> 0"),
+    "gnb-nan-variance": ("gnb", False,
+                         _params(lambda p: p["variances"][0].__setitem__(0, float("nan"))),
+                         "not finite"),
+    "logreg-extra-column": ("logreg", False, _widen("weights"), "'weights' must be a non-empty"),
+    "logreg-no-bias-row": ("logreg", False, _params(lambda p: p["weights"].pop()),
+                           "'weights' must be a non-empty"),
+    "logreg-nan-weight": ("logreg", False,
+                          _params(lambda p: p["weights"][0].__setitem__(0, float("nan"))),
+                          "not finite"),
+    "stats-one-value": ("knn3", True, _stats([[0.0], [1.0]]), "'means' must be a non-empty"),
+    "stats-short-stds": ("knn3", True, _stats([[0.0] * 3, [1.0] * 2]),
+                         "'stds' must be a non-empty"),
+    "stats-missing": ("knn3", True, _stats(None), "iff spec.standardize"),
+    "stats-unasked": ("logreg", False, _stats([[0.0] * 3, [1.0] * 3]), "iff spec.standardize"),
+}
+
+
+class TestParameterModelIO:
+    @pytest.mark.parametrize("corruption", list(PARAMETER_CORRUPTIONS))
+    def test_corrupt_parameters_rejected(self, corruption, tmp_path):
+        name, standardize, mutate, words = PARAMETER_CORRUPTIONS[corruption]
+        path = tmp_path / f"{name}.model"
+        X, y = blobs(np.random.default_rng(15), n_per_class=6)
+        save_model(fit(spec_from_name(name, standardize=standardize), X, y), path)
+        load_model(path)  # the file as saved is accepted
+        payload = read_envelope(path)
+        mutate(payload)
+        write_envelope(path, payload)
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(path)
+        assert words in str(err.value)

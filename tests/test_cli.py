@@ -191,13 +191,63 @@ class TestEvaluate:
         assert proc.returncode == 0
         assert json.loads(report_b.read_text())["config"]["classifier"] == "knn5"
 
-    def test_unknown_config_key_is_usage_error(self, endian_corpus, tmp_path):
+    @pytest.mark.parametrize("key", ["frobnicate", "help", "config"])
+    def test_unknown_config_key_is_usage_error(self, key, endian_corpus, tmp_path):
         cfg = tmp_path / "bad.conf"
-        cfg.write_text("frobnicate=1\n")
+        cfg.write_text(f"{key}=1\n")
         proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
                        "--config", cfg, "--corpus", endian_corpus,
                        "--labels", endian_corpus / "labels.csv")
-        assert proc.returncode == 2
+        one_error_line(proc, f"unknown config key {key!r}")
+
+    # Config lines go in before the command line's flags, so every spelling
+    # argparse accepts for an explicit flag overrides the file.
+    @pytest.mark.parametrize("explicit", [["--classifier", "knn1"], ["--classifier=knn1"],
+                                          ["--class", "knn1"]])
+    def test_every_spelling_of_an_explicit_flag_wins(self, explicit, size_corpus, tmp_path):
+        report = tmp_path / "report.json"
+        proc = run_cli("evaluate", "--config", CONFIG_DIR / "isvar-autocorr.conf", *explicit,
+                       "--corpus", size_corpus, "--labels", size_corpus / "labels.csv",
+                       "--report", report)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0].endswith("classifier: knn1")
+        settings = json.loads(report.read_text())["config"]
+        assert settings["classifier"] == "knn1"
+        assert settings["lag"] == DEFAULT_AUTOCORR_LAGS[(Task.FIXED_VS_VARIABLE, "knn1")]
+
+    @pytest.mark.parametrize("value, recorded", [("yes", True), ("Off", False)])
+    def test_config_switch(self, value, recorded, endian_corpus, tmp_path):
+        cfg = tmp_path / "switch.conf"
+        cfg.write_text(f"standardize={value}\n")
+        report = tmp_path / "report.json"
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig", "--config", cfg,
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv",
+                       "--report", report)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(report.read_text())["config"]["standardize"] is recorded
+
+    def test_config_switch_not_a_boolean(self, endian_corpus, tmp_path):
+        cfg = tmp_path / "switch.conf"
+        cfg.write_text("standardize=maybe\n")
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig", "--config", cfg,
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv")
+        one_error_line(proc, "--standardize: config value 'maybe'")
+
+    def test_config_comments_quotes_and_underscored_keys(self, size_corpus, tmp_path):
+        cfg = tmp_path / "curves.conf"
+        cfg.write_text('# grouping by width\n\n  group_by = "fixed-bits"\nlag="8"\n')
+        proc = run_cli("export-curves", "--config", cfg,
+                       "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        assert [row["class"] for row in rows] == ["16"] * 8 + ["32"] * 8
+
+    def test_config_line_without_equals(self, endian_corpus, tmp_path):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text("task=endianness\nfeature endsig\n")
+        proc = run_cli("evaluate", "--config", cfg,
+                       "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv")
+        one_error_line(proc, f"{cfg}:2: expected key=value, got 'feature endsig'")
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_shipped_config_uses_the_tuned_tables(self, config, endian_corpus, size_corpus,
@@ -311,12 +361,13 @@ def one_error_line(proc, word):
 
 
 def flag_or_config(route, key, value, tmp_path):
-    """The arguments that set key, and the name its error line shows."""
+    """The arguments that set key, and the name its error line shows: the
+    flag, on both routes, since config lines are read as flags."""
     if route == "flag":
         return [f"--{key}", value], f"--{key}"
     cfg = tmp_path / "c.conf"
     cfg.write_text(f"{key}={value}\n")
-    return ["--config", cfg], repr(key.replace("-", "_"))
+    return ["--config", cfg], f"--{key}"
 
 
 class TestPositiveFiniteC:
@@ -615,23 +666,28 @@ class TestTrainPredict:
         assert proc.stderr.count("\n") == 1
         assert "spec" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_tree_model_missing_threshold_exit_1_one_line(self, endian_corpus, size_corpus,
-                                                         tmp_path):
+    @pytest.mark.parametrize("classifier, mutate, word", [
+        ("dtree", lambda params: params["tree"].pop("threshold"), "threshold"),
+        ("knn3", lambda params: params["train_y"].__setitem__(0, 5), "train_y"),
+    ], ids=["dtree-without-threshold", "knn3-with-class-5"])
+    def test_corrupt_width_model_exit_1_one_line(self, classifier, mutate, word, endian_corpus,
+                                                 size_corpus, tmp_path):
         out = tmp_path / "models"
         proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", size_corpus,
-                       "--width-classifier", "dtree", "--isvar-lag", 64, "--width-lag", 64,
+                       "--width-classifier", classifier, "--isvar-lag", 64, "--width-lag", 64,
                        "--out", out)
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "width.model").read_text().splitlines()[0])
-        del payload["parameters"]["tree"]["threshold"]
+        mutate(payload["parameters"])
         body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         (out / "width.model").write_text(f"{body}\ncrc32:{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n")
         proc = run_cli("predict", "--endian-model", out / "endian.model",
                        "--isvar-model", out / "isvar.model", "--width-model", out / "width.model",
                        le_fixed32_query(tmp_path / "query.bin"))
         assert proc.returncode == 1
+        assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
-        assert "threshold" in proc.stderr and "Traceback" not in proc.stderr
+        assert word in proc.stderr and "Traceback" not in proc.stderr
 
     def test_train_extracts_each_size_sample_once(self, endian_corpus, size_corpus, tmp_path,
                                                   monkeypatch):
@@ -661,15 +717,29 @@ class TestTrainPredict:
         save_model(direct, tmp_path / "direct.model")
         assert (tmp_path / "direct.model").read_text() == (out / "width.model").read_text()
 
-    def test_train_error_names_the_file(self, endian_corpus, size_corpus, tmp_path):
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_train_error_names_the_file(self, existing, endian_corpus, size_corpus, tmp_path):
         corpus = tmp_path / "size"
         shutil.copytree(size_corpus, corpus)
         (corpus / "synthVAR_0" / "zz_short.bin").write_bytes(b"abc")
+        out = tmp_path / "models"
+        older = tmp_path / "older"
+        if existing:  # an older model set, unlike anything this run would write
+            older.mkdir()
+            for name in ("endian", "isvar", "width"):
+                (older / f"{name}.model").write_text(f"an older {name} model\n")
+            shutil.copytree(older, out)
         proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", corpus,
-                       "--out", tmp_path / "models")
+                       "--out", out)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1
         assert str(corpus / "synthVAR_0" / "zz_short.bin") + ": autocorrelation" in proc.stderr
+        # The size stages failed, so not even the fitted endian model is written.
+        assert proc.stdout == ""
+        if existing:
+            assert tree_digest(out) == tree_digest(older)
+        else:
+            assert not out.exists()
 
     # Model files passed for other stages, by (endian, isvar, width) flag;
     # TestPredictUnknown in test_evaluate.py covers every swap.
@@ -717,6 +787,19 @@ class TestExportCurves:
         assert proc.returncode == 0, proc.stderr
         rows = list(csv.DictReader(proc.stdout.splitlines()))
         assert {row["class"] for row in rows} == {"16", "32"}
+
+    def test_widths_in_numeric_order_as_in_stats(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        proc = run_cli("synth", "fixedwidth", "--widths", "8,16", "--isas-per-width", 1,
+                       "--files", 2, "--len", 2048, "--seed", 5, "--out", corpus)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("export-curves", "--lag", 4, "--group-by", "fixed-bits",
+                       "--corpus", corpus, "--labels", corpus / "labels.csv")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        assert [row["class"] for row in rows] == ["8"] * 4 + ["16"] * 4
+        stats = run_cli("stats", "--labels", corpus / "labels.csv")
+        assert "fixed width classes: 8:1 16:1" in stats.stdout
 
 
 class TestStats:
