@@ -26,7 +26,6 @@ from .evaluate import (
 )
 from .features import (
     FeatureVector,
-    autocorr_at_lag,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
@@ -46,7 +45,6 @@ __all__ = [
     "SizeKind",
     "Task",
     "__version__",
-    "autocorr_at_lag",
     "autocorrelation_feature",
     "bigram_histogram",
     "compute_baseline",

@@ -64,14 +64,9 @@ class ClassifierSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ClassifierSpec":
-        return cls(
-            kind=ClassifierKind(data["kind"]),
-            k=int(data["k"]),
-            c=float(data["c"]),
-            trees=int(data["trees"]),
-            seed=int(data["seed"]),
-            standardize=bool(data["standardize"]),
-        )
+        """The spec to_dict wrote, from fields whose types load_model checked."""
+        return cls(kind=ClassifierKind(data["kind"]), k=data["k"], c=float(data["c"]),
+                   trees=data["trees"], seed=data["seed"], standardize=data["standardize"])
 
 
 # Short CLI names for the suite, in evaluation order.

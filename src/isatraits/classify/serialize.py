@@ -5,23 +5,25 @@ class_labels, standardization_stats, n_features, parameters. Parameters are
 arrays written as JSON lists, a decision tree or each forest tree as its
 five parallel node arrays (see tree.py). Floats are serialized via repr and
 therefore round-trip bit-for-bit, so a loaded model predicts identically to
-the one saved. A missing or mistyped field is a CorruptModelFile, like a
-bad checksum, and so are parameters predict could not use: an array that
-is not finite or not of the shape n_features and the class count give it
-(kNN training rows, Gaussian NB priors, means and variances, logistic
-weights, standardization means and stds), a kNN class outside the class
-labels or a k other than the spec's, a variance that is not positive,
-standardization stats present without spec.standardize or missing with
-it, and a tree predict could not walk: arrays of unequal length, a
-feature, child or class index out of range, a child that does not come
-after its node, or a forest whose tree count is not its spec's. Format
-version 2 introduced the array trees; version 1 (trees as nested objects)
-is rejected like any other version.
+the one saved. A missing or mistyped field of the envelope or the spec
+(checked, never coerced) is a CorruptModelFile, like a bad checksum or a
+payload nested too deep to decode, and so are parameters predict could not
+use: an array that is not finite or not of the shape n_features and the
+class count give it (kNN training rows, Gaussian NB priors, means and
+variances, logistic weights, standardization means and stds), a kNN class
+outside the class labels or a k other than the spec's, a variance that is
+not positive, standardization stats present without spec.standardize or
+missing with it, and a tree predict could not walk: arrays of unequal
+length, a feature, child or class index out of range, a child that does
+not come after its node, or a forest whose tree count is not its spec's.
+Format version 2 introduced the array trees; version 1 (trees as nested
+objects) is rejected like any other version.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import zlib
 from pathlib import Path
 from typing import Any, Callable
@@ -106,8 +108,12 @@ def _params_from_jsonable(
     return {"trees": [_tree_from_jsonable(raw, n_features, n_classes) for raw in trees]}
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is a bool
+
+
 def _is_count(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
 
 
 # Envelope fields after format_version: (key, check, what the check expects).
@@ -123,16 +129,25 @@ _FIELDS: tuple[tuple[str, Callable[[Any], bool], str], ...] = (
     ("n_features", _is_count, "a positive integer"),
     ("parameters", lambda v: isinstance(v, dict), "an object"),
 )
+# The spec's fields; c may be an int, but one within the float range.
+_KINDS = tuple(kind.value for kind in ClassifierKind)
+_SPEC_FIELDS: tuple[tuple[str, Callable[[Any], bool], str], ...] = (
+    ("kind", lambda v: isinstance(v, str) and v in _KINDS, "one of " + ", ".join(_KINDS)),
+    ("k", _is_int, "an integer"),
+    ("c", lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+     "a finite number"),
+    ("trees", _is_int, "an integer"),
+    ("seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    ("standardize", lambda v: isinstance(v, bool), "a boolean"),
+)
 
 
-def _check_fields(payload: dict, path) -> None:
-    for key, check, expected in _FIELDS:
-        if key not in payload:
-            raise CorruptModelFile(f"{path}: missing field {key!r}")
-        if not check(payload[key]):
-            raise CorruptModelFile(f"{path}: field {key!r} must be {expected}, got {payload[key]!r:.80}")
-    if payload["feature_name"] == AUTOCORR and payload["lag_param"] is None:
-        raise CorruptModelFile(f"{path}: an {AUTOCORR} model needs a lag_param")
+def _check_fields(data: dict, fields, path, what: str = "field") -> None:
+    for key, check, expected in fields:
+        if key not in data:
+            raise CorruptModelFile(f"{path}: missing {what} {key!r}")
+        if not check(data[key]):
+            raise CorruptModelFile(f"{path}: {what} {key!r} must be {expected}, got {data[key]!r:.80}")
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -175,7 +190,7 @@ def load_model(path: str | Path) -> TrainedModel:
 
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CorruptModelFile(f"{path}: invalid JSON payload: {exc}") from exc
 
     if not isinstance(payload, dict):
@@ -185,7 +200,10 @@ def load_model(path: str | Path) -> TrainedModel:
         raise CorruptModelFile(
             f"{path}: unsupported format_version {version!r}; this build reads version {MODEL_FORMAT_VERSION}"
         )
-    _check_fields(payload, path)
+    _check_fields(payload, _FIELDS, path)
+    if payload["feature_name"] == AUTOCORR and payload["lag_param"] is None:
+        raise CorruptModelFile(f"{path}: an {AUTOCORR} model needs a lag_param")
+    _check_fields(payload["spec"], _SPEC_FIELDS, path, "spec field")
 
     try:
         spec = ClassifierSpec.from_dict(payload["spec"])

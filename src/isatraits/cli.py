@@ -22,8 +22,8 @@ from pathlib import Path
 from . import __version__
 from .classify import SUITE_NAMES, fit, load_model, save_model, spec_from_name
 from .corpus import (
-    BinarySample,
     CorpusManifest,
+    SampleRef,
     generate_synthetic_endian,
     generate_synthetic_fixedwidth,
     manifest_summary,
@@ -201,6 +201,8 @@ def cmd_synth(args) -> int:
         if args.isas_per_width == 0 and args.variable == 0:
             raise UsageError("--isas-per-width 0 with --variable 0 makes an empty corpus")
         widths = _parse_int_list(args.widths, "--widths")
+        if any(width % 8 for width in widths):
+            raise UsageError(f"--widths: each width must be a multiple of 8 bits, got {args.widths!r}")
         manifest = generate_synthetic_fixedwidth(
             widths, args.isas_per_width, args.files, args.len, args.variable, args.seed
         )
@@ -265,18 +267,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     task = Task(args.task)
-    manifest = _load_manifest(args.corpus, args.labels, args.cap)
     if args.mode == "c":
         if args.feature is None:
             raise UsageError("gridsearch c requires --feature")
         lag = _resolve_lag(args.lag, task, "logreg") if args.feature == AUTOCORR else None
         grid = _parse_int_list(args.grid, "--grid", as_float=True) if args.grid else list(DEFAULT_C_GRID)
+        manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_c(manifest, task, FeatureConfig(args.feature, lag), grid)
         print(f"best c: {best:g}")
     else:
         spec = spec_from_name(args.classifier, c=_resolve_c(args.c, task, AUTOCORR),
                               trees=args.trees, seed=args.seed)
         grid = _parse_int_list(args.grid, "--grid") if args.grid else list(DEFAULT_LAG_GRID)
+        manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_lag(manifest, task, spec, grid)
         print(f"best lag: {best}")
     write_grid_csv(table, sys.stdout)
@@ -288,7 +291,8 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_train(args) -> int:
-    by_corpus: dict[str, list] = {}  # corpus flag prefix -> its stages, in STAGES order
+    # Every stage's settings, corpus and labels are resolved before any scan.
+    by_corpus: dict[str, tuple] = {}  # corpus flag prefix -> (root, labels, its stages in STAGES order)
     for task, prefix, corpus in STAGES:
         name = getattr(args, f"{prefix}_feature", AUTOCORR)
         classifier = getattr(args, f"{prefix}_classifier")
@@ -296,16 +300,17 @@ def cmd_train(args) -> int:
                if name == AUTOCORR else None)
         spec = spec_from_name(classifier, c=_resolve_c(getattr(args, f"{prefix}_c"), task, name),
                               seed=args.seed)
-        by_corpus.setdefault(corpus, []).append((task, prefix, FeatureConfig(name, lag), spec))
+        root = getattr(args, f"{corpus}_corpus") or args.corpus
+        if root is None:
+            raise UsageError(f"no corpus given for the {prefix} stage: pass --{corpus}-corpus or --corpus")
+        labels = getattr(args, f"{corpus}_labels") or args.labels or str(Path(root) / "labels.csv")
+        by_corpus.setdefault(corpus, (root, labels, []))[2].append(
+            (task, prefix, FeatureConfig(name, lag), spec))
 
     # Every stage is fitted before any file is written, so a failing stage
     # leaves --out as it was.
     models = []
-    for corpus, stages in by_corpus.items():
-        root = getattr(args, f"{corpus}_corpus") or args.corpus
-        if root is None:
-            raise UsageError("no corpus given for a stage; pass --corpus or the per-stage flag")
-        labels = getattr(args, f"{corpus}_labels") or args.labels or str(Path(root) / "labels.csv")
+    for root, labels, stages in by_corpus.values():
         manifest = _load_manifest(root, labels, args.cap)
         features = extract_features(manifest, {task: (eligible_ids(manifest, task), feature)
                                                for task, _, feature, _ in stages})
@@ -323,9 +328,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     models = [load_model(getattr(args, f"{prefix}_model")) for _, prefix, _ in STAGES]
-    data = Path(args.binary).read_bytes()
-    sample = BinarySample(data, isa_name="unknown", source_path=args.binary)
-    result = predict_unknown(sample, *models)
+    result = predict_unknown(SampleRef(args.binary, "unknown").load(), *models)
     payload = {
         "endianness": result.endianness,
         "size_kind": result.size_kind,

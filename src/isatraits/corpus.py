@@ -205,13 +205,22 @@ def _parse_label_row(row: list[str], line_no: int) -> IsaLabel:
     return IsaLabel(name, endianness, size, word)
 
 
+def _csv_rows(fh):
+    """A CSV file's rows; one the reader rejects is a MalformedLabelFile."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedLabelFile(reader.line_num, str(exc)) from None
+
+
 def parse_label_registry(path: str | Path) -> dict[str, IsaLabel]:
     """Read a label CSV into a registry. Rows with bad enum values or
     malformed integers abort parsing rather than being skipped."""
     registry: dict[str, IsaLabel] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         header_seen = False
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        for line_no, row in enumerate(_csv_rows(fh), start=1):
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if not header_seen:

@@ -47,11 +47,7 @@ class EmptyCorpus(IsaTraitsError):
 # -- features ----------------------------------------------------------
 
 class SampleTooShort(IsaTraitsError):
-    """Sample has too few bytes for the requested feature."""
-
-
-class LagTooLarge(IsaTraitsError):
-    """Requested lag exceeds what a sample's length permits."""
+    """Sample has too few bytes for the requested feature, or for its lag."""
 
 
 # -- classify ----------------------------------------------------------

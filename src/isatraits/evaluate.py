@@ -26,13 +26,7 @@ import numpy as np
 
 from .classify import ClassifierKind, ClassifierSpec, TrainedModel, fit, name_of_spec, predict
 from .corpus import CorpusManifest, IsaLabel, SizeKind
-from .errors import (
-    EmptyLabelList,
-    InsufficientGroups,
-    IsaTraitsError,
-    LagTooLarge,
-    SampleTooShort,
-)
+from .errors import EmptyLabelList, InsufficientGroups, IsaTraitsError
 from .features import (
     AUTOCORR,
     BIGRAMS,
@@ -365,11 +359,8 @@ def grid_search_lag(
     if any(lag < 1 for lag in lag_grid):
         raise ValueError("lags must be positive")
     ids = eligible_ids(manifest, task)
-    try:
-        features = extract_features(manifest, {lag: (ids, FeatureConfig(AUTOCORR, lag))
-                                               for lag in lag_grid})
-    except SampleTooShort as exc:
-        raise LagTooLarge(str(exc)) from exc
+    features = extract_features(manifest, {lag: (ids, FeatureConfig(AUTOCORR, lag))
+                                           for lag in lag_grid})
     table = []
     for lag in sorted(lag_grid):
         report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 import sys
@@ -5,6 +6,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isatraits.classify import (
     ClassifierKind,
@@ -622,3 +625,107 @@ class TestParameterModelIO:
         with pytest.raises(CorruptModelFile) as err:
             load_model(path)
         assert words in str(err.value)
+
+
+def _spec(key, value):
+    def on_payload(payload):
+        payload["spec"][key] = value
+    return on_payload
+
+
+# One corruption per check of a stored spec field, by (classifier, mutation
+# of the envelope, words of the check's message); each keeps the file's CRC
+# valid and none may be coerced into a loadable spec.
+SPEC_CORRUPTIONS = {
+    "k-infinite": ("knn3", _spec("k", float("inf")), "'k' must be an integer"),
+    "k-fractional": ("knn3", _spec("k", 3.9), "'k' must be an integer"),
+    "k-boolean": ("logreg", _spec("k", True), "'k' must be an integer"),
+    "trees-infinite": ("rforest", _spec("trees", float("inf")), "'trees' must be an integer"),
+    "trees-text": ("logreg", _spec("trees", "100"), "'trees' must be an integer"),
+    "seed-negative": ("rforest", _spec("seed", -1), "'seed' must be a non-negative integer"),
+    "seed-fractional": ("gnb", _spec("seed", 0.5), "'seed' must be a non-negative integer"),
+    "c-text": ("logreg", _spec("c", "1.0"), "'c' must be a finite number"),
+    "c-beyond-float-range": ("logreg", _spec("c", 10 ** 400), "'c' must be a finite number"),
+    "c-boolean": ("logreg", _spec("c", True), "'c' must be a finite number"),
+    "standardize-zero": ("knn3", _spec("standardize", 0), "'standardize' must be a boolean"),
+    "standardize-text": ("gnb", _spec("standardize", "false"), "'standardize' must be a boolean"),
+    "kind-unknown": ("gnb", _spec("kind", "svm"), "'kind' must be one of"),
+    "kind-not-text": ("gnb", _spec("kind", ["knn"]), "'kind' must be one of"),
+}
+
+
+class TestSpecModelIO:
+    @pytest.mark.parametrize("corruption", list(SPEC_CORRUPTIONS))
+    def test_corrupt_spec_rejected(self, corruption, tmp_path):
+        name, mutate, words = SPEC_CORRUPTIONS[corruption]
+        path = tmp_path / f"{name}.model"
+        save_model(fit(spec_from_name(name, trees=3), *blobs(np.random.default_rng(16), n_per_class=6)),
+                   path)
+        load_model(path)  # the file as saved is accepted
+        payload = read_envelope(path)
+        mutate(payload)
+        write_envelope(path, payload)
+        with pytest.raises(CorruptModelFile) as err:
+            load_model(path)
+        assert words in str(err.value)
+
+    def test_payload_nested_too_deep(self, tmp_path):
+        body = "[" * 200_000 + "]" * 200_000
+        path = tmp_path / "deep.model"
+        path.write_text(f"{body}\ncrc32:{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n")
+        with pytest.raises(CorruptModelFile, match="invalid JSON payload"):
+            load_model(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed_models")
+
+
+@pytest.fixture(scope="module")
+def saved_payloads(fuzz_dir):
+    """The envelope of a saved model of every learner."""
+    X, y = blobs(np.random.default_rng(17), n_per_class=6)
+    payloads = {}
+    for name in ("knn3", "gnb", "dtree", "logreg", "rforest"):
+        path = fuzz_dir / f"{name}.model"
+        save_model(fit(spec_from_name(name, trees=3, standardize=name == "knn3"), X, y), path)
+        payloads[name] = read_envelope(path)
+    return payloads
+
+
+class TestLoadModelProperty:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_returns_a_model_or_raises_corrupt_model_file(self, data, saved_payloads, fuzz_dir):
+        """Any JSON value, non-finite floats and wrong types included, in
+        place of the whole payload or of any envelope, spec or parameter
+        field, or that field missing: a CRC-valid file loads or is refused
+        with CorruptModelFile, never with another exception."""
+        payload = copy.deepcopy(data.draw(st.sampled_from(sorted(saved_payloads.items())))[1])
+        places = [("format_version",), *((key,) for key in ENVELOPE_KEYS),
+                  *(("spec", key) for key in payload["spec"]),
+                  *(("parameters", key) for key in payload["parameters"])]
+        place = data.draw(st.sampled_from([()] + places))
+        if place:
+            holder = payload if len(place) == 1 else payload[place[0]]
+            if data.draw(st.booleans()):
+                holder[place[-1]] = data.draw(JSON_VALUES)
+            else:
+                del holder[place[-1]]
+        else:
+            payload = data.draw(JSON_VALUES)
+        path = fuzz_dir / "fuzzed.model"
+        write_envelope(path, payload)
+        try:
+            load_model(path)
+        except CorruptModelFile:
+            pass

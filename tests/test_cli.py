@@ -768,6 +768,51 @@ class TestTrainPredict:
         assert proc.returncode == 1
         assert "endianness" in proc.stderr
 
+    @pytest.mark.parametrize("body", [
+        lambda payload: "[" * 200_000 + "]" * 200_000,
+        lambda payload: json.dumps({**payload, "spec": {**payload["spec"], "k": float("inf")}}),
+        lambda payload: json.dumps({**payload, "spec": {**payload["spec"], "k": 3.9}}),
+    ], ids=["nested-200000-deep", "k-infinite", "k-fractional"])
+    def test_crc_valid_bad_payload_exit_1_one_line(self, body, models_dir, tmp_path):
+        payload = json.loads((models_dir / "isvar.model").read_text().splitlines()[0])
+        text = body(payload)
+        broken = tmp_path / "isvar.model"
+        broken.write_text(f"{text}\ncrc32:{zlib.crc32(text.encode()) & 0xFFFFFFFF:08x}\n")
+        proc = run_cli("predict", "--endian-model", models_dir / "endian.model",
+                       "--isvar-model", broken, "--width-model", models_dir / "width.model",
+                       le_fixed32_query(tmp_path / "query.bin"))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and str(broken) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestUsageErrorsBeforeCorpusWork:
+    """Each of these exits 2 naming its flag, with a corpus that does not
+    exist: no corpus is read first."""
+
+    def test_train_without_a_size_corpus(self, tmp_path):
+        proc = run_cli("train", "--endian-corpus", tmp_path / "missing", "--out", tmp_path / "m")
+        one_error_line(proc, "--size-corpus")
+        assert not (tmp_path / "m").exists()
+
+    def test_gridsearch_lag_grid_not_a_list(self, tmp_path):
+        proc = run_cli("gridsearch", "lag", "--task", "isvar", "--grid", "abc",
+                       "--corpus", tmp_path / "missing", "--labels", tmp_path / "labels.csv")
+        one_error_line(proc, "--grid")
+
+    def test_gridsearch_c_without_feature(self, tmp_path):
+        proc = run_cli("gridsearch", "c", "--task", "endianness",
+                       "--corpus", tmp_path / "missing", "--labels", tmp_path / "labels.csv")
+        one_error_line(proc, "--feature")
+
+    @pytest.mark.parametrize("widths", ["12", "16,20"])
+    def test_synth_width_not_a_multiple_of_8(self, widths, tmp_path):
+        proc = run_cli("synth", "fixedwidth", "--widths", widths, "--files", 1, "--len", 4096,
+                       "--out", tmp_path / "c")
+        one_error_line(proc, "--widths")
+        assert not (tmp_path / "c").exists()
+
 
 class TestExportCurves:
     def test_size_kind_grouping(self, size_corpus, tmp_path):
@@ -826,6 +871,15 @@ class TestStats:
         proc = run_cli("stats", "--labels", corpus / "labels.csv", "--corpus", corpus)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "warning: unknown ISA directory 'mystery' skipped\n"
+
+    def test_cell_over_the_csv_field_limit_exit_1_one_line(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("isa_name,endianness,inst_size_kind,inst_size_bits,inst_size_min,"
+                          "inst_size_max,word_size_bits\n" + "x" * 200_000 + ",LE,fixed,32,,,\n")
+        proc = run_cli("stats", "--labels", labels)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and "line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_empty_labels_exit_1(self, tmp_path):
         empty = tmp_path / "empty.csv"

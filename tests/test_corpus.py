@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isatraits.corpus import (
     CorpusManifest,
@@ -89,6 +91,41 @@ class TestLabelRegistry:
         path = tmp_path / "out.csv"
         write_label_registry(registry, path)
         assert parse_label_registry(path) == registry
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        path = write_labels(tmp_path, "ok,LE,fixed,32,,,\n" + "x" * 200_000 + ",LE,fixed,32,,,\n")
+        with pytest.raises(MalformedLabelFile) as err:
+            parse_label_registry(path)
+        assert err.value.line == 3 and "field limit" in err.value.reason
+
+
+# Cells that parse, cells that nearly do, and text with CSV syntax in it.
+LABEL_CELLS = st.sampled_from(["", "LE", "BE", "BI", "NA", "fixed", "variable", "unknown",
+                               "8", "32", "0", "-8", "a", "# x"]) | st.text(',"#\r\n a1', max_size=5)
+LABEL_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.builds(lambda header, rows, end: (HEADER if header else "") + end.join(",".join(r) for r in rows),
+              st.booleans(), st.lists(st.lists(LABEL_CELLS, max_size=8), max_size=6),
+              st.sampled_from(["\n", "\r\n", "\r"])),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_labels(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed_labels") / "labels.csv"
+
+
+@given(text=LABEL_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_label_file_parses_or_raises_a_label_error(text, fuzz_labels):
+    """Random CSV text gives a registry or a MalformedLabelFile/DuplicateIsa,
+    never another exception."""
+    with open(fuzz_labels, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        assert isinstance(parse_label_registry(fuzz_labels), dict)
+    except (MalformedLabelFile, DuplicateIsa):
+        pass
 
 
 class TestShippedCpurecLabels:

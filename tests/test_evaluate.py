@@ -20,7 +20,6 @@ from isatraits.errors import (
     EmptyLabelList,
     InsufficientGroups,
     IsaTraitsError,
-    LagTooLarge,
     SampleTooShort,
 )
 from isatraits.evaluate import (
@@ -326,7 +325,7 @@ class TestGridSearch:
         assert best == 16
 
     def test_lag_too_large_names_sample(self, fixedwidth_small):
-        with pytest.raises(LagTooLarge) as err:
+        with pytest.raises(SampleTooShort) as err:
             grid_search_lag(fixedwidth_small, Task.FIXED_VS_VARIABLE,
                             spec_from_name("knn1"), [4096])
         assert "synth" in str(err.value)

@@ -15,7 +15,7 @@ from isatraits.corpus import (
     generate_synthetic_endian,
     generate_synthetic_fixedwidth,
 )
-from isatraits.errors import LagTooLarge, SampleTooShort
+from isatraits.errors import SampleTooShort
 from isatraits.evaluate import Task, grid_search_lag, mean_curve_by_class
 from isatraits.features import (
     AUTOCORR,
@@ -28,8 +28,6 @@ from isatraits.features import (
     GEMM_WIDE_ROWS,
     SIGNATURE_BIGRAMS,
     FeatureVector,
-    _bigram_counts,
-    autocorr_at_lag,
     autocorr_prefix,
     autocorrelation_feature,
     bigram_histogram,
@@ -67,6 +65,18 @@ class TestBigramHistogram:
         with pytest.raises(SampleTooShort):
             bigram_histogram(sample(b"\x00"))
 
+    def test_16mib_input_peaks_under_five_times_its_size(self):
+        # The pairs are read as two uint16 views of the input; what is left
+        # is np.bincount's cast of one view to intp (4x the input).
+        data = random_bytes(16 << 20, seed=17)
+        tracemalloc.start()
+        try:
+            bigram_histogram(sample(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * len(data), f"peak {peak / len(data):.2f}x the input"
+
     @given(st.binary(min_size=2, max_size=512))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one_and_nonnegative(self, data):
@@ -95,7 +105,8 @@ class TestEndiannessSignatures:
 
     @staticmethod
     def assert_equals_histogram_bins(data: bytes):
-        expected = _bigram_counts(data)[list(SIGNATURE_BIGRAMS)] / (len(data) - 1)
+        counts = bigram_count_oracle(data)
+        expected = np.array([counts.get(b, 0) for b in SIGNATURE_BIGRAMS]) / (len(data) - 1)
         values = endianness_signatures(sample(data)).values
         assert values.dtype == np.float64
         assert np.array_equal(values, expected), data[:16]
@@ -163,19 +174,19 @@ class TestPearson:
     known: s[:n-k] against s[k:]."""
 
     def test_identical_sequences(self):
-        assert autocorr_at_lag(sample(bytes([1, 2, 3, 1, 2, 3])), 3) == 1.0
+        assert autocorrelation_feature(sample(bytes([1, 2, 3, 1, 2, 3])), 3).values[3 - 1] == 1.0
 
     def test_exact_anticorrelation(self):
-        assert autocorr_at_lag(sample(bytes([1, 2, 3, 2, 1])), 2) == -1.0
+        assert autocorrelation_feature(sample(bytes([1, 2, 3, 2, 1])), 2).values[2 - 1] == -1.0
 
     def test_oracle_value_for_hump(self):
         data = bytes([0, 0, 2, 1])  # windows [0, 0, 2] and [0, 2, 1]
         expected = autocorr_oracle(data, 1)
         assert expected == 0.0  # numerator 3*2 - 2*3 vanishes
-        assert autocorr_at_lag(sample(data), 1) == expected
+        assert autocorrelation_feature(sample(data), 1).values[1 - 1] == expected
 
     def test_zero_variance_sentinel(self):
-        assert autocorr_at_lag(sample(bytes([5, 5, 5, 1, 2, 3])), 3) == 0.0
+        assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3).values[3 - 1] == 0.0
         assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3).values[2] == 0.0
 
     @given(st.lists(st.integers(0, 255), min_size=3, max_size=64), st.data())
@@ -191,25 +202,25 @@ class TestPearson:
 class TestAutocorrAtLag:
     def test_periodic_lag_equals_period(self):
         data = bytes([1, 2, 3, 4] * 64)
-        assert autocorr_at_lag(sample(data), 4) == pytest.approx(1.0, abs=1e-12)
+        assert autocorrelation_feature(sample(data), 4).values[4 - 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_periodic_lag_one_is_negative(self):
         data = bytes([1, 2, 3, 4] * 64)
-        value = autocorr_at_lag(sample(data), 1)
+        value = autocorrelation_feature(sample(data), 1).values[1 - 1]
         assert value < 0.0
         assert value == pytest.approx(autocorr_oracle(data, 1), abs=1e-9)
 
     def test_constant_series(self):
-        assert autocorr_at_lag(sample(bytes([5] * 6)), 2) == 0.0
+        assert autocorrelation_feature(sample(bytes([5] * 6)), 2).values[2 - 1] == 0.0
 
     def test_lag_too_large(self):
-        with pytest.raises(LagTooLarge):
-            autocorr_at_lag(sample(bytes(8)), 7)
-        autocorr_at_lag(sample(bytes(range(8))), 6)  # k = n-2 is the boundary
+        with pytest.raises(SampleTooShort):
+            autocorrelation_feature(sample(bytes(8)), 7).values[7 - 1]
+        autocorrelation_feature(sample(bytes(range(8))), 6).values[6 - 1]  # k = n-2 is the boundary
 
     def test_bad_lag(self):
         with pytest.raises(ValueError):
-            autocorr_at_lag(sample(bytes(8)), 0)
+            autocorrelation_feature(sample(bytes(8)), 0).values[0 - 1]
 
     def test_matches_oracle_on_random_samples(self):
         rng = random.Random(99)
@@ -217,7 +228,7 @@ class TestAutocorrAtLag:
             n = rng.randrange(64, 512)
             data = bytes(rng.randrange(256) for _ in range(n))
             k = rng.randrange(1, 33)
-            assert autocorr_at_lag(sample(data), k) == pytest.approx(
+            assert autocorrelation_feature(sample(data), k).values[k - 1] == pytest.approx(
                 autocorr_oracle(data, k), abs=1e-9
             )
 
