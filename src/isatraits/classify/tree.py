@@ -14,23 +14,33 @@ threshold (float64, 0.0 at a leaf), left and right (int64 child indices,
 training samples, lowest class on ties). Children always have larger
 indices than their parent, so every walk from the root ends.
 
-Growth. Nodes are expanded from an explicit stack (right child pushed
-before left), which visits them in the same preorder as a recursive
-grower and has no recursion-depth limit. A forest grows BLOCK_TREES trees
-in lock-step: each step pops from every tree of the block its next node
-that needs a split, draws that node's feature subset from the tree's own
-generator, and scores every (node, candidate feature) column of the step
-in one vectorised pass. Each generator therefore makes its bootstrap draw
-and its per-node draws in the same order as one-tree-at-a-time growth. A
-column sorts its rows by the key (rank of the value within its feature,
+Growth. All trees of one fit grow together in lock-step, their state held
+in flat arrays (_Nodes) rather than per tree: every node's tree, depth,
+class counts and split, and one row buffer in which each tree's sample
+rows sit and every node's rows form one segment, partitioned in place as
+nodes split. Each tree keeps a stack of its nodes that can still split
+(two or more rows, not all of one class), linked through the arrays. A
+step pops the top node of every tree's stack, draws each such node's
+feature subset from its tree's own generator, scores every (node,
+candidate feature) column of the step in one vectorised pass, and for the
+nodes with a positive-gain split partitions their segments, bincounts the
+children's classes and pushes the right child, then the left, of those
+that can split. So each tree's nodes are split in the preorder a
+recursive grower visits them in, and its generator makes its bootstrap
+draw and its per-node draws in that grower's order. Leaves never enter a
+stack; when the last stack empties, subtree sizes summed level by level
+give every node its preorder index.
+
+A column sorts its rows by the key (rank of the value within its feature,
 class), with ranks computed once per fit; that orders them as a stable
 argsort of the values does, up to the order inside groups of equal
 values, and a cut only falls between such groups, so the class counts on
 each side of every cut are the same. The gain arithmetic is the
 per-feature formula in the same float operation order, so the trees are
 identical node for node to growing each tree recursively, one feature at
-a time (tests/oracles.py keeps that grower as the reference). The block
-bounds the (rows x columns x classes) temporaries of a step; a decision
+a time (tests/oracles.py keeps that grower as the reference). A step's
+columns are scored in chunks of CHUNK_CELLS (rows x columns x classes),
+which bounds its temporaries whatever the number of trees; a decision
 tree is the same grower with one tree and all features.
 
 Prediction advances the node indices of all (row, tree) pairs together,
@@ -40,74 +50,19 @@ lowest class index.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
-# Forest trees grown in lock-step: enough to amortise the per-step numpy
-# calls, few enough to keep a step's temporaries small.
-BLOCK_TREES = 25
 # Cells (rows x columns x classes) scored in one vectorised pass; a step
-# with more columns (a decision tree on 65536 bigram features) is scored
-# in column chunks.
-CHUNK_CELLS = 1 << 19
-
-
-def _gini(counts: np.ndarray, total: int) -> float:
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
-
-
-class _Growing:
-    """One tree while it grows: its node lists, its stack of (rows,
-    parent, is_left) still to expand and its feature generator."""
-
-    def __init__(self, rows: np.ndarray, rng: np.random.Generator | None):
-        self.rng = rng
-        self.stack: list[tuple[np.ndarray, int, bool]] = [(rows, -1, True)]
-        self.nodes: dict[str, list] = {name: [] for name in TREE_FIELDS}
-
-    def next_split(self, y: np.ndarray, n_classes: int, n_features: int, subset_size: int | None):
-        """Pop nodes, finishing those that cannot split as leaves, up to the
-        next one that needs a split: (node, rows, counts, feature subset),
-        or None once the tree is complete."""
-        nodes = self.nodes
-        while self.stack:
-            rows, parent, is_left = self.stack.pop()
-            node = len(nodes["value"])
-            if parent >= 0:
-                nodes["left" if is_left else "right"][parent] = node
-            counts = np.bincount(y[rows], minlength=n_classes).astype(np.float64)
-            tally = counts.tolist()
-            top = max(tally)
-            nodes["feature"].append(-1)
-            nodes["threshold"].append(0.0)
-            nodes["left"].append(-1)
-            nodes["right"].append(-1)
-            nodes["value"].append(tally.index(top))  # first max = lowest class
-            if rows.size < 2 or top == rows.size:
-                continue
-            if self.rng is not None:
-                features = np.sort(self.rng.choice(n_features, size=subset_size, replace=False))
-            else:
-                features = np.arange(n_features)
-            return node, rows, counts, features
-        return None
-
-    def split(self, node: int, rows: np.ndarray, feature: int, threshold: float, X: np.ndarray):
-        self.nodes["feature"][node] = feature
-        self.nodes["threshold"][node] = threshold
-        go_left = X[rows, feature] <= threshold
-        self.stack.append((rows[~go_left], node, False))
-        self.stack.append((rows[go_left], node, True))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            name: np.asarray(values, dtype=np.float64 if name == "threshold" else np.int64)
-            for name, values in self.nodes.items()
-        }
+# with more (a forest's first steps, or a decision tree on 65536 bigram
+# features) is scored in column chunks. On a 100-tree fit of 130 rows x 16
+# features, the first step took 4.8 ms at 1 << 14 and the fit's
+# tracemalloc peak was 1.3 MiB; 1 << 16 took 5.4 ms and 2.7 MiB (its
+# temporaries outgrow the cache), 1 << 12 7.5 ms.
+CHUNK_CELLS = 1 << 14
 
 
 def _impurity(counts_of, n: np.ndarray, n_classes: int) -> np.ndarray:
@@ -179,41 +134,41 @@ def _score_columns(
     return gains[columns, pos], ranks[columns, pos], ranks[columns, pos + 1]
 
 
-def _best_splits(X, ranks, y, n_classes, pending) -> list[tuple[int, float] | None]:
-    """(feature, threshold) of the best split of every pending node, or
-    None where no split has positive gain. pending holds (rows, counts,
-    sorted feature subset) with subsets of one size."""
+def _best_splits(X, ranks, keys, n_classes, rows, start, size, counts, subsets):
+    """(feature, threshold, split) of the best split of every node j whose
+    rows are rows[start[j]:start[j] + size[j]], with class counts counts[j]
+    and sorted feature subset subsets[j]; split[j] is False where no split
+    has positive gain. keys[f, i] is rank * n_classes + class of row i on
+    feature f, and keys[f, n] the pad key, above every rank."""
     n = X.shape[0]
-    sizes = np.array([rows.size for rows, _, _ in pending])
-    width = pending[0][2].size
-    depth = int(sizes.max())
-    rows_pad = np.zeros((len(pending), depth), dtype=np.intp)
-    for j, (rows, _, _) in enumerate(pending):
-        rows_pad[j, : rows.size] = rows
-    pad = np.arange(depth) >= sizes[:, None]
-    labels = y[rows_pad].astype(np.int32)
+    k, width = subsets.shape
+    depth = int(size.max())
+    offsets = np.arange(depth)
+    # Row j: node j's rows, then the pad row n up to the largest node's size.
+    rows_pad = rows[np.minimum(start[:, None] + offsets, rows.size - 1)]
+    rows_pad[offsets >= size[:, None]] = n
 
-    # Column c scores feature subset[c % width] of node c // width.
-    col_node = np.repeat(np.arange(len(pending)), width)
-    col_feature = np.concatenate([features for _, _, features in pending])
-    col_counts = np.stack([counts for _, counts, _ in pending])[col_node]
-    col_n = sizes[col_node].astype(np.float64)
-    col_parent = np.array([_gini(counts, rows.size) for rows, counts, _ in pending])[col_node]
+    # Column c scores feature subsets[c // width, c % width] of node c // width.
+    counts = counts.astype(np.float64)
+    col_node = np.repeat(np.arange(k), width)
+    col_feature = subsets.ravel()
+    col_counts = counts[col_node]
+    col_n = size[col_node].astype(np.float64)
+    # Gini 1 - p.p by one np.dot per node: a vectorised sum may round otherwise.
+    shares = counts / size[:, None]
+    col_parent = (1.0 - np.array([np.dot(p, p) for p in shares]))[col_node]
 
     chunk = max(1, CHUNK_CELLS // (depth * n_classes))
     scored = []
     for a in range(0, col_node.size, chunk):
         cols = slice(a, a + chunk)
-        nodes = col_node[cols]
-        keys = ranks[rows_pad[nodes], col_feature[cols, None]] * n_classes + labels[nodes]
-        keys[pad[nodes]] = n * n_classes
-        scored.append(_score_columns(keys, n_classes, n, col_counts[cols], col_n[cols],
-                                     col_parent[cols]))
-    gains, low, high = (np.concatenate(part).reshape(len(pending), width) for part in zip(*scored))
+        scored.append(_score_columns(keys[col_feature[cols, None], rows_pad[col_node[cols]]],
+                                     n_classes, n, col_counts[cols], col_n[cols], col_parent[cols]))
+    gains, low, high = (np.concatenate(part).reshape(k, width) for part in zip(*scored))
 
-    nodes = np.arange(len(pending))
+    nodes = np.arange(k)
     best = np.argmax(gains, axis=1)  # first max = lowest feature
-    feature = col_feature.reshape(len(pending), width)[nodes, best]
+    feature = subsets[nodes, best]
     # Any row holding a rank holds its value (or the other signed zero,
     # which leaves the midpoint of two distinct values unchanged).
     below = X[np.argmax(ranks[:, feature] == low[nodes, best], axis=0), feature]
@@ -224,37 +179,154 @@ def _best_splits(X, ranks, y, n_classes, pending) -> list[tuple[int, float] | No
     # infinite sum) becomes the lower one, so the split still separates the
     # rows it was scored on and both children are smaller than the node.
     thresholds = np.where(thresholds < above, thresholds, below)
-    return [(int(f), float(t)) if g > 0.0 else None
-            for g, f, t in zip(gains[nodes, best], feature, thresholds)]
+    return feature, thresholds, gains[nodes, best] > 0.0
+
+
+class _Nodes:
+    """The nodes of the trees being grown, in creation order, as growable
+    arrays: each node's tree and depth, the segment rows[start:start + size]
+    of the row buffer holding its rows, its class counts and majority
+    class, its split (feature -1 at a leaf; the left child is first_child,
+    the right one the next node) and the node below it on its tree's stack
+    of nodes still to split (-1 at the bottom)."""
+
+    FIELDS = ("tree", "depth", "start", "size", "value", "feature", "first_child", "below")
+
+    def __init__(self, n_classes: int, capacity: int):
+        self.count = 0
+        self.ints = np.empty((len(self.FIELDS), capacity), dtype=np.int64)
+        self.threshold = np.empty(capacity, dtype=np.float64)
+        self.counts = np.empty((capacity, n_classes), dtype=np.int64)
+        self._views()
+
+    def _views(self) -> None:
+        for name, row in zip(self.FIELDS, self.ints):
+            setattr(self, name, row)
+
+    def add(self, tree, depth, start, size, counts) -> np.ndarray:
+        """Append leaves (to be split later, perhaps); return their ids."""
+        ids = np.arange(self.count, self.count + tree.size)
+        self.count += tree.size
+        if self.count > self.threshold.size:
+            more = max(self.count, 2 * self.threshold.size) - self.threshold.size
+            self.ints = np.pad(self.ints, ((0, 0), (0, more)))
+            self.threshold = np.pad(self.threshold, (0, more))
+            self.counts = np.pad(self.counts, ((0, more), (0, 0)))
+            self._views()
+        self.tree[ids], self.depth[ids], self.start[ids], self.size[ids] = tree, depth, start, size
+        self.value[ids] = np.argmax(counts, axis=1)  # first max = lowest class
+        self.feature[ids] = self.first_child[ids] = self.below[ids] = -1
+        self.threshold[ids] = 0.0
+        self.counts[ids] = counts
+        return ids
+
+    def can_split(self, ids: np.ndarray) -> np.ndarray:
+        """Which nodes hold two or more rows, not all of one class."""
+        size = self.size[ids]
+        return (size >= 2) & (self.counts[ids].max(axis=1) < size)
+
+    def trees(self, n_trees: int) -> list[dict[str, np.ndarray]]:
+        """One preorder array tree per tree. A node's index in its tree is
+        its parent's plus one, plus the left subtree's size for a right
+        child; subtree sizes are summed bottom-up and indices handed out
+        top-down, one depth level of split nodes at a time."""
+        count = self.count
+        feature, first = self.feature[:count], self.first_child[:count]
+        split = np.flatnonzero(feature >= 0)
+        split = split[np.argsort(self.depth[split], kind="stable")]
+        bounds = np.flatnonzero(np.diff(self.depth[split])) + 1
+        levels = [split[a:b] for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), split.size])]
+        subtree = np.ones(count, dtype=np.int64)
+        for level in reversed(levels):
+            subtree[level] += subtree[first[level]] + subtree[first[level] + 1]
+        index = np.zeros(count, dtype=np.int64)
+        for level in levels:
+            index[first[level]] = index[level] + 1
+            index[first[level] + 1] = index[level] + 1 + subtree[first[level]]
+
+        sizes = subtree[:n_trees]  # the roots are nodes 0..n_trees-1
+        ends = np.cumsum(sizes)
+        order = np.empty(count, dtype=np.int64)  # the node at each place of the joined trees
+        order[(ends - sizes)[self.tree[:count]] + index] = np.arange(count)
+        first, is_split = first[order], feature[order] >= 0
+        joined = {"feature": feature[order],
+                  "threshold": self.threshold[order],
+                  "left": np.where(is_split, index[first], -1),
+                  "right": np.where(is_split, index[first + 1], -1),
+                  "value": self.value[order]}
+        ends = ends.tolist()
+        return [{name: joined[name][a:b] for name in TREE_FIELDS}
+                for a, b in zip([0] + ends, ends)]
 
 
 def _grow(
     X: np.ndarray,
-    ranks: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    roots: list[tuple[np.ndarray, np.random.Generator | None]],
-    subset_size: int | None,
+    roots: np.ndarray,
+    draw: Callable[[np.ndarray], np.ndarray],
 ) -> list[dict[str, np.ndarray]]:
-    """Grow one tree per (root rows, generator) in lock-step."""
-    trees = [_Growing(rows, rng) for rows, rng in roots]
+    """Grow one tree per row of roots (its sample rows) in lock-step; each
+    step splits every unfinished tree's next node in preorder, with the
+    sorted feature subsets draw(trees) for those trees' nodes."""
+    n_trees, m = roots.shape
+    n = X.shape[0]
+    ranks = _column_ranks(X)
+    keys = np.empty((X.shape[1], n + 1), dtype=np.int32)
+    keys[:, :n] = (ranks * n_classes + y[:, None]).T
+    keys[:, n] = n * n_classes  # pads sort after every row
+    rows = roots.reshape(-1)  # tree t's rows, partitioned in place as nodes split
+    nodes = _Nodes(n_classes, 8 * n_trees)
+    trees = np.arange(n_trees)
+    root_counts = np.bincount((trees[:, None] * n_classes + y[roots]).ravel(),
+                              minlength=n_trees * n_classes).reshape(n_trees, n_classes)
+    root_ids = nodes.add(trees, np.zeros_like(trees), m * trees, np.full(n_trees, m), root_counts)
+    top = np.where(nodes.can_split(root_ids), root_ids, -1)  # each tree's next node to split
+
     while True:
-        pending = []
-        for tree in trees:
-            nxt = tree.next_split(y, n_classes, X.shape[1], subset_size)
-            if nxt is not None:
-                pending.append((tree, *nxt))
-        if not pending:
-            return [tree.arrays() for tree in trees]
-        splits = _best_splits(X, ranks, y, n_classes, [p[2:] for p in pending])
-        for (tree, node, rows, _, _), split in zip(pending, splits):
-            if split is not None:
-                tree.split(node, rows, *split, X)
+        active = np.flatnonzero(top >= 0)
+        if active.size == 0:
+            return nodes.trees(n_trees)
+        node = top[active]
+        top[active] = nodes.below[node]
+        feature, threshold, split = _best_splits(
+            X, ranks, keys, n_classes, rows, nodes.start[node], nodes.size[node],
+            nodes.counts[node], draw(active))
+        node, feature, threshold = node[split], feature[split], threshold[split]
+        if node.size == 0:
+            continue
+        nodes.feature[node] = feature
+        nodes.threshold[node] = threshold
+
+        # Partition each split node's segment of rows in place, left rows first.
+        start, size = nodes.start[node], nodes.size[node]
+        owner = np.repeat(np.arange(node.size), size)
+        at = np.arange(owner.size) + np.repeat(start - (np.cumsum(size) - size), size)
+        moved = rows[at]
+        child = 2 * owner + (X[moved, feature[owner]] > threshold[owner])  # left, right
+        rows[at] = moved[np.argsort(child, kind="stable")]
+        child_size = np.bincount(child, minlength=2 * node.size)
+        child_start = np.repeat(start, 2)
+        child_start[1::2] += child_size[::2]
+        child_counts = np.bincount(child * n_classes + y[moved],
+                                   minlength=2 * node.size * n_classes)
+        tree = nodes.tree[node]
+        children = nodes.add(np.repeat(tree, 2), np.repeat(nodes.depth[node] + 1, 2), child_start,
+                             child_size, child_counts.reshape(-1, n_classes))
+        nodes.first_child[node] = children[::2]
+
+        # Push the right child, then the left, where they can split.
+        pushed = nodes.can_split(children)
+        stack = top[tree]
+        for side in (1, 0):
+            nodes.below[children[side::2]] = stack
+            stack = np.where(pushed[side::2], children[side::2], stack)
+        top[tree] = stack
 
 
 def train_tree(X: np.ndarray, y: np.ndarray, n_classes: int) -> dict[str, Any]:
-    roots = [(np.arange(X.shape[0]), None)]
-    return {"tree": _grow(X, _column_ranks(X), y, n_classes, roots, None)[0]}
+    every_feature = np.arange(X.shape[1])[None]
+    return {"tree": _grow(X, y, n_classes, np.arange(X.shape[0])[None], lambda _: every_feature)[0]}
 
 
 def train_forest(
@@ -266,15 +338,14 @@ def train_forest(
 ) -> dict[str, Any]:
     n, d = X.shape
     subset_size = max(1, int(np.sqrt(d)))
-    ranks = _column_ranks(X)
-    trees: list[dict[str, np.ndarray]] = []
-    for start in range(0, n_trees, BLOCK_TREES):
-        roots = []
-        for t in range(start, min(start + BLOCK_TREES, n_trees)):
-            rng = np.random.default_rng([seed, t])
-            roots.append((rng.integers(0, n, size=n), rng))
-        trees.extend(_grow(X, ranks, y, n_classes, roots, subset_size))
-    return {"trees": trees}
+    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
+    roots = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+
+    def draw(trees: np.ndarray) -> np.ndarray:
+        return np.sort([rngs[t].choice(d, size=subset_size, replace=False)
+                        for t in trees.tolist()], axis=1)
+
+    return {"trees": _grow(X, y, n_classes, roots, draw)}
 
 
 def check_tree(tree: dict[str, np.ndarray], n_features: int, n_classes: int) -> None:

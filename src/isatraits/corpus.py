@@ -206,10 +206,12 @@ def _parse_label_row(row: list[str], line_no: int) -> IsaLabel:
 
 
 def _csv_rows(fh):
-    """A CSV file's rows; one the reader rejects is a MalformedLabelFile."""
+    """A CSV file's rows, each with the file line it ends on (a quoted cell
+    can span lines); a row the reader rejects is a MalformedLabelFile."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise MalformedLabelFile(reader.line_num, str(exc)) from None
 
@@ -220,7 +222,7 @@ def parse_label_registry(path: str | Path) -> dict[str, IsaLabel]:
     registry: dict[str, IsaLabel] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         header_seen = False
-        for line_no, row in enumerate(_csv_rows(fh), start=1):
+        for line_no, row in _csv_rows(fh):
             if not row or (row[0].lstrip().startswith("#")):
                 continue
             if not header_seen:

@@ -32,8 +32,11 @@ from .features import (
     BIGRAMS,
     ENDSIG,
     FeatureVector,
+    autocorr_batch_size,
     autocorr_prefix,
+    autocorr_series,
     autocorrelation_feature,
+    autocorrelation_rows,
     bigram_histogram,
     endianness_signatures,
 )
@@ -91,21 +94,46 @@ def extract_features(
     maps a key to (sample ids, feature). Every sample is loaded once, in
     manifest order, and its autocorrelation extracted once, at the largest
     lag any stage asks of it; each stage gets the prefix at its own lag,
-    bit-identical to extracting at that lag. Errors name the sample."""
+    bit-identical to extracting at that lag. Runs of consecutive samples of
+    one length and lag share one autocorrelation_rows call, in batches of
+    autocorr_batch_size. Errors name the sample: every sample is checked
+    in manifest order before it joins a batch."""
     wanted: dict[int, dict[str, int]] = {}  # id -> feature name -> largest lag (0: none)
     for ids, feature in stages.values():
         for i in ids:
             lags = wanted.setdefault(i, {})
             lags[feature.name] = max(lags.get(feature.name, 0), feature.lag or 0)
     extracted: dict[int, dict[str, FeatureVector]] = {}
+    batch_ids: list[int] = []
+    batch: list[np.ndarray] = []  # series of one length, extracted at batch_lag
+    batch_lag = 0
+
+    def flush() -> None:
+        for i, row in zip(batch_ids, autocorrelation_rows(batch, batch_lag)):
+            extracted[i][AUTOCORR] = FeatureVector(AUTOCORR, row, lag_param=batch_lag)
+        batch_ids.clear()
+        batch.clear()
+
     for i in sorted(wanted):
         ref = manifest.samples[i]
+        lag = wanted[i].get(AUTOCORR)
         try:
             sample = ref.load()
-            extracted[i] = {name: extract_feature(sample, FeatureConfig(name, lag or None))
-                            for name, lag in wanted[i].items()}
+            extracted[i] = {name: extract_feature(sample, FeatureConfig(name))
+                            for name in wanted[i] if name != AUTOCORR}
+            if lag:
+                series = autocorr_series(sample, lag)
         except IsaTraitsError as exc:
             raise type(exc)(f"{ref.source_path}: {exc}") from exc
+        if lag:
+            if batch and (lag != batch_lag or series.size != batch[0].size
+                          or len(batch) == autocorr_batch_size(series.size, lag)):
+                flush()
+            batch_lag = lag
+            batch_ids.append(i)
+            batch.append(series)
+    if batch:
+        flush()
     return {key: {i: autocorr_prefix(extracted[i][AUTOCORR], feature.lag)
                   if feature.name == AUTOCORR else extracted[i][feature.name] for i in ids}
             for key, (ids, feature) in stages.items()}

@@ -18,48 +18,60 @@ native uint16 words from an even and from an odd offset, two views that
 hold every overlapping pair. _BIN_WORDS maps bin 256*b0 + b1 to the word of
 pair (b0, b1), for the histogram's bincount and endsig's four words alike.
 
-The autocorrelation kernel computes every lag 1..l at once, from the exact
-integer lagged products p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two
-paths:
+The autocorrelation kernel, autocorrelation_rows, computes every lag 1..l
+at once for a batch of equal-length series (autocorrelation_feature is the
+batch of one), from the exact integer lagged products
+p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two paths:
 
 * GEMM (l <= GEMM_LAGS, or l <= GEMM_MAX_LAGS on a series of at least
-  GEMM_WIDE_ROWS rows of width l): the series is read as rows of width
-  w = max(l, GEMM_MIN_WIDTH), GEMM_ROWS rows at a time, each chunk copied
-  into a reused float32 buffer next to the row that follows each of its
-  rows. One float32 matrix product per chunk gives every sum of
-  s[i]*s[i+k] over the chunk's i in one residue class mod w; p[k] is its
-  k-th diagonal. Every entry sums at most GEMM_ROWS byte products of at
+  GEMM_WIDE_ROWS rows of width l): each series is read as rows of width
+  w = max(l, GEMM_MIN_WIDTH), GEMM_ROWS rows at a time, each chunk of
+  every series in the batch copied into one reused float32 buffer next to
+  the row that follows each of its rows. One batched float32 matrix
+  product per chunk (a matrix per series) gives every sum of s[i]*s[i+k]
+  over the chunk's i in one residue class mod w; p[k] is its k-th
+  diagonal. Every entry sums at most GEMM_ROWS byte products of at
   most 255**2, and 256 * 255**2 < 2**24, so each float32 partial sum is an
   exact integer whatever order, thread split or FMA the BLAS uses. The
   diagonals are summed in float64, exact below 2**53. O(n l) time.
-* FFT (every other l): one block of AUTOCORR_BLOCK bytes at a time, each
-  block correlated with itself plus the l bytes that follow it by a
-  zero-padded real FFT (Wiener-Khinchin). Every moment is an integer below
-  2**53 and each block's FFT error is far below 0.5 (under 1e-6 for blocks
-  of 8 to 32 KiB, even of all-0xff bytes), so rounding each block's
-  products to the nearest integer recovers them exactly.
-  O(n log(block + l)) time.
+* FFT (every other l): one series and one block of AUTOCORR_BLOCK bytes
+  at a time, each block correlated with itself plus the l bytes that
+  follow it by a zero-padded real FFT (Wiener-Khinchin). Every moment is
+  an integer below 2**53 and each block's FFT error is far below 0.5
+  (under 1e-6 for blocks of 8 to 32 KiB, even of all-0xff bytes), so
+  rounding each block's products to the nearest integer recovers them
+  exactly. O(n log(block + l)) time.
 
 Which path is faster was measured (tables in CHANGES.md): at 4 MiB and
 lag 128 the GEMM path took about 40 ms against about 200 ms for the FFT.
 The GEMM path's cost per byte grows with l and, on short series, with its
 per-chunk work, so on 8 KiB the FFT is as fast from about lag 256 up, while
 at lag 512 the GEMM path is about twice as fast from 64 KiB up. Both paths
-keep the
-series uint8 and copy it only one chunk or block at a time, so extra
-memory is O(GEMM_ROWS * l + l**2) or O(block + l), never O(n).
+keep a series uint8 and copy it only one chunk or block at a time, so a
+batch of one needs O(GEMM_ROWS * l + l**2) or O(block + l) extra memory,
+never O(n).
 
 The window sums Sx, Sy, Sxx and Syy of every lag come from the series
 total, the lag-0 product and cumulative sums over the first and last l
 bytes. The Pearson formula then runs in float64 on the same integers that
-a per-lag loop sums, so f(1..l) is bit-identical to the per-lag
-computation, and to the first l values of f(1..L) for any L >= l.
+a per-lag loop sums, elementwise over the batch's (series, l) array, so
+f(1..l) is bit-identical to the per-lag computation, whatever the batch,
+and to the first l values of f(1..L) for any L >= l.
+
+Batching pays on the GEMM path for many short series, where per-call
+overhead dominates: on 140 series of 8 KiB at lag 16 the kernel took
+6.5 ms in batches of 12 against 20 ms one series at a time.
+autocorr_batch_size caps a batch so that its stacked bytes, float32
+buffers and moment arrays stay within STAGING_BYTES, whatever the corpus
+size; a series too long to share that budget, or on the FFT path, is a
+batch of one, read in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -155,6 +167,10 @@ GEMM_ROWS = 256
 # Narrowest row of the GEMM path: below it the per-chunk overhead dominates,
 # so small lags use rows this wide and read fewer diagonals.
 GEMM_MIN_WIDTH = 32
+# Bytes a batch of series may stage at once (autocorr_batch_size): 12
+# series of 8 KiB at lag 16, as fast per series as 16 or 32 were, while one
+# series at a time took 3x as long.
+STAGING_BYTES = 1 << 20
 
 
 @lru_cache(maxsize=128)
@@ -184,7 +200,7 @@ def _block_products(ext: np.ndarray, count: int, max_lag: int, size: int) -> np.
     return np.rint(np.fft.irfft(spec, size)[: max_lag + 1]).astype(np.int64)
 
 
-def _fft_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+def _fft_row_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     n = series.size
     block = AUTOCORR_BLOCK
     size = _fast_len(min(n, block) + max_lag)
@@ -196,69 +212,105 @@ def _fft_products(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def _gemm_products(series: np.ndarray, max_lag: int) -> np.ndarray:
-    # Row r of a chunk is s[r*w:(r+1)*w], zero past the end of the series.
-    # Row r of buf is [row r | row r+1], so prod = this_row.T @ buf holds at
-    # [a, a + k] the sum of s[i] * s[i + k] over the chunk's i = a (mod w),
-    # for k = 0..w: diagonal k of prod, summed, is the chunk's p[k].
-    n = series.size
+    # Row r of a chunk of series j is s[r*w:(r+1)*w], zero past the end of
+    # the series. Row r of buf[j] is [row r | row r+1], so prod[j] =
+    # this_row[j].T @ buf[j] holds at [a, a + k] the sum of s[i] * s[i + k] over
+    # the chunk's i = a (mod w), for k = 0..w: diagonal k of prod[j], summed,
+    # is the chunk's p[k] of series j.
+    k, n = series.shape
     w = max(max_lag, GEMM_MIN_WIDTH)
     rows = min(GEMM_ROWS, max(1, -(-n // w)))
     step = rows * w
-    buf = np.empty((rows, 2 * w), dtype=np.float32)
-    this_row, next_row = buf[:, :w], buf[:, w:]
-    prod = np.empty((w, 2 * w), dtype=np.float32)
+    buf = np.empty((k, rows, 2 * w), dtype=np.float32)
+    this_row, next_row = buf[:, :, :w], buf[:, :, w:]
+    prod = np.empty((k, w, 2 * w), dtype=np.float32)
     item = prod.itemsize
     diagonals = np.lib.stride_tricks.as_strided(
-        prod, shape=(max_lag + 1, w), strides=(item, (2 * w + 1) * item))
-    out = np.zeros(max_lag + 1, dtype=np.float64)  # integer sums below 2**53: exact
+        prod, shape=(k, max_lag + 1, w), strides=(2 * w * w * item, item, (2 * w + 1) * item))
+    out = np.zeros((k, max_lag + 1), dtype=np.float64)  # integer sums below 2**53: exact
     for start in range(0, n, step):
-        seg = series[start:start + step + w]
-        if seg.size < step + w:
-            seg = np.concatenate([seg, np.zeros(step + w - seg.size, dtype=np.uint8)])
-        seg = seg.reshape(rows + 1, w)
-        this_row[:] = seg[:-1]
-        next_row[:] = seg[1:]
-        np.matmul(this_row.T, buf, out=prod)
-        out += diagonals.sum(axis=1, dtype=np.float64)
+        seg = series[:, start:start + step + w]
+        if seg.shape[1] < step + w:
+            seg = np.concatenate([seg, np.zeros((k, step + w - seg.shape[1]), dtype=np.uint8)],
+                                 axis=1)
+        seg = seg.reshape(k, rows + 1, w)
+        this_row[:] = seg[:, :-1]
+        next_row[:] = seg[:, 1:]
+        np.matmul(this_row.transpose(0, 2, 1), buf, out=prod)
+        out += diagonals.sum(axis=2, dtype=np.float64)
     return out.astype(np.int64)
+
+
+def _fft_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+    out = np.empty((series.shape[0], max_lag + 1), dtype=np.int64)
+    for row, products in zip(series, out):
+        products[:] = _fft_row_products(row, max_lag)
+    return out
+
+
+def _uses_gemm(n: int, max_lag: int) -> bool:
+    return max_lag <= GEMM_LAGS or (max_lag <= GEMM_MAX_LAGS and n >= GEMM_WIDE_ROWS * max_lag)
 
 
 def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     """Exact int64 sums p[k] = sum_i s[i] * s[i + k] for k = 0..max_lag over a
-    uint8 series: by float32 matrix products for max_lag <= GEMM_LAGS and
-    for max_lag <= GEMM_MAX_LAGS on a series of at least GEMM_WIDE_ROWS rows
-    of width max_lag, by FFTs over blocks of AUTOCORR_BLOCK bytes otherwise.
-    Both are exact, so the choice changes only the time taken."""
-    if max_lag <= GEMM_LAGS or (max_lag <= GEMM_MAX_LAGS
-                                and series.size >= GEMM_WIDE_ROWS * max_lag):
-        return _gemm_products(series, max_lag)
-    return _fft_products(series, max_lag)
+    uint8 series, or over each row of a (k, n) stack of them: by float32
+    matrix products for max_lag <= GEMM_LAGS and for max_lag <= GEMM_MAX_LAGS
+    on a series of at least GEMM_WIDE_ROWS rows of width max_lag, by FFTs over
+    blocks of AUTOCORR_BLOCK bytes otherwise. Both are exact, so the choice
+    changes only the time taken."""
+    stack = series.reshape(-1, series.shape[-1])
+    kernel = _gemm_products if _uses_gemm(stack.shape[1], max_lag) else _fft_products
+    return kernel(stack, max_lag).reshape(series.shape[:-1] + (max_lag + 1,))
 
 
-def _autocorr_values(series: np.ndarray, l: int) -> np.ndarray:
-    # Window x = s[:n-k] drops the last k bytes, window y = s[k:] the first k.
-    n = series.size
-    products = lagged_products(series, l)
-    total = int(series.sum(dtype=np.int64))
-    head = series[:l].astype(np.int64)
-    tail = series[n - l:][::-1].astype(np.int64)
-    sx = (total - np.cumsum(tail)).astype(np.float64)
-    sy = (total - np.cumsum(head)).astype(np.float64)
-    sxx = (products[0] - np.cumsum(tail * tail)).astype(np.float64)
-    syy = (products[0] - np.cumsum(head * head)).astype(np.float64)
-    m = np.arange(n - 1, n - l - 1, -1, dtype=np.float64)
-    return _pearson_from_moments(m, sx, sy, sxx, syy, products[1:].astype(np.float64))
+def autocorr_batch_size(n: int, l: int) -> int:
+    """How many series of n bytes autocorrelation_rows takes at once at lag l:
+    on the GEMM path, as many as fit STAGING_BYTES, each costing its n bytes,
+    stacked, its float32 chunk and product buffers and about a dozen int64
+    or float64 moment arrays of l entries; on the FFT path one, since each
+    series' FFTs dominate there (140 series of 8 KiB at lag 1024 took 54 to
+    61 ms in batches against 65 ms singly, for up to 0.6 MiB more memory)."""
+    if not _uses_gemm(n, l):
+        return 1
+    w = max(l, GEMM_MIN_WIDTH)
+    per_series = n + 12 * 8 * l + (min(GEMM_ROWS, -(-n // w)) + w) * 2 * w * 4
+    return max(1, STAGING_BYTES // per_series)
 
 
-def autocorrelation_feature(sample: BinarySample, l: int) -> FeatureVector:
-    """The ordered vector (f(1), ..., f(l))."""
+def autocorr_series(sample: BinarySample, l: int) -> np.ndarray:
+    """The sample's bytes as the uint8 series the autocorrelation at lag l
+    reads, once the lag and the sample's length are checked."""
     if l < 1:
         raise ValueError(f"lag parameter must be >= 1, got {l}")
     n = len(sample.data)
     if n < l + 2:
         raise SampleTooShort(f"autocorrelation with lag {l} needs >= {l + 2} bytes, got {n}")
-    series = np.frombuffer(sample.data, dtype=np.uint8)
-    return FeatureVector(AUTOCORR, _autocorr_values(series, l), lag_param=l)
+    return np.frombuffer(sample.data, dtype=np.uint8)
+
+
+def autocorrelation_rows(series: Sequence[np.ndarray], l: int) -> np.ndarray:
+    """(f(1), ..., f(l)) of each of a few equal-length series from
+    autocorr_series, as the rows of one (len(series), l) array."""
+    # Window x = s[:n-k] drops the last k bytes, window y = s[k:] the first k.
+    stack = series[0][None] if len(series) == 1 else np.stack(series)
+    n = stack.shape[1]
+    products = lagged_products(stack, l)
+    total = stack.sum(axis=1, dtype=np.int64)[:, None]
+    head = stack[:, :l].astype(np.int64)
+    tail = stack[:, n - l:][:, ::-1].astype(np.int64)
+    sx = (total - np.cumsum(tail, axis=1)).astype(np.float64)
+    sy = (total - np.cumsum(head, axis=1)).astype(np.float64)
+    sxx = (products[:, :1] - np.cumsum(tail * tail, axis=1)).astype(np.float64)
+    syy = (products[:, :1] - np.cumsum(head * head, axis=1)).astype(np.float64)
+    m = np.arange(n - 1, n - l - 1, -1, dtype=np.float64)
+    return _pearson_from_moments(m, sx, sy, sxx, syy, products[:, 1:].astype(np.float64))
+
+
+def autocorrelation_feature(sample: BinarySample, l: int) -> FeatureVector:
+    """The ordered vector (f(1), ..., f(l))."""
+    values = autocorrelation_rows([autocorr_series(sample, l)], l)[0]
+    return FeatureVector(AUTOCORR, values, lag_param=l)
 
 
 def autocorr_prefix(vec: FeatureVector, l: int) -> FeatureVector:

@@ -2,6 +2,7 @@ import copy
 import inspect
 import json
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,7 +20,9 @@ from isatraits.classify import (
     spec_from_name,
 )
 from isatraits.classify import tree
+from isatraits.corpus import generate_synthetic_fixedwidth
 from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTrainingSet
+from isatraits.evaluate import FeatureConfig, Task, extract_features, plan_logocv, task_label
 
 from conftest import fv
 from oracles import flatten_reference, forest_reference, tree_reference, walk_reference
@@ -235,8 +238,8 @@ class TestFlatTrees:
     def test_tree_matches_reference(self, name, X, y, n_classes):
         assert_same_tree(tree.train_tree(X, y, n_classes)["tree"], tree_reference(X, y, n_classes))
 
-    def test_forest_matches_reference(self, name, X, y, n_classes):
-        n_trees = 2 * tree.BLOCK_TREES + 3  # the last block is partial
+    @pytest.mark.parametrize("n_trees", [1, 7, 53, 100])
+    def test_forest_matches_reference(self, name, X, y, n_classes, n_trees):
         flat = tree.train_forest(X, y, n_classes, n_trees, seed=5)["trees"]
         reference = forest_reference(X, y, n_classes, n_trees, seed=5)
         assert len(flat) == n_trees
@@ -259,6 +262,25 @@ class TestFlatTrees:
 
 
 class TestTreeGrowth:
+    def test_forest_fit_memory_is_bounded_by_cells_not_trees(self):
+        # One LOGOCV training matrix of the benchmark's corpus shape: all 100
+        # trees grow together, so only the scoring chunks bound the peak.
+        manifest = generate_synthetic_fixedwidth([16, 32, 64], 3, 10, 8192, 5, seed=3)
+        task = Task.FIXED_VS_VARIABLE
+        train_ids = plan_logocv(manifest, task).folds[0].train_ids
+        features = extract_features(manifest, {0: (train_ids, FeatureConfig("autocorr", 16))})[0]
+        X = np.stack([features[i].values for i in train_ids])
+        y = np.array([task_label(manifest.label_of(manifest.samples[i]), task) == "variable"
+                      for i in train_ids], dtype=np.int64)
+        assert X.shape == (130, 16)
+        tracemalloc.start()
+        try:
+            tree.train_forest(X, y, 2, 100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
     def test_adjacent_float_values_still_split(self):
         # The midpoint of two adjacent floats can round to the upper one;
         # the split must still separate them, or growth never ends.

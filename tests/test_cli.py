@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isatraits import cli, evaluate
 from isatraits.classify import fit, save_model, spec_from_name
@@ -692,10 +697,10 @@ class TestTrainPredict:
     def test_train_extracts_each_size_sample_once(self, endian_corpus, size_corpus, tmp_path,
                                                   monkeypatch):
         calls = []
-        original = evaluate.autocorrelation_feature
-        monkeypatch.setattr(evaluate, "autocorrelation_feature",
-                            lambda binary, l: calls.append((binary.source_path, l))
-                            or original(binary, l))
+        original = evaluate.autocorrelation_rows
+        monkeypatch.setattr(evaluate, "autocorrelation_rows",
+                            lambda batch, l: calls.extend((s.tobytes(), l) for s in batch)
+                            or original(batch, l))
         out = tmp_path / "models"
         assert cli.main(["train", "--endian-corpus", str(endian_corpus),
                          "--size-corpus", str(size_corpus), "--isvar-lag", "64",
@@ -704,7 +709,7 @@ class TestTrainPredict:
 
         manifest = scan_corpus(size_corpus, parse_label_registry(size_corpus / "labels.csv"))
         isvar_ids = evaluate.eligible_ids(manifest, Task.FIXED_VS_VARIABLE)
-        assert sorted(calls) == sorted((manifest.samples[i].source_path, 64) for i in isvar_ids)
+        assert sorted(calls) == sorted((manifest.samples[i].load().data, 64) for i in isvar_ids)
 
         # The width model is the one fitted on vectors extracted at its own lag.
         width_ids = evaluate.eligible_ids(manifest, Task.FIXED_WIDTH)
@@ -890,3 +895,110 @@ class TestStats:
             "isa_name,endianness,inst_size_kind,inst_size_bits,inst_size_min,inst_size_max,word_size_bits\n"
         )
         assert run_cli("stats", "--labels", header_only).returncode == 1
+
+
+# ----------------------------------------------------------------------
+# Property: any argv built from the real command and flag vocabulary ends
+# with exit 0, 1 or 2, one error line when it fails, and no traceback.
+# ----------------------------------------------------------------------
+
+_PARSER, _COMMANDS = cli.build_parser()
+JUNK_VALUES = ["0", "-1", "abc", "", "1e400", "nan", "inf", "a=b", "12", "8,0"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """Small corpora, stage models, 0-, 1- and 3-byte binaries and config
+    files, by the kind of value a flag takes."""
+    root = tmp_path_factory.mktemp("fuzz_main")
+    assert cli.main(["synth", "endian", "--isas", "2", "--files", "2", "--len", "1024",
+                     "--seed", "1", "--out", str(root / "endian")]) == 0
+    assert cli.main(["synth", "fixedwidth", "--widths", "16,32", "--isas-per-width", "1",
+                     "--files", "2", "--len", "256", "--variable", "1", "--seed", "1",
+                     "--out", str(root / "size")]) == 0
+    assert cli.main(["train", "--endian-corpus", str(root / "endian"), "--size-corpus",
+                     str(root / "size"), "--isvar-lag", "8", "--width-lag", "8",
+                     "--out", str(root / "models")]) == 0
+    binaries = []
+    for size in (0, 1, 3):
+        binaries.append(root / f"bin{size}")
+        binaries[-1].write_bytes(bytes(range(7, 7 + size)))
+    configs = []
+    for name, text in [("good.conf", "lag=8\nclassifier=knn1\nstandardize=yes\n"),
+                       ("bad.conf", "jobs=0\n"), ("unknown.conf", "colour=blue\n"),
+                       ("garbage.conf", "no equals sign\n")]:
+        configs.append(root / name)
+        configs[-1].write_text(text)
+    configs.append(root / "latin1.conf")
+    configs[-1].write_bytes(b"lag=\xff\n")
+    kinds = {
+        "corpus": [root / "endian", root / "size", root / "missing", binaries[1]],
+        "labels": [root / "endian" / "labels.csv", root / "size" / "labels.csv", binaries[2]],
+        "model": sorted((root / "models").glob("*.model")) + binaries,
+        "binary": binaries + [root / "size" / "synthW32_0" / "0000.bin", root / "endian"],
+        "config": configs,
+        "out": [root / "out", root / "out" / "deep" / "file", root / "endian"],
+        "int": ["1", "2", "3", "8", "16", "300"],
+        "float": ["1", "10", "1e10", "0.5"],
+        "list": ["16,32", "8", "8,16,32", "1,2,4", "1e3,10"],
+    }
+    return root, {kind: [str(v) for v in values] for kind, values in kinds.items()}
+
+
+def _value_kind(action) -> str:
+    for suffix in ("corpus", "labels", "model", "binary", "config"):
+        if action.dest.endswith(suffix):
+            return suffix
+    if action.dest in ("out", "report", "csv"):
+        return "out"
+    if action.dest in ("widths", "grid"):
+        return "list"
+    return "float" if action.type is cli._positive_float else "int"
+
+
+@st.composite
+def cli_argv(draw, kinds):
+    """A command, its positionals, every flag it requires and some others,
+    each with a value of its kind, or now and then junk (never for an
+    output path, which must stay inside the workspace)."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    actions = [a for a in _COMMANDS[command]._actions if a.dest != "help"]
+    chosen = [a for a in actions if not a.option_strings or a.required]
+    optional = [a for a in actions if a not in chosen]
+    if optional:
+        chosen += draw(st.lists(st.sampled_from(optional), max_size=5, unique_by=id))
+    words = []  # each action's flag and value, kept together when shuffled
+    for action in chosen:
+        flag = [draw(st.sampled_from(action.option_strings))] if action.option_strings else []
+        if action.nargs == 0:
+            words.append(flag)
+            continue
+        kind = _value_kind(action)
+        values = list(action.choices or kinds[kind])
+        if kind != "out" and draw(st.sampled_from([False] * 9 + [True])):
+            values = JUNK_VALUES
+        words.append(flag + [draw(st.sampled_from(values))])
+    return [command, *(word for group in draw(st.permutations(words)) for word in group)]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_main_exits_0_1_or_2_with_one_error_line(fuzz_workspace, data):
+    root, kinds = fuzz_workspace
+    argv = data.draw(cli_argv(kinds))
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(root)  # relative paths in argv resolve inside the workspace
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:  # argparse: usage errors, --help
+                code = exc.code
+    finally:
+        os.chdir(here)
+    stderr = err.getvalue()
+    assert code in (0, 1, 2), (argv, stderr)
+    assert "Traceback" not in stderr
+    if code != 0:
+        assert len([line for line in stderr.splitlines() if "error" in line]) == 1, (argv, stderr)

@@ -54,6 +54,12 @@ class TestLabelRegistry:
             parse_label_registry(write_labels(tmp_path, "foo,XX,fixed,32,,,\n"))
         assert err.value.line == 2
 
+    def test_error_names_the_file_line_after_a_multiline_cell(self, tmp_path):
+        path = write_labels(tmp_path, '"a\nb",LE,fixed,32,,,\nfoo,XX,fixed,32,,,\n')
+        with pytest.raises(MalformedLabelFile) as err:
+            parse_label_registry(path)
+        assert err.value.line == 4
+
     def test_malformed_integer_rejected(self, tmp_path):
         with pytest.raises(MalformedLabelFile):
             parse_label_registry(write_labels(tmp_path, "foo,LE,fixed,thirtytwo,,,\n"))

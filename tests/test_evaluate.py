@@ -1,9 +1,12 @@
 import dataclasses
+import hashlib
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from isatraits import evaluate
+from isatraits import evaluate, features
 from isatraits.classify import fit, spec_from_name
 from isatraits.corpus import (
     BinarySample,
@@ -39,6 +42,7 @@ from isatraits.evaluate import (
     run_evaluation,
     task_label,
 )
+from isatraits.features import autocorrelation_feature
 
 
 def label(name, endianness=Endianness.LITTLE, size=None):
@@ -253,16 +257,16 @@ class TestExtractFeatures:
                   "width": (width, FeatureConfig("autocorr", 32)),
                   "endsig": (isvar, FeatureConfig("endsig"))}
         loads, lags = [], []
-        original_load, original_extract = SampleRef.load, evaluate.autocorrelation_feature
+        original_load, original_extract = SampleRef.load, evaluate.autocorrelation_rows
         monkeypatch.setattr(SampleRef, "load", lambda ref: loads.append(ref) or original_load(ref))
-        monkeypatch.setattr(evaluate, "autocorrelation_feature",
-                            lambda binary, l: lags.append((binary.source_path, l))
-                            or original_extract(binary, l))
+        monkeypatch.setattr(evaluate, "autocorrelation_rows",
+                            lambda batch, l: lags.extend((s.tobytes(), l) for s in batch)
+                            or original_extract(batch, l))
         features = extract_features(manifest, stages)
         monkeypatch.undo()
 
         assert loads == [manifest.samples[i] for i in isvar]  # once each, in manifest order
-        assert sorted(lags) == sorted((manifest.samples[i].source_path, 32 if i in width else 8)
+        assert sorted(lags) == sorted((manifest.samples[i].data, 32 if i in width else 8)
                                       for i in isvar)
         for key, (ids, config) in stages.items():
             assert list(features[key]) == ids
@@ -277,6 +281,109 @@ class TestExtractFeatures:
             extract_features(fixedwidth_small, {0: (ids, FeatureConfig("autocorr", 8)),
                                                 1: (ids, FeatureConfig("autocorr", 4096))})
         assert str(err.value).startswith(fixedwidth_small.samples[ids[0]].source_path + ": ")
+
+
+def byte_manifest(lengths, seed=0):
+    """One ISA's in-memory samples of the given lengths, random bytes."""
+    rng = np.random.default_rng(seed)
+    samples = [SampleRef(f"mem://{i}", "a", rng.integers(0, 256, n, dtype=np.uint8).tobytes())
+               for i, n in enumerate(lengths)]
+    return CorpusManifest(samples, {"a": label("a")})
+
+
+def assert_extracts_like_one_sample_at_a_time(manifest, lag):
+    ids = list(range(len(manifest.samples)))
+    batched = extract_features(manifest, {0: (ids, FeatureConfig("autocorr", lag))})[0]
+    for i in ids:
+        own = autocorrelation_feature(manifest.samples[i].load(), lag)
+        assert batched[i].lag_param == lag
+        assert np.array_equal(batched[i].values, own.values), (i, lag)
+
+
+class TestBatchedExtraction:
+    """extract_features runs the autocorrelation of equal-length samples in
+    batches; each row must equal the one-sample autocorrelation_feature."""
+
+    @pytest.mark.parametrize("lag", [1, 16, 31, 32, 256, 257, 512])
+    def test_mixed_lengths(self, lag):
+        # Runs of equal lengths, lengths recurring after others, an FFT-path
+        # length at lags above 256 and one long enough for the GEMM at 512.
+        lengths = [700] * 3 + [8192] * 14 + [700, 8193, 8193, 2000] + [8192] * 2 + [1 << 16] * 2
+        assert_extracts_like_one_sample_at_a_time(byte_manifest(lengths, seed=lag), lag)
+
+    @pytest.mark.parametrize("lag", [16, 64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_batches_around_the_staging_budget(self, lag, extra, monkeypatch):
+        size = features.autocorr_batch_size(8192, lag)
+        count = 2 * size + 1 if extra is None else size + extra
+        batches = []
+        original = evaluate.autocorrelation_rows
+        monkeypatch.setattr(evaluate, "autocorrelation_rows",
+                            lambda batch, l: batches.append(len(batch)) or original(batch, l))
+        assert_extracts_like_one_sample_at_a_time(byte_manifest([8192] * count, seed=count), lag)
+        assert sum(batches) == count
+        assert max(batches) == min(size, count)
+
+    def test_first_too_short_sample_is_named(self):
+        lengths = [4096] * 5 + [100] + [4096] * 3 + [50] + [4096] * 2
+        manifest = byte_manifest(lengths)
+        ids = list(range(len(lengths)))
+        with pytest.raises(SampleTooShort) as err:
+            extract_features(manifest, {0: (ids, FeatureConfig("autocorr", 200))})
+        assert str(err.value).startswith("mem://5: ")
+
+    def test_extra_memory_does_not_grow_with_the_corpus(self):
+        def extra(count):
+            manifest = byte_manifest([8192] * count, seed=count)
+            stage = {0: (range(count), FeatureConfig("autocorr", 16))}
+            tracemalloc.start()
+            try:
+                result = extract_features(manifest, stage)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(result[0]) == count
+            return peak - current  # what extraction held beyond its result
+
+        small, large = extra(100), extra(1000)
+        assert small < features.STAGING_BYTES + (512 << 10)
+        # Holding one more 8 KiB series per sample would add 7 MiB; the
+        # per-sample bookkeeping of the lag and feature dicts adds about 0.4.
+        assert large - small < 900 * 1024
+
+
+# sha256 of report_to_dict's JSON (indent=2) for every suite classifier at lag
+# 16, computed before the forest grower and the autocorrelation kernel were
+# vectorised: both promise outputs equal bit for bit.
+GOLDEN_REPORTS = {
+    ("isvar", "knn1"): "4189350c90a1016728be13f66cd846debb10660b05dae50e0a27a34d67d776b7",
+    ("isvar", "knn3"): "38ffc7c6be683e835057d8747db152266d2ff20f554379452847825fff65f940",
+    ("isvar", "knn5"): "76ff44951c8ddecba564f37477c72cbe9d5fb6d9b645e74c6cfbdcd92cba2af4",
+    ("isvar", "gnb"): "2b79016bd75b185caa661c966d7f61c6cfb0fc0223dd97d7568667d0df438937",
+    ("isvar", "dtree"): "916ac5de9812254da8d4c19f59a9706a87d6f353823cb0c091fd2ded532d63e5",
+    ("isvar", "logreg"): "710662968587f5bebabfa17086b11b55894399e653f989cf8d70e7b5de12ff90",
+    ("isvar", "rforest"): "4bf12709279668202ad6a823dedd8315fa7f86d318a34831d31e00641ce624fb",
+    ("fixedwidth", "knn1"): "126ae01eb4e50b5b6aa52530124409926dad28750338ce27f5460947de2a887c",
+    ("fixedwidth", "knn3"): "689372dafe4d85968070a52a590b7439d2c6a891a030876e173d792c648cb01e",
+    ("fixedwidth", "knn5"): "5c4dfc492b45d8d613af3faadd6a140415d6203685e5ffe4dbfc5b8535e12d20",
+    ("fixedwidth", "gnb"): "b42c1b5e8222f1a316693972cd981db172e24530112ce48737b3bae45ae1e47a",
+    ("fixedwidth", "dtree"): "2442bb28dff7c0a49058212e7aeb5d5d5e38f2159def0fc8ec2ac5f5f7b15b12",
+    ("fixedwidth", "logreg"): "132c70698c5ca256b278a9119810061732000025948c4a6d58f9e6ef230a57fb",
+    ("fixedwidth", "rforest"): "5507fc80fd5a3fa7b49c8f7581a6e7713aca6961ef188448d9a8e461dd7f69fd",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_corpus():
+    return generate_synthetic_fixedwidth([16, 32, 64], 2, 3, 2048, 2, seed=3)
+
+
+@pytest.mark.parametrize("task, name", list(GOLDEN_REPORTS), ids="-".join)
+def test_golden_report(golden_corpus, task, name):
+    report = run_evaluation(golden_corpus, Task(task), FeatureConfig("autocorr", 16),
+                            spec_from_name(name))
+    text = json.dumps(evaluate.report_to_dict(report), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[task, name]
 
 
 class TestGridSearch:

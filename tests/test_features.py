@@ -392,22 +392,22 @@ class TestAutocorrKernel:
         manifest = generate_synthetic_fixedwidth([16, 32], 2, 3, 2048, 2, seed=3)
         loads, extractions = [], []
         original_load = SampleRef.load
-        original_extract = evaluate.autocorrelation_feature
+        original_extract = evaluate.autocorrelation_rows
 
         def counting_load(ref):
             loads.append(ref.source_path)
             return original_load(ref)
 
-        def counting_extract(binary, l):
-            extractions.append((binary.source_path, l))
-            return original_extract(binary, l)
+        def counting_extract(batch, l):
+            extractions.extend((series.tobytes(), l) for series in batch)
+            return original_extract(batch, l)
 
         monkeypatch.setattr(SampleRef, "load", counting_load)
-        monkeypatch.setattr(evaluate, "autocorrelation_feature", counting_extract)
+        monkeypatch.setattr(evaluate, "autocorrelation_rows", counting_extract)
         grid_search_lag(manifest, Task.FIXED_VS_VARIABLE, spec_from_name("knn3"), [8, 32, 16])
         paths = [ref.source_path for ref in manifest.samples]
         assert sorted(loads) == sorted(paths)
-        assert sorted(extractions) == sorted((path, 32) for path in paths)
+        assert sorted(extractions) == sorted((ref.data, 32) for ref in manifest.samples)
 
 
 class TestMeanCurve:
