@@ -4,8 +4,19 @@ Trees grow without a depth limit and split nodes of >= 2 samples. Among
 equal-gain splits the lowest feature index wins, then the lowest
 threshold; zero-gain nodes become leaves. Thresholds are midpoints
 between adjacent distinct sorted values; x[feature] <= threshold goes
-left. Forest trees see a bootstrap sample and draw sqrt(d) candidate
-features per split from a per-tree seeded generator.
+left. Forest trees see a bootstrap sample and draw floor(sqrt(d))
+candidate features per split.
+
+Forest draws. Every random number of a forest fit is a pure function of
+(seed, tree, node draw, slot), a counter-based draw (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011) built from
+SplitMix64 streams: the seed, folded into one 64-bit word by numpy's
+SeedSequence, keys a stream whose output t keys tree t; a tree's node draw
+c keys the stream of its c-th draw, c = 0 being its bootstrap and c = 1, 2,
+... its nodes to split in preorder; and slot s of that stream is the draw's
+s-th value. So no tree keeps a generator: one array operation draws every
+tree's bootstrap, and one the feature subsets of all the nodes a step
+splits.
 
 Layout. A tree is five parallel arrays over its nodes in preorder (root
 0, a node's left child right after it): feature (int64, -1 at a leaf),
@@ -21,24 +32,24 @@ rows sit and every node's rows form one segment, partitioned in place as
 nodes split. Each tree keeps a stack of its nodes that can still split
 (two or more rows, not all of one class), linked through the arrays. A
 step pops the top node of every tree's stack, draws each such node's
-feature subset from its tree's own generator, scores every (node,
-candidate feature) column of the step in one vectorised pass, and for the
-nodes with a positive-gain split partitions their segments, bincounts the
-children's classes and pushes the right child, then the left, of those
-that can split. So each tree's nodes are split in the preorder a
-recursive grower visits them in, and its generator makes its bootstrap
-draw and its per-node draws in that grower's order. Leaves never enter a
-stack; when the last stack empties, subtree sizes summed level by level
-give every node its preorder index.
+feature subset, scores every (node, candidate feature) column of the step
+in one vectorised pass, and for the nodes with a positive-gain split
+partitions their segments, bincounts the children's classes and pushes
+the right child, then the left, of those that can split. So each tree's
+nodes are split, and numbered by its node draws, in the preorder a
+recursive grower visits them in. Leaves never enter a stack; when the
+last stack empties, subtree sizes summed level by level give every node
+its preorder index.
 
 A column sorts its rows by the key (rank of the value within its feature,
 class), with ranks computed once per fit; that orders them as a stable
 argsort of the values does, up to the order inside groups of equal
 values, and a cut only falls between such groups, so the class counts on
 each side of every cut are the same. The gain arithmetic is the
-per-feature formula in the same float operation order, so the trees are
-identical node for node to growing each tree recursively, one feature at
-a time (tests/oracles.py keeps that grower as the reference). A step's
+per-feature formula in the same float operation order, so, given the same
+draws, the trees are identical node for node to growing each tree
+recursively, one feature at a time (tests/oracles.py keeps that grower,
+and the draws as a loop over Python ints, as the reference). A step's
 columns are scored in chunks of CHUNK_CELLS (rows x columns x classes),
 which bounds its temporaries whatever the number of trees; a decision
 tree is the same grower with one tree and all features.
@@ -329,6 +340,88 @@ def train_tree(X: np.ndarray, y: np.ndarray, n_classes: int) -> dict[str, Any]:
     return {"tree": _grow(X, y, n_classes, np.arange(X.shape[0])[None], lambda _: every_feature)[0]}
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the state advances by
+# _GAMMA and each output is _mix of the state.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, a bijection of uint64 arrays; z is
+    overwritten."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX[0]
+    z ^= z >> np.uint64(27)
+    z *= _MIX[1]
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _child(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Output counter + 1 of the SplitMix64 stream whose state starts at
+    key, for broadcast uint64 arrays: a pure function of (key, counter), so
+    keys derived from keys address every draw without generator state."""
+    return _mix(keys + _GAMMA * (counters + np.uint64(1)))
+
+
+def _subsets(keys: np.ndarray, size: int, d: int) -> np.ndarray:
+    """One sorted set of size distinct features in [0, d) per key: the
+    first size distinct values of the key's slots 0, 1, 2, ... reduced mod
+    d (a bias below d / 2**64). A round draws the first width slots of
+    every row not yet done, size + 4 to start with and doubled each round,
+    and a row is done when they hold size distinct values; as size**2 <= d,
+    a row's first size slots repeat a value less than once in two rows on
+    average, so the 4 spare slots rarely run out. Nothing here depends on
+    the feature labels, so every subset of size features is equally
+    likely, and a draw costs O(size log size) whatever d is."""
+    out = np.empty((keys.size, size), dtype=np.int64)
+    rows = np.arange(keys.size)
+    width = size + 4
+    while rows.size:
+        slots = np.arange(width)
+        values = _child(keys[rows, None], slots.astype(np.uint64))
+        values %= np.uint64(d)
+        values = values.view(np.int64)  # below d, so the same numbers
+        # Sorted by (value, slot), a row's first pair of each value holds the
+        # value's first slot.
+        shift = width.bit_length()
+        pairs = np.sort(values << shift | slots, axis=1)
+        values, slots = pairs >> shift, pairs & ((1 << shift) - 1)
+        first = np.ones(values.shape, dtype=bool)
+        first[:, 1:] = values[:, 1:] != values[:, :-1]
+        first_slots = np.where(first, slots, width)
+        cutoff = np.partition(first_slots, size - 1, axis=1)[:, size - 1]
+        done = cutoff < width
+        keep = first_slots <= cutoff[:, None]
+        keep[~done] = False
+        out[rows[done]] = values[keep].reshape(-1, size)
+        rows = rows[~done]
+        width *= 2
+    return out
+
+
+def _forest_draws(
+    seed: int, n_trees: int, n: int, d: int
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Every tree's n bootstrap rows in [0, n), and draw(trees), the sorted
+    max(1, floor(sqrt(d)))-feature subsets of the next node of each of the
+    given trees, as the module docstring sets out."""
+    size = max(1, int(np.sqrt(d)))
+    # Seeds of any size, folded into one 64-bit word by numpy's SeedSequence hash.
+    seed_key = np.random.SeedSequence(seed).generate_state(1, np.uint64)
+    tree_keys = _child(seed_key, np.arange(n_trees, dtype=np.uint64))
+    draws = np.zeros(n_trees, dtype=np.uint64)
+    roots = _child(_child(tree_keys, draws)[:, None], np.arange(n, dtype=np.uint64))
+    roots %= np.uint64(n)
+    roots = roots.view(np.int64)  # below n, so the same numbers
+
+    def draw(trees: np.ndarray) -> np.ndarray:
+        draws[trees] += np.uint64(1)
+        return _subsets(_child(tree_keys[trees], draws[trees]), size, d)
+
+    return roots, draw
+
+
 def train_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -336,15 +429,7 @@ def train_forest(
     n_trees: int,
     seed: int,
 ) -> dict[str, Any]:
-    n, d = X.shape
-    subset_size = max(1, int(np.sqrt(d)))
-    rngs = [np.random.default_rng([seed, t]) for t in range(n_trees)]
-    roots = np.stack([rng.integers(0, n, size=n) for rng in rngs])
-
-    def draw(trees: np.ndarray) -> np.ndarray:
-        return np.sort([rngs[t].choice(d, size=subset_size, replace=False)
-                        for t in trees.tolist()], axis=1)
-
+    roots, draw = _forest_draws(seed, n_trees, *X.shape)
     return {"trees": _grow(X, y, n_classes, roots, draw)}
 
 

@@ -4,12 +4,15 @@ Everything here is pure Python over plain ints/floats: the Pearson
 coefficient from its raw-moment definition, lagged autocorrelation built
 on it, and a dict-based bigram pair counter. The exceptions are
 autocorr_reference, a per-lag numpy loop in float64 arithmetic kept for
-bit-equality checks of the FFT autocorrelation kernel, and tree_reference,
-the recursive one-node-at-a-time CART grower kept for node-for-node checks
-of the batched tree grower, and logreg_reference, the logistic-regression
-fit by scipy's L-BFGS-B that the package used before its own minimizer.
+bit-equality checks of the FFT autocorrelation kernel, tree_reference, the
+recursive one-node-at-a-time CART grower kept for node-for-node checks of
+the batched tree grower (forest_reference draws its trees' bootstraps and
+feature subsets one Python int at a time), and logreg_reference, the
+logistic-regression fit by scipy's L-BFGS-B that the package used before
+its own minimizer.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -106,20 +109,18 @@ def _best_split(X, y, counts, feature_indices):
     return best
 
 
-def tree_reference(X, y, n_classes, rng=None, subset_size=None):
+def tree_reference(X, y, n_classes, draw=None):
     """CART grown recursively, one node and one feature at a time, as a
     nested dict. Every node carries "klass", the majority class of the
-    samples that reach it; a forest tree passes its generator and feature
-    subset size."""
+    samples that reach it; a forest tree passes draw(), which gives each
+    node that can split its sorted feature subset, node by node in
+    preorder."""
     counts = np.bincount(y, minlength=n_classes).astype(np.float64)
     klass = int(np.argmax(counts))
     if X.shape[0] < 2 or counts.max() == X.shape[0]:
         return {"leaf": True, "klass": klass}
 
-    if subset_size is not None and rng is not None:
-        feature_indices = np.sort(rng.choice(X.shape[1], size=subset_size, replace=False))
-    else:
-        feature_indices = np.arange(X.shape[1])
+    feature_indices = np.arange(X.shape[1]) if draw is None else draw()
 
     best = _best_split(X, y, counts, feature_indices)
     if best is None or best[0] <= 0.0:
@@ -131,20 +132,64 @@ def tree_reference(X, y, n_classes, rng=None, subset_size=None):
         "klass": klass,
         "feature": feature,
         "threshold": threshold,
-        "left": tree_reference(X[go_left], y[go_left], n_classes, rng, subset_size),
-        "right": tree_reference(X[~go_left], y[~go_left], n_classes, rng, subset_size),
+        "left": tree_reference(X[go_left], y[go_left], n_classes, draw),
+        "right": tree_reference(X[~go_left], y[~go_left], n_classes, draw),
     }
 
 
-def forest_reference(X, y, n_classes, n_trees, seed):
-    """Bootstrap forest of tree_reference trees, seeded per tree."""
-    n, d = X.shape
+MASK64 = (1 << 64) - 1
+
+
+def splitmix_child(key, counter):
+    """Output counter + 1 of the SplitMix64 stream whose state starts at
+    key, in Python ints: the state advances by the golden gamma, and each
+    output is the state through SplitMix64's two xor-shift-multiply rounds."""
+    z = (key + 0x9E3779B97F4A7C15 * (counter + 1)) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def subset_reference(key, size, d):
+    """The first size distinct values, mod d, of the stream keyed by key,
+    sorted."""
+    chosen, slot = [], 0
+    while len(chosen) < size:
+        feature = splitmix_child(key, slot) % d
+        slot += 1
+        if feature not in chosen:
+            chosen.append(feature)
+    return sorted(chosen)
+
+
+def forest_draws_reference(seed, tree, n, d):
+    """Tree tree's n bootstrap rows and its draw(): the sorted subset of
+    its next node to split. The tree's key is output tree of the stream
+    keyed by the seed's SeedSequence word; bootstrap row i is output i of
+    the stream keyed by the tree key's output 0, mod n; the subset of the
+    tree's c-th node to split (c = 1, 2, ... in preorder) is the
+    subset_reference of floor(sqrt(d)) features keyed by the tree key's
+    output c."""
     subset_size = max(1, int(np.sqrt(d)))
+    seed_key = int(np.random.SeedSequence(seed).generate_state(1, np.uint64)[0])
+    tree_key = splitmix_child(seed_key, tree)
+    bootstrap_key = splitmix_child(tree_key, 0)
+    bootstrap = [splitmix_child(bootstrap_key, i) % n for i in range(n)]
+    node_draws = itertools.count(1)
+
+    def draw():
+        return subset_reference(splitmix_child(tree_key, next(node_draws)), subset_size, d)
+
+    return bootstrap, draw
+
+
+def forest_reference(X, y, n_classes, n_trees, seed):
+    """Bootstrap forest of tree_reference trees, drawn by
+    forest_draws_reference."""
     trees = []
     for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        bootstrap = rng.integers(0, n, size=n)
-        trees.append(tree_reference(X[bootstrap], y[bootstrap], n_classes, rng, subset_size))
+        bootstrap, draw = forest_draws_reference(seed, t, *X.shape)
+        trees.append(tree_reference(X[bootstrap], y[bootstrap], n_classes, draw))
     return trees
 
 

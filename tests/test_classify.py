@@ -4,6 +4,7 @@ import json
 import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,17 @@ from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTra
 from isatraits.evaluate import FeatureConfig, Task, extract_features, plan_logocv, task_label
 
 from conftest import fv
-from oracles import flatten_reference, forest_reference, tree_reference, walk_reference
+from oracles import (
+    flatten_reference,
+    forest_draws_reference,
+    forest_reference,
+    splitmix_child,
+    subset_reference,
+    tree_reference,
+    walk_reference,
+)
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def fvs(rows, name="test"):
@@ -200,6 +211,97 @@ class TestRandomForest:
         a = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y), queries)
         b = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y), queries)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [3, 2**64, 2**70])
+    def test_same_seed_same_model_file_next_seed_other_trees(self, seed, tmp_path):
+        X, y = blobs(np.random.default_rng(6), n_per_class=30, spread=1.0)
+
+        def saved(seed, name):
+            path = tmp_path / name
+            save_model(fit(spec_from_name("rforest", trees=15, seed=seed), X, y), path)
+            return path.read_bytes()
+
+        first = saved(seed, "first.model")
+        assert saved(seed, "again.model") == first
+        trees = read_envelope(tmp_path / "first.model")["parameters"]
+        saved(seed + 1, "next.model")
+        assert read_envelope(tmp_path / "next.model")["parameters"] != trees
+
+    def test_model_file_of_the_per_tree_generator_forest_predicts_as_before(self):
+        # Written when each tree drew from its own numpy generator: the
+        # format and predict are unchanged, so old files predict as then.
+        model = load_model(DATA_DIR / "rforest-format2.model")
+        queries = fvs(np.random.default_rng(12).normal(0.0, 2.0, size=(16, 3)))
+        assert predict(model, queries) == list("cbacaccaaaaabbcb")
+
+
+def assert_binomial_counts(counts, trials, p):
+    """Every count within the binomial bounds that all of them leave only
+    by a 1e-6 chance, and Pearson's chi-square over them below its 1e-6
+    tail (the counts' covariance is at most the multinomial one, so the
+    bound is conservative)."""
+    from scipy.stats import binom, chi2
+
+    tail = 1e-6 / (2 * counts.size)
+    assert binom.ppf(tail, trials, p) <= counts.min()
+    assert counts.max() <= binom.isf(tail, trials, p)
+    expected = trials * p
+    assert np.sum((counts - expected) ** 2 / expected) <= chi2.isf(1e-6, counts.size - 1)
+
+
+class TestForestDraws:
+    """The counter-based draws against forest_draws_reference, a per-node
+    loop over Python ints, and their statistics."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64, 2**70])
+    @pytest.mark.parametrize("n, d", [(7, 1), (30, 2), (50, 16), (9, 65536)])
+    def test_draws_match_reference(self, seed, n, d):
+        n_trees = 20
+        roots, draw = tree._forest_draws(seed, n_trees, n, d)
+        reference = [forest_draws_reference(seed, t, n, d) for t in range(n_trees)]
+        assert roots.tolist() == [bootstrap for bootstrap, _ in reference]
+        pick = np.random.default_rng(0)
+        for _ in range(6):  # as in growth, a varying subset of trees draws at each step
+            trees = np.flatnonzero(pick.random(n_trees) < 0.7)
+            assert draw(trees).tolist() == [reference[t][1]() for t in trees]
+
+    @pytest.mark.parametrize("size, d", [(2, 4), (4, 16)])
+    def test_rows_short_of_distinct_values_match_reference(self, size, d):
+        # 20,000 keys at d = 4 or 16: some draw too few distinct values in
+        # their first size + 4 slots, and take the later, wider rounds.
+        keys = tree._child(np.zeros(1, dtype=np.uint64), np.arange(20000, dtype=np.uint64))
+        short = [k for k in keys.tolist()
+                 if len({splitmix_child(k, s) % d for s in range(size + 4)}) < size]
+        assert short
+        assert tree._subsets(keys, size, d).tolist() == \
+            [subset_reference(k, size, d) for k in keys.tolist()]
+
+    @pytest.mark.parametrize("d", [16, 65536])
+    def test_subsets_are_sorted_distinct_and_uniform(self, d):
+        n_trees, steps = 100, 100  # 10,000 node draws
+        size = int(np.sqrt(d))
+        _, draw = tree._forest_draws(9, n_trees, 1, d)
+        counts = np.zeros(d, dtype=np.int64)
+        for _ in range(steps):
+            subsets = draw(np.arange(n_trees))
+            assert subsets.shape == (n_trees, size)
+            assert np.all(np.diff(subsets, axis=1) > 0)
+            assert subsets.min() >= 0 and subsets.max() < d
+            counts += np.bincount(subsets.ravel(), minlength=d)
+        assert_binomial_counts(counts, n_trees * steps, size / d)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63])
+    def test_seeds_2_to_the_64_apart_differ(self, seed):
+        # Seeds are hashed whole, not truncated to 64 bits.
+        assert not np.array_equal(tree._forest_draws(seed, 4, 50, 16)[0],
+                                  tree._forest_draws(seed + 2**64, 4, 50, 16)[0])
+
+    def test_bootstrap_rows_are_uniform(self):
+        n_trees, n = 200, 1000
+        roots, _ = tree._forest_draws(4, n_trees, n, 1)
+        assert roots.shape == (n_trees, n)
+        assert roots.min() >= 0 and roots.max() < n
+        assert_binomial_counts(np.bincount(roots.ravel(), minlength=n), n_trees * n, 1 / n)
 
 
 def _tree_cases():

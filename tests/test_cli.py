@@ -330,6 +330,12 @@ class TestPositiveIntFlags:
             runs.append((proc.stdout.replace(str(per_fold), "CSV"), per_fold.read_bytes()))
         assert runs[0] == runs[1]
 
+    def test_forest_seed_above_64_bits(self, size_corpus):
+        proc = run_cli("evaluate", "--task", "isvar", "--feature", "autocorr", "--lag", 16,
+                       "--classifier", "rforest", "--seed", 2**70,
+                       "--corpus", size_corpus, "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 0, proc.stderr
+
     def test_config_value_rejected_as_usage_error(self, endian_corpus, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("jobs=0\n")

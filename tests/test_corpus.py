@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,60 @@ class TestScanCorpus:
         first = [r.source_path for r in scan_corpus(root, registry).samples]
         second = [r.source_path for r in scan_corpus(root, registry).samples]
         assert first == second == sorted(first)
+
+
+# sha256 of every sample's bytes, pinned from the generators as they were
+# before _endian_stream was vectorised; a faster generator must make the
+# same corpora byte for byte.
+ENDIAN_SHA256 = {
+    "synthLE_0/0000.bin": "3783aa4ac585812a14756c2f01bc2988cf2c4f34128fb01955356786f87bec13",
+    "synthLE_0/0001.bin": "74004ec3424868fa2d76b8014d3cb3d7d5512deaf7c42e0b1fdef30a26c97ea7",
+    "synthLE_0/0002.bin": "492c2f3cb70006a903a377cf0440900371ea472d4360643783d601a952ad7e8d",
+    "synthLE_1/0000.bin": "d06d36437c6a40225e8a35c2f0ded8525147b81cabbedce6567829d458e58436",
+    "synthLE_1/0001.bin": "ce2d786417a1ca3fe664fe5abcd24517928e6fa00f8b1bf687869847329af276",
+    "synthLE_1/0002.bin": "5733b52dc7ef60735fd69aabd94e843655dcdcfbbab0b53a2d7e1cab7f240470",
+    "synthBE_0/0000.bin": "4c29f55def9ca019079c10b32e0a54e6fc736bb1c7a08ee65dfe7a617f5776e9",
+    "synthBE_0/0001.bin": "e41dfd732b03dea4e5a2cc7841fbd3f9cf343eeb39ce72dedb1d430bc123f505",
+    "synthBE_0/0002.bin": "c015e5829db28d74f0ffe267d2b495d59fc48ced6cb36e46c0d979064ffc65f0",
+    "synthBE_1/0000.bin": "aeec8eb1535cab0c4c4fa2e1410f4fc2cce8e58f101ecf44dd8183bac5c7992b",
+    "synthBE_1/0001.bin": "6a80bd21eb1397c5eecea090d85de49affba8a9d7b71b24d7ae047d3518ecfea",
+    "synthBE_1/0002.bin": "9b4219b45509e597cabc398c3a5d019d71334365cfe881a43e467d964c2975ff",
+}
+FIXEDWIDTH_SHA256 = {
+    "synthW16_0/0000.bin": "03e30fb71e8c71c474c61d799d543efac16ac94d534b64e0dd4c75bf142859b0",
+    "synthW16_0/0001.bin": "2c61dfc7ae84659d123103eb0470f2882009acf6c9e589f20ea9212c01188001",
+    "synthW16_0/0002.bin": "357ac1161cee0ea6270c4dba0f5ad6cbb7e5c4bd9a03af362754a75ad7652713",
+    "synthW16_1/0000.bin": "85aa17d36d0f8b11490f78cb06d084c9df5c5ff659209bdc57670dd15b0aac40",
+    "synthW16_1/0001.bin": "608fd340c4838aa45c7a5de87675b7a5d0b5c38a23936a77ac8b493fe8fdc694",
+    "synthW16_1/0002.bin": "7f8143ad8ac34e12865d2ec98dc1f1a4aba3b4204c9439ff48c68aa86904818c",
+    "synthW32_0/0000.bin": "230c0bd552b6d2b20736618bb3d199d7a1bf3fa811d987e75257ab5611e7ffb6",
+    "synthW32_0/0001.bin": "6b5694adceefd81cba8da8018c5017e82be9c589b8c66fd7cfcb6ee6bbe3ab1e",
+    "synthW32_0/0002.bin": "7675d2e52ca35f24afaca0a0fcfa5d895b170ce56cee7adfd34a2408391c5acb",
+    "synthW32_1/0000.bin": "c850a4020f53b8245feecb6983be06faee8223326ea0cd9684abd74dd495acc1",
+    "synthW32_1/0001.bin": "962490828a680ae73fb590759806ea9155873da1a3dd58d556469f09a5374279",
+    "synthW32_1/0002.bin": "525962948583aa3d7d3f5f225625f6d3f4a0fb00423cee92a08bc0e8472a8676",
+    "synthW64_0/0000.bin": "70ce09231785ef5b41f3180bc2631c884fe44a6eb368cf87f58d4e84ea47be19",
+    "synthW64_0/0001.bin": "7527715f1612f62317a6f32f5a611f2d5dbed104c71ffaab8468f42df55e5e42",
+    "synthW64_0/0002.bin": "8756aa97fd33fdc662705baba7dd5d00dcf134d2936d3d44faf11b1653190c16",
+    "synthW64_1/0000.bin": "570d7e75b4502e18d532dc18ff253898027fd12abdc72304cbccf3c3e2b33144",
+    "synthW64_1/0001.bin": "170bd43a0962a9786e89e065a3dae617151e1f9286a16e138a243551a3d75498",
+    "synthW64_1/0002.bin": "af2f81694e04e74878eeb167db750a261bd66da977ae0e08bd07d34865c6ed04",
+    "synthVAR_0/0000.bin": "3960a47eb0052ca053b6acbf4fa584821441aee7b6743a94dfdace92a9abb218",
+    "synthVAR_0/0001.bin": "8b5167ede62b34381bc12d053f5a22f70d0be02f4574dc7687d0e7537911856e",
+    "synthVAR_0/0002.bin": "0fb27f4c60d5d2c0c9c7541def28956dd0edc3744519b6f4881ef2707daa3a3d",
+    "synthVAR_1/0000.bin": "f4a622c84eccb0914ced80ed394ddc83c1427a2eda38af6ada3ce278c606af5b",
+    "synthVAR_1/0001.bin": "56d34545e32f0ba89c3279f661c4a398d72238597904e87afbf10478727d3ddd",
+    "synthVAR_1/0002.bin": "a21512023edbf88dce1cb5045e243783579a2a4cd3f8c30829b4e2ac9002f4a0",
+}
+
+
+@pytest.mark.parametrize("manifest, pinned", [
+    (lambda: generate_synthetic_endian(2, 3, 4096, seed=3), ENDIAN_SHA256),
+    (lambda: generate_synthetic_fixedwidth([16, 32, 64], 2, 3, 2048, 2, seed=3), FIXEDWIDTH_SHA256),
+], ids=["endian", "fixedwidth"])
+def test_generated_bytes_are_pinned(manifest, pinned):
+    samples = manifest().samples
+    assert {ref.source_path: hashlib.sha256(ref.data).hexdigest() for ref in samples} == pinned
 
 
 class TestSyntheticEndian:
