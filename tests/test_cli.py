@@ -858,6 +858,71 @@ class TestExportCurves:
         assert "fixed width classes: 8:1 16:1" in stats.stdout
 
 
+def cli_stdout(*argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([str(arg) for arg in argv]) == 0
+    return out.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def golden_models(tmp_path_factory, endian_corpus, size_corpus):
+    """Stage models at two different autocorrelation lags, so train and
+    predict both cut one stage's lag from the other's extraction."""
+    out = tmp_path_factory.mktemp("golden_models")
+    cli_stdout("train", "--endian-corpus", endian_corpus, "--size-corpus", size_corpus,
+               "--isvar-lag", 64, "--width-lag", 32, "--out", out)
+    return out
+
+
+def golden_output(name, models, endian_corpus, size_corpus, tmp_path) -> bytes:
+    if name.endswith(".model"):
+        return (models / name).read_bytes()
+    if name.startswith("predict"):
+        if name == "predict-fixed32":
+            query = le_fixed32_query(tmp_path / "query.bin")
+        else:
+            query = tmp_path / "noise.bin"
+            query.write_bytes(np.random.default_rng(8).integers(0, 256, 4096, dtype=np.uint8).tobytes())
+        return cli_stdout("predict", *(arg for _, prefix, _ in cli.STAGES
+                                       for arg in (f"--{prefix}-model", models / f"{prefix}.model")),
+                          query)
+    corpus = endian_corpus if name == "gridsearch-c-endsig" else size_corpus
+    argv = {
+        "gridsearch-lag": ["gridsearch", "lag", "--task", "isvar", "--grid", "16,32,64"],
+        "gridsearch-c-endsig": ["gridsearch", "c", "--task", "endianness", "--feature", "endsig",
+                                "--grid", "1e9,1e10"],
+        "gridsearch-c-autocorr": ["gridsearch", "c", "--task", "fixedwidth", "--feature",
+                                  "autocorr", "--lag", 32, "--grid", "1,10,100"],
+        "curves-size-kind": ["export-curves", "--lag", 16, "--group-by", "size-kind"],
+        "curves-fixed-bits": ["export-curves", "--lag", 16, "--group-by", "fixed-bits"],
+    }[name]
+    return cli_stdout(*argv, "--corpus", corpus, "--labels", corpus / "labels.csv")
+
+
+# sha256 of the bytes each command writes on the corpora of the endian_corpus
+# and size_corpus fixtures, pinned before the features became one matrix per
+# stage; model files and predict stdout come from golden_models.
+GOLDEN_OUTPUTS = {
+    "endian.model": "4b0da12475bd1dc0bfe3cb856a3729b832961472db429e0a0741f96829206cab",
+    "isvar.model": "eabb399527e1283fe31add5399fd0f5d4cecb94d9bd7011515bb58070c77154c",
+    "width.model": "670346f96bb2d04fb1fc26821976589ae302de1f1f0f773ccbf50321f737d93b",
+    "predict-fixed32": "036ad31de609230b842f4583e840c5371e5e949771ed6926517da603028968ab",
+    "predict-variable": "80fdf54f569253bab51234e0e9b84ea9a5c45ee5d0a846a01c83b0f4bf4e535f",
+    "gridsearch-lag": "09fe32d73d870e1c5ea90dd7b9b819d5a6f2c10a041fcdd1a330a4a5c5f2bbf9",
+    "gridsearch-c-endsig": "880db017fa2e9f2a0f93203101c455bcb8fdc355f3a5275fa650ee5dfb0a7f99",
+    "gridsearch-c-autocorr": "4ef7cc24e6e22fce8c3c6af195156a2e57300865d50b61988d6a00d93c60f0c5",
+    "curves-size-kind": "5c78edcc9549322212c5d6b2d6f16e021e6f05fe836a3ed71bafaed6d5c251bd",
+    "curves-fixed-bits": "525c81cc32a81ec3e155efd470b6d593ac7b384374253f1ca9fe3270c007129b",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_OUTPUTS))
+def test_golden_output(name, golden_models, endian_corpus, size_corpus, tmp_path):
+    output = golden_output(name, golden_models, endian_corpus, size_corpus, tmp_path)
+    assert hashlib.sha256(output).hexdigest() == GOLDEN_OUTPUTS[name]
+
+
 class TestStats:
     def test_cpurec_baselines(self, cpurec_labels_path):
         proc = run_cli("stats", "--labels", cpurec_labels_path)
