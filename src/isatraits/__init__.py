@@ -14,7 +14,6 @@ from .corpus import (
     scan_corpus,
 )
 from .evaluate import (
-    FeatureConfig,
     Task,
     compute_baseline,
     grid_search_c,
@@ -25,7 +24,7 @@ from .evaluate import (
     run_evaluation,
 )
 from .features import (
-    FeatureVector,
+    FeatureConfig,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
@@ -38,7 +37,6 @@ __all__ = [
     "CorpusManifest",
     "Endianness",
     "FeatureConfig",
-    "FeatureVector",
     "InstructionSizeSpec",
     "IsaLabel",
     "SampleRef",

@@ -1,11 +1,14 @@
 """Classifier suite core: specs, trained models, fit/predict dispatch.
 
 The suite is self-contained and runs on numpy alone; logistic regression
-brings its own L-BFGS minimizer. Each algorithm lives in its
-own module and exposes train()/predict_indices() working on float64
-matrices and integer class indices. Class labels are sorted
-lexicographically at fit time, and every tie rule below resolves to the
-lowest class index, so results are fully deterministic.
+brings its own L-BFGS minimizer. fit and predict take one float64
+(samples x features) matrix, as evaluate.extract_features returns it per
+stage; fit records the FeatureConfig it is given on the model, and predict
+checks only that its matrix is 2-D with the model's column count. Each
+algorithm lives in its own module and exposes train()/predict_indices()
+working on those matrices and integer class indices. Class labels are
+sorted lexicographically at fit time, and every tie rule below resolves to
+the lowest class index, so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..errors import DimensionMismatch, SingleClassTrainingSet
-from ..features import FeatureVector
+from ..features import FeatureConfig
 
 
 class ClassifierKind(str, Enum):
@@ -129,21 +132,11 @@ class TrainedModel:
     n_features: int = field(default=0)
 
 
-def _as_matrix(X: Sequence[FeatureVector]) -> tuple[np.ndarray, str, int | None]:
-    if not X:
-        raise DimensionMismatch("empty feature list")
-    name = X[0].feature_name
-    lag = X[0].lag_param
-    dim = len(X[0])
-    for vec in X:
-        if vec.feature_name != name:
-            raise DimensionMismatch(f"mixed feature names {name!r} and {vec.feature_name!r}")
-        if len(vec) != dim:
-            raise DimensionMismatch(f"vector length {len(vec)} != expected {dim}")
-    matrix = np.empty((len(X), dim), dtype=np.float64)
-    for i, vec in enumerate(X):
-        matrix[i] = vec.values
-    return matrix, name, lag
+def _matrix(X) -> np.ndarray:
+    matrix = np.ascontiguousarray(X, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise DimensionMismatch(f"expected a (samples, features) matrix, got shape {matrix.shape}")
+    return matrix
 
 
 def _apply_standardization(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
@@ -153,16 +146,16 @@ def _apply_standardization(model: TrainedModel, matrix: np.ndarray) -> np.ndarra
     return (matrix - means) / stds
 
 
-def fit(spec: ClassifierSpec, X: Sequence[FeatureVector], y: Sequence[str]) -> TrainedModel:
-    """Fit one classifier. Deterministic given (spec, X, y), including any
-    seeded randomness."""
+def fit(spec: ClassifierSpec, X: np.ndarray, y: Sequence[str], feature: FeatureConfig) -> TrainedModel:
+    """Fit one classifier on the rows of X, of the given feature.
+    Deterministic given (spec, X, y), including any seeded randomness."""
     from . import gaussian_nb, knn, logistic, tree  # cycle-free; local to keep import light
 
-    if len(X) != len(y):
-        raise DimensionMismatch(f"got {len(X)} vectors but {len(y)} labels")
-    if len(X) < 2:
-        raise DimensionMismatch(f"training needs >= 2 samples, got {len(X)}")
-    matrix, feature_name, lag = _as_matrix(X)
+    matrix = _matrix(X)
+    if len(matrix) != len(y):
+        raise DimensionMismatch(f"got {len(matrix)} rows but {len(y)} labels")
+    if len(matrix) < 2:
+        raise DimensionMismatch(f"training needs >= 2 samples, got {len(matrix)}")
 
     class_labels = sorted(set(y))
     if len(class_labels) < 2:
@@ -194,8 +187,8 @@ def fit(spec: ClassifierSpec, X: Sequence[FeatureVector], y: Sequence[str]) -> T
 
     return TrainedModel(
         spec=spec,
-        feature_name=feature_name,
-        lag_param=lag,
+        feature_name=feature.name,
+        lag_param=feature.lag,
         class_labels=class_labels,
         parameters=parameters,
         standardization_stats=stats,
@@ -203,21 +196,17 @@ def fit(spec: ClassifierSpec, X: Sequence[FeatureVector], y: Sequence[str]) -> T
     )
 
 
-def predict(model: TrainedModel, X: Sequence[FeatureVector]) -> list[str]:
-    """One label per input vector; empty input yields an empty list."""
+def predict(model: TrainedModel, X: np.ndarray) -> list[str]:
+    """One label per row of X; a matrix of no rows yields an empty list."""
     from . import gaussian_nb, knn, logistic, tree
 
-    if not X:
-        return []
-    matrix, feature_name, _ = _as_matrix(X)
-    if feature_name != model.feature_name:
-        raise DimensionMismatch(
-            f"model expects feature {model.feature_name!r}, got {feature_name!r}"
-        )
+    matrix = _matrix(X)
     if matrix.shape[1] != model.n_features:
         raise DimensionMismatch(
             f"model expects {model.n_features} dimensions, got {matrix.shape[1]}"
         )
+    if not len(matrix):
+        return []
     matrix = _apply_standardization(model, matrix)
 
     n_classes = len(model.class_labels)

@@ -312,11 +312,12 @@ def cmd_train(args) -> int:
     models = []
     for root, labels, stages in by_corpus.values():
         manifest = _load_manifest(root, labels, args.cap)
-        features = extract_features(manifest, {task: (eligible_ids(manifest, task), feature)
+        ids = {task: eligible_ids(manifest, task) for task, _, _, _ in stages}
+        features = extract_features(manifest, {task: (ids[task], feature)
                                                for task, _, feature, _ in stages})
-        for task, prefix, _, spec in stages:
-            y = [task_label(manifest.label_of(manifest.samples[i]), task) for i in features[task]]
-            models.append((prefix, fit(spec, list(features[task].values()), y)))
+        for task, prefix, feature, spec in stages:
+            y = [task_label(manifest.label_of(manifest.samples[i]), task) for i in ids[task]]
+            models.append((prefix, fit(spec, features[task], y, feature)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

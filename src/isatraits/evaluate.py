@@ -31,9 +31,8 @@ from .features import (
     AUTOCORR,
     BIGRAMS,
     ENDSIG,
-    FeatureVector,
+    FeatureConfig,
     autocorr_batch_size,
-    autocorr_prefix,
     autocorr_series,
     autocorrelation_feature,
     autocorrelation_rows,
@@ -64,21 +63,7 @@ def task_label(label: IsaLabel, task: Task) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Which extractor to run; lag applies to autocorr only."""
-
-    name: str
-    lag: int | None = None
-
-    def __post_init__(self):
-        if self.name not in (BIGRAMS, ENDSIG, AUTOCORR):
-            raise ValueError(f"unknown feature {self.name!r}; valid: bigrams, endsig, autocorr")
-        if self.name == AUTOCORR and (self.lag is None or self.lag < 1):
-            raise ValueError("autocorr requires a positive lag")
-
-
-def extract_feature(sample, config: FeatureConfig) -> FeatureVector:
+def extract_feature(sample, config: FeatureConfig) -> np.ndarray:
     if config.name == BIGRAMS:
         return bigram_histogram(sample)
     if config.name == ENDSIG:
@@ -89,38 +74,42 @@ def extract_feature(sample, config: FeatureConfig) -> FeatureVector:
 def extract_features(
     manifest: CorpusManifest,
     stages: Mapping[Hashable, tuple[Sequence[int], FeatureConfig]],
-) -> dict[Hashable, dict[int, FeatureVector]]:
-    """Each stage's feature of each of its samples, by manifest index; stages
-    maps a key to (sample ids, feature). Every sample is loaded once, in
+) -> dict[Hashable, np.ndarray]:
+    """Each stage's feature matrix; stages maps a key to (sample ids,
+    feature), and row r of the key's (len(ids), feature.dim) float64 matrix
+    is the feature of sample ids[r]. Every sample is loaded once, in
     manifest order, and its autocorrelation extracted once, at the largest
-    lag any stage asks of it; each stage gets the prefix at its own lag,
-    bit-identical to extracting at that lag. Runs of consecutive samples of
-    one length and lag share one autocorrelation_rows call, in batches of
-    autocorr_batch_size. Errors name the sample: every sample is checked
-    in manifest order before it joins a batch."""
-    wanted: dict[int, dict[str, int]] = {}  # id -> feature name -> largest lag (0: none)
-    for ids, feature in stages.values():
-        for i in ids:
-            lags = wanted.setdefault(i, {})
-            lags[feature.name] = max(lags.get(feature.name, 0), feature.lag or 0)
-    extracted: dict[int, dict[str, FeatureVector]] = {}
-    batch_ids: list[int] = []
+    lag any stage asks of it; a stage at a smaller lag takes the first
+    columns, bit-identical to extracting at that lag. Runs of consecutive
+    samples of one length and lag share one autocorrelation_rows call, in
+    batches of autocorr_batch_size. Errors name the sample: every sample is
+    checked in manifest order before it joins a batch."""
+    matrices = {key: np.empty((len(ids), feature.dim)) for key, (ids, feature) in stages.items()}
+    rows: dict[int, dict[str, list[np.ndarray]]] = {}  # id -> feature name -> its stage rows
+    for key, (ids, feature) in stages.items():
+        for i, row in zip(ids, matrices[key]):
+            rows.setdefault(i, {}).setdefault(feature.name, []).append(row)
+    batch_rows: list[list[np.ndarray]] = []
     batch: list[np.ndarray] = []  # series of one length, extracted at batch_lag
     batch_lag = 0
 
     def flush() -> None:
-        for i, row in zip(batch_ids, autocorrelation_rows(batch, batch_lag)):
-            extracted[i][AUTOCORR] = FeatureVector(AUTOCORR, row, lag_param=batch_lag)
-        batch_ids.clear()
+        for dest, values in zip(batch_rows, autocorrelation_rows(batch, batch_lag)):
+            for row in dest:
+                row[:] = values[:row.size]
+        batch_rows.clear()
         batch.clear()
 
-    for i in sorted(wanted):
+    for i in sorted(rows):
         ref = manifest.samples[i]
-        lag = wanted[i].get(AUTOCORR)
+        dest = rows[i].pop(AUTOCORR, None)
+        lag = max(row.size for row in dest) if dest else 0
         try:
             sample = ref.load()
-            extracted[i] = {name: extract_feature(sample, FeatureConfig(name))
-                            for name in wanted[i] if name != AUTOCORR}
+            for name, stage_rows in rows[i].items():
+                values = extract_feature(sample, FeatureConfig(name))
+                for row in stage_rows:
+                    row[:] = values
             if lag:
                 series = autocorr_series(sample, lag)
         except IsaTraitsError as exc:
@@ -130,13 +119,11 @@ def extract_features(
                           or len(batch) == autocorr_batch_size(series.size, lag)):
                 flush()
             batch_lag = lag
-            batch_ids.append(i)
+            batch_rows.append(dest)
             batch.append(series)
     if batch:
         flush()
-    return {key: {i: autocorr_prefix(extracted[i][AUTOCORR], feature.lag)
-                  if feature.name == AUTOCORR else extracted[i][feature.name] for i in ids}
-            for key, (ids, feature) in stages.items()}
+    return matrices
 
 
 def mean_curve_by_class(manifest: CorpusManifest, l: int, task: Task) -> dict[str, np.ndarray]:
@@ -146,9 +133,9 @@ def mean_curve_by_class(manifest: CorpusManifest, l: int, task: Task) -> dict[st
     ids = eligible_ids(manifest, task)
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    for i, vec in extract_features(manifest, {task: (ids, FeatureConfig(AUTOCORR, l))})[task].items():
+    for i, row in zip(ids, extract_features(manifest, {task: (ids, FeatureConfig(AUTOCORR, l))})[task]):
         klass = task_label(manifest.label_of(manifest.samples[i]), task)
-        sums[klass] = sums.get(klass, 0.0) + vec.values
+        sums[klass] = sums.get(klass, 0.0) + row
         counts[klass] = counts.get(klass, 0) + 1
     return {klass: sums[klass] / counts[klass] for klass in sums}
 
@@ -282,20 +269,25 @@ class EvaluationReport:
 
 def _run_fold(
     fold: Fold,
-    features: dict[int, FeatureVector],
-    labels: dict[int, str],
+    features: np.ndarray,
+    labels: Sequence[str],
+    row_of: Mapping[int, int],
     classifier: ClassifierSpec,
+    feature: FeatureConfig,
 ) -> FoldResult:
+    """One fold's model, fitted and scored on the rows of features and
+    labels that row_of gives its samples."""
+    train = [row_of[i] for i in fold.train_ids]
+    test = [row_of[i] for i in fold.test_ids]
     try:
-        model = fit(classifier, [features[i] for i in fold.train_ids],
-                    [labels[i] for i in fold.train_ids])
-        predicted = predict(model, [features[i] for i in fold.test_ids])
+        model = fit(classifier, features[train], [labels[r] for r in train], feature)
+        predicted = predict(model, features[test])
     except IsaTraitsError as exc:
         raise type(exc)(f"fold {fold.held_out_isa}: {exc}") from exc
     confusion: dict[str, dict[str, int]] = {}
     correct = 0
-    for i, pred in zip(fold.test_ids, predicted):
-        true = labels[i]
+    for r, pred in zip(test, predicted):
+        true = labels[r]
         confusion.setdefault(true, {})
         confusion[true][pred] = confusion[true].get(pred, 0) + 1
         if pred == true:
@@ -308,29 +300,31 @@ def run_evaluation(
     task: Task,
     feature: FeatureConfig,
     classifier: ClassifierSpec,
-    features: dict[int, FeatureVector] | None = None,
+    features: np.ndarray | None = None,
 ) -> EvaluationReport:
     """Full LOGOCV: extract features once, fit/score one model per fold in
-    group order, aggregate. features, when given, holds the already
-    extracted `feature` of every eligible sample by manifest index (the
-    grid searches pass it so they extract once for a whole sweep)."""
+    group order, aggregate. features, when given, is the already extracted
+    `feature` matrix, row r of it sample eligible_ids(manifest, task)[r]
+    (the grid searches pass it so they extract once for a whole sweep)."""
     plan = plan_logocv(manifest, task)
     ids = eligible_ids(manifest, task)
     if features is None:
         features = extract_features(manifest, {task: (ids, feature)})[task]
-    labels = {i: task_label(manifest.label_of(manifest.samples[i]), task) for i in ids}
+    labels = [task_label(manifest.label_of(manifest.samples[i]), task) for i in ids]
+    row_of = {i: r for r, i in enumerate(ids)}
 
-    per_fold = [_run_fold(fold, features, labels, classifier) for fold in plan.folds]
+    per_fold = [_run_fold(fold, features, labels, row_of, classifier, feature)
+                for fold in plan.folds]
 
     feature_accuracy = mean_fold_accuracy([fr.accuracy for fr in per_fold])
     total = sum(fr.n_test for fr in per_fold)
     pooled = sum(fr.accuracy * fr.n_test for fr in per_fold) / total
 
-    baseline = compute_baseline([labels[i] for i in ids])
+    baseline = compute_baseline(labels)
 
     isas_per_class: dict[str, set[str]] = {}
-    for i in ids:
-        isas_per_class.setdefault(labels[i], set()).add(manifest.samples[i].isa_name)
+    for i, klass in zip(ids, labels):
+        isas_per_class.setdefault(klass, set()).add(manifest.samples[i].isa_name)
     single = tuple(sorted(k for k, isas in isas_per_class.items() if len(isas) == 1))
 
     return EvaluationReport(
@@ -380,19 +374,18 @@ def grid_search_lag(
     """Sweep the autocorrelation lag over the grid; ties to the smaller lag.
 
     Every sample is loaded and extracted once, at the largest lag; each
-    lag's evaluation takes the prefix f(1..lag), which is bit-identical to
+    lag's evaluation takes the columns f(1..lag), which are bit-identical to
     extracting at that lag."""
     if not lag_grid:
         raise ValueError("lag grid must be non-empty")
     if any(lag < 1 for lag in lag_grid):
         raise ValueError("lags must be positive")
     ids = eligible_ids(manifest, task)
-    features = extract_features(manifest, {lag: (ids, FeatureConfig(AUTOCORR, lag))
-                                           for lag in lag_grid})
+    features = extract_features(manifest, {task: (ids, FeatureConfig(AUTOCORR, max(lag_grid)))})[task]
     table = []
     for lag in sorted(lag_grid):
         report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,
-                                features=features[lag])
+                                features=features[:, :lag])
         table.append((lag, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])
     return best[0], table
@@ -412,7 +405,8 @@ class UnknownPrediction:
 
 def _check_stage_model(task: Task, model: TrainedModel) -> None:
     """Model files come from outside the program, so each must predict its
-    own stage's classes: LE/BE, fixed/variable, or decimal bit widths."""
+    own stage's classes (LE/BE, fixed/variable, or decimal bit widths) from
+    a feature this program extracts, with as many dimensions as it has."""
     labels = model.class_labels
     if task is Task.ENDIANNESS:
         ok = set(labels) <= {"LE", "BE"}
@@ -423,17 +417,25 @@ def _check_stage_model(task: Task, model: TrainedModel) -> None:
     if not ok:
         raise IsaTraitsError(f"not a {task.value} model: its classes are {', '.join(labels)}",
                              stage=task.value)
+    try:
+        feature = FeatureConfig(model.feature_name, model.lag_param)
+    except ValueError as exc:
+        raise IsaTraitsError(str(exc), stage=task.value) from None
+    if model.n_features != feature.dim:
+        at_lag = f" at lag {feature.lag}" if feature.lag else ""
+        raise IsaTraitsError(f"the model has {model.n_features} features, but {feature.name}{at_lag}"
+                             f" has {feature.dim}", stage=task.value)
 
 
-def _run_stage(binary, task: Task, model: TrainedModel, shared: FeatureVector | None,
+def _run_stage(binary, task: Task, model: TrainedModel, shared: np.ndarray | None,
                per_stage: dict[str, dict]) -> str:
     """One stage's prediction; its details go to per_stage[task.value]."""
     try:
-        if model.feature_name == AUTOCORR and shared is not None and model.lag_param <= shared.lag_param:
-            vec = autocorr_prefix(shared, model.lag_param)
+        if model.feature_name == AUTOCORR and shared is not None and model.lag_param <= shared.size:
+            values = shared[:model.lag_param]
         else:
-            vec = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
-        prediction = predict(model, [vec])[0]
+            values = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
+        prediction = predict(model, values[None])[0]
     except IsaTraitsError as exc:
         exc.stage = task.value
         raise
@@ -452,7 +454,7 @@ def predict_unknown(
     fixed-size predictions proceed to the width stage. Errors carry the
     stage they came from. The autocorrelation is extracted once, at the
     largest stage lag the binary is long enough for, and each stage takes
-    its prefix. Each model must be one fitted for its stage."""
+    its first columns. Each model must be one fitted for its stage."""
     models = {Task.ENDIANNESS: endian_model, Task.FIXED_VS_VARIABLE: isvar_model,
               Task.FIXED_WIDTH: width_model}
     for task, model in models.items():

@@ -11,7 +11,10 @@ Three extractors:
                           shifted by k; periodic instruction streams peak
                           at multiples of the instruction width in bytes
 
-All extractors are pure functions of (bytes, parameters).
+All extractors are pure functions of (bytes, parameters) and return a
+1-D float64 array. FeatureConfig names one of them with its lag, and its
+dim is the length of that array: the width of the (samples x dim) matrix
+every learner and LOGOCV fold reads.
 
 Both bigram extractors read one pair reader, _pair_words: the input as
 native uint16 words from an even and from an odd offset, two views that
@@ -91,16 +94,24 @@ FEATURE_NAMES = (BIGRAMS, ENDSIG, AUTOCORR)
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One extractor's output for one sample. lag_param is set only for
-    the autocorrelation feature."""
+class FeatureConfig:
+    """Which extractor to run; lag is set for autocorr only."""
 
-    feature_name: str
-    values: np.ndarray
-    lag_param: int | None = None
+    name: str
+    lag: int | None = None
 
-    def __len__(self) -> int:
-        return int(self.values.size)
+    def __post_init__(self):
+        if self.name not in FEATURE_NAMES:
+            raise ValueError(f"unknown feature {self.name!r}; valid: {', '.join(FEATURE_NAMES)}")
+        if self.name == AUTOCORR and (self.lag is None or self.lag < 1):
+            raise ValueError("autocorr requires a positive lag")
+        if self.name != AUTOCORR and self.lag is not None:
+            raise ValueError(f"{self.name} takes no lag, got {self.lag}")
+
+    @property
+    def dim(self) -> int:
+        """Length of the feature vector: 65,536 bigrams, 4 signatures or lag."""
+        return {BIGRAMS: BIGRAM_DIM, ENDSIG: len(SIGNATURE_BIGRAMS)}.get(self.name, self.lag)
 
 
 def _pair_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -113,24 +124,22 @@ def _pair_words(data: bytes) -> tuple[np.ndarray, np.ndarray]:
             np.frombuffer(data, dtype=np.uint16, offset=1, count=(n - 1) // 2))
 
 
-def bigram_histogram(sample: BinarySample) -> FeatureVector:
+def bigram_histogram(sample: BinarySample) -> np.ndarray:
     """Overlapping adjacent byte pairs counted into bins 256*b0 + b1 and
     normalized by the bigram count, so values sum to 1."""
     even, odd = _pair_words(sample.data)
     word_counts = np.bincount(even, minlength=BIGRAM_DIM)
     word_counts += np.bincount(odd, minlength=BIGRAM_DIM)
-    values = word_counts[_BIN_WORDS].astype(np.float64) / (len(sample.data) - 1)
-    return FeatureVector(BIGRAMS, values)
+    return word_counts[_BIN_WORDS].astype(np.float64) / (len(sample.data) - 1)
 
 
-def endianness_signatures(sample: BinarySample) -> FeatureVector:
+def endianness_signatures(sample: BinarySample) -> np.ndarray:
     """The four signature bins of bigram_histogram, in the fixed order
     (0xfffe, 0xfeff, 0x0001, 0x0100)."""
     even, odd = _pair_words(sample.data)
     counts = [np.count_nonzero(even == word) + np.count_nonzero(odd == word)
               for word in _BIN_WORDS[list(SIGNATURE_BIGRAMS)]]
-    values = np.array(counts, dtype=np.float64) / (len(sample.data) - 1)
-    return FeatureVector(ENDSIG, values)
+    return np.array(counts, dtype=np.float64) / (len(sample.data) - 1)
 
 
 def _pearson_from_moments(m, sx, sy, sxx, syy, sxy) -> np.ndarray:
@@ -307,15 +316,6 @@ def autocorrelation_rows(series: Sequence[np.ndarray], l: int) -> np.ndarray:
     return _pearson_from_moments(m, sx, sy, sxx, syy, products[:, 1:].astype(np.float64))
 
 
-def autocorrelation_feature(sample: BinarySample, l: int) -> FeatureVector:
+def autocorrelation_feature(sample: BinarySample, l: int) -> np.ndarray:
     """The ordered vector (f(1), ..., f(l))."""
-    values = autocorrelation_rows([autocorr_series(sample, l)], l)[0]
-    return FeatureVector(AUTOCORR, values, lag_param=l)
-
-
-def autocorr_prefix(vec: FeatureVector, l: int) -> FeatureVector:
-    """(f(1), ..., f(l)) cut from an autocorrelation vector of lag >= l; equal
-    bit for bit to extracting it at lag l."""
-    if vec.feature_name != AUTOCORR or vec.lag_param is None or l > vec.lag_param:
-        raise ValueError(f"cannot cut lag {l} from a {vec.feature_name} vector of lag {vec.lag_param}")
-    return FeatureVector(AUTOCORR, vec.values[:l], lag_param=l)
+    return autocorrelation_rows([autocorr_series(sample, l)], l)[0]

@@ -7,14 +7,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from isatraits import generate_synthetic_endian, generate_synthetic_fixedwidth
-from isatraits.features import FeatureVector
+from isatraits.features import FeatureConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CPUREC_LABELS = REPO_ROOT / "labels" / "cpurec.csv"
 
 
-def fv(values, name="test", lag=None):
-    return FeatureVector(name, np.asarray(values, dtype=np.float64), lag_param=lag)
+# The feature a model fitted on hand-made rows records; fit and predict
+# read only the matrix, whatever feature its columns are said to be.
+FEATURE = FeatureConfig("endsig")
+
+
+def matrix(rows):
+    """rows as the float64 (samples x features) matrix fit and predict take."""
+    return np.array(rows, dtype=np.float64)
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from isatraits.corpus import (
 from isatraits.evaluate import FeatureConfig, Task, plan_logocv, run_evaluation
 from isatraits.features import autocorrelation_feature
 
-from conftest import CPUREC_LABELS, fv
+from conftest import CPUREC_LABELS, FEATURE
 from oracles import autocorr_oracle
 
 
@@ -75,7 +75,7 @@ def test_criterion_1_pearson_oracle_equivalence():
             n = rng.randrange(64, 4097)
             data = bytes(rng.randrange(256) for _ in range(n))
             k = rng.randrange(1, 33)
-            ours = autocorrelation_feature(sample_of(data), k).values[k - 1]
+            ours = autocorrelation_feature(sample_of(data), k)[k - 1]
             reference = autocorr_oracle(data, k)
             worst = max(worst, abs(ours - reference))
         elapsed = time.perf_counter() - start
@@ -94,7 +94,7 @@ def test_criterion_2_periodicity_invariant():
             data = bytes(pattern * (1024 // period))
             vec = autocorrelation_feature(sample_of(data), lag)
             for m in range(1, lag // period + 1):
-                value = vec.values[m * period - 1]
+                value = vec[m * period - 1]
                 assert abs(value - 1.0) <= 1e-9, f"p={period} m={m}: {value}"
 
 
@@ -240,27 +240,27 @@ def test_criterion_10_classifier_suite_sanity(tmp_path):
         rng = np.random.default_rng(33)
 
         # 1-NN memorizes duplicate-free training data
-        X = [fv(row) for row in rng.normal(size=(30, 4))]
+        X = rng.normal(size=(30, 4))
         y = [f"c{i % 3}" for i in range(30)]
-        assert predict(fit(spec_from_name("knn1"), X, y), X) == y
+        assert predict(fit(spec_from_name("knn1"), X, y, FEATURE), X) == y
 
         # GaussianNB on well-separated blobs
         a = rng.normal(-5.0, 1.0, size=(100, 3))
         b = rng.normal(5.0, 1.0, size=(100, 3))
-        Xb = [fv(row) for row in np.vstack([a, b])]
+        Xb = np.vstack([a, b])
         yb = ["neg"] * 100 + ["pos"] * 100
-        gnb = fit(spec_from_name("gnb"), Xb, yb)
+        gnb = fit(spec_from_name("gnb"), Xb, yb, FEATURE)
         accuracy = np.mean([p == t for p, t in zip(predict(gnb, Xb), yb)])
         assert accuracy >= 0.99
 
         # logistic regression reaches 1.0 on separable data
-        lr = fit(spec_from_name("logreg", c=1.0), Xb, yb)
+        lr = fit(spec_from_name("logreg", c=1.0), Xb, yb, FEATURE)
         assert predict(lr, Xb) == yb
 
         # save/load preserves predictions bit-for-bit
-        queries = [fv(row) for row in rng.normal(0.0, 4.0, size=(100, 3))]
+        queries = rng.normal(0.0, 4.0, size=(100, 3))
         for name in ("knn3", "gnb", "dtree", "logreg", "rforest"):
-            model = fit(spec_from_name(name, trees=10, seed=1), Xb, yb)
+            model = fit(spec_from_name(name, trees=10, seed=1), Xb, yb, FEATURE)
             path = tmp_path / f"{name}.model"
             save_model(model, path)
             assert predict(load_model(path), queries) == predict(model, queries)

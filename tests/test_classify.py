@@ -25,7 +25,7 @@ from isatraits.corpus import generate_synthetic_fixedwidth
 from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTrainingSet
 from isatraits.evaluate import FeatureConfig, Task, extract_features, plan_logocv, task_label
 
-from conftest import fv
+from conftest import FEATURE, matrix
 from oracles import (
     flatten_reference,
     forest_draws_reference,
@@ -39,14 +39,10 @@ from oracles import (
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def fvs(rows, name="test"):
-    return [fv(row, name) for row in rows]
-
-
 def blobs(rng, n_per_class=100, dim=3, spread=5.0):
     a = rng.normal(-spread, 1.0, size=(n_per_class, dim))
     b = rng.normal(spread, 1.0, size=(n_per_class, dim))
-    X = fvs(np.vstack([a, b]))
+    X = matrix(np.vstack([a, b]))
     y = ["neg"] * n_per_class + ["pos"] * n_per_class
     return X, y
 
@@ -79,42 +75,42 @@ class TestSpec:
 
 class TestKnn:
     def test_nearest_neighbor(self):
-        model = fit(spec_from_name("knn1"), fvs([[0.0], [10.0]]), ["a", "b"])
-        assert predict(model, fvs([[1.0]])) == ["a"]
+        model = fit(spec_from_name("knn1"), matrix([[0.0], [10.0]]), ["a", "b"], FEATURE)
+        assert predict(model, matrix([[1.0]])) == ["a"]
 
     def test_empty_predict(self):
-        model = fit(spec_from_name("knn1"), fvs([[0.0], [10.0]]), ["a", "b"])
-        assert predict(model, []) == []
+        model = fit(spec_from_name("knn1"), matrix([[0.0], [10.0]]), ["a", "b"], FEATURE)
+        assert predict(model, np.empty((0, 1))) == []
 
     def test_training_set_memorization(self):
         rng = np.random.default_rng(0)
-        X = fvs(rng.normal(size=(20, 4)))
+        X = matrix(rng.normal(size=(20, 4)))
         y = [f"c{i % 4}" for i in range(20)]
-        model = fit(spec_from_name("knn1"), X, y)
+        model = fit(spec_from_name("knn1"), X, y, FEATURE)
         assert predict(model, X) == y
 
     def test_vote_tie_goes_to_nearest(self):
         # k=3 with three distinct classes: counts tie, nearest wins.
-        X = fvs([[0.0], [1.0], [2.0]])
-        model = fit(spec_from_name("knn3"), X, ["a", "b", "c"])
-        assert predict(model, fvs([[0.1]])) == ["a"]
-        assert predict(model, fvs([[1.9]])) == ["c"]
+        X = matrix([[0.0], [1.0], [2.0]])
+        model = fit(spec_from_name("knn3"), X, ["a", "b", "c"], FEATURE)
+        assert predict(model, matrix([[0.1]])) == ["a"]
+        assert predict(model, matrix([[1.9]])) == ["c"]
 
     def test_distance_tie_goes_to_lower_index(self):
-        X = fvs([[0.0], [2.0]])
-        model = fit(spec_from_name("knn1"), X, ["first", "second"])
-        assert predict(model, fvs([[1.0]])) == ["first"]
+        X = matrix([[0.0], [2.0]])
+        model = fit(spec_from_name("knn1"), X, ["first", "second"], FEATURE)
+        assert predict(model, matrix([[1.0]])) == ["first"]
 
     def test_majority_beats_nearest(self):
-        X = fvs([[0.0], [3.0], [4.0]])
-        model = fit(spec_from_name("knn3"), X, ["a", "b", "b"])
-        assert predict(model, fvs([[1.0]])) == ["b"]
+        X = matrix([[0.0], [3.0], [4.0]])
+        model = fit(spec_from_name("knn3"), X, ["a", "b", "b"], FEATURE)
+        assert predict(model, matrix([[1.0]])) == ["b"]
 
 
 class TestGaussianNB:
     def test_separated_blobs(self):
         X, y = blobs(np.random.default_rng(1))
-        model = fit(spec_from_name("gnb"), X, y)
+        model = fit(spec_from_name("gnb"), X, y, FEATURE)
         accuracy = np.mean([p == t for p, t in zip(predict(model, X), y)])
         assert accuracy >= 0.99
 
@@ -123,20 +119,18 @@ class TestGaussianNB:
         # and the smoothing term consistently, so the argmax is unchanged.
         rng = np.random.default_rng(2)
         X, y = blobs(rng, n_per_class=50)
-        queries = fvs(rng.normal(0.0, 6.0, size=(40, 3)))
-        base = predict(fit(spec_from_name("gnb"), X, y), queries)
+        queries = matrix(rng.normal(0.0, 6.0, size=(40, 3)))
+        base = predict(fit(spec_from_name("gnb"), X, y, FEATURE), queries)
         scale = 7.3
-        X_scaled = [fv(vec.values * scale) for vec in X]
-        queries_scaled = [fv(vec.values * scale) for vec in queries]
-        scaled = predict(fit(spec_from_name("gnb"), X_scaled, y), queries_scaled)
+        scaled = predict(fit(spec_from_name("gnb"), X * scale, y, FEATURE), queries * scale)
         assert base == scaled
 
     def test_loglikelihood_recomputation(self):
         # Recompute the per-dimension Gaussian log-likelihood by hand for a
         # tiny model and check the winning class.
-        X = fvs([[0.0], [1.0], [10.0], [11.0]])
+        X = matrix([[0.0], [1.0], [10.0], [11.0]])
         y = ["lo", "lo", "hi", "hi"]
-        model = fit(spec_from_name("gnb"), X, y)
+        model = fit(spec_from_name("gnb"), X, y, FEATURE)
         params = model.parameters
         q = 2.0
         scores = []
@@ -147,69 +141,69 @@ class TestGaussianNB:
                 params["log_priors"][c]
                 - 0.5 * (np.log(2 * np.pi * var) + (q - mean) ** 2 / var)
             )
-        assert predict(model, fvs([[q]])) == [model.class_labels[int(np.argmax(scores))]]
+        assert predict(model, matrix([[q]])) == [model.class_labels[int(np.argmax(scores))]]
 
 
 class TestLogisticRegression:
     def test_separable_reaches_full_accuracy(self):
         rng = np.random.default_rng(3)
         X, y = blobs(rng, n_per_class=40, dim=2)
-        model = fit(spec_from_name("logreg", c=1.0), X, y)
+        model = fit(spec_from_name("logreg", c=1.0), X, y, FEATURE)
         assert predict(model, X) == y
 
     def test_accuracy_monotone_in_c(self):
         # Unbalanced separable set: heavy regularization collapses to the
         # majority class, weak regularization fits everything.
-        X = fvs([[-1.0 + 0.01 * i] for i in range(30)] + [[1.0 + 0.01 * i] for i in range(10)])
+        X = matrix([[-1.0 + 0.01 * i] for i in range(30)] + [[1.0 + 0.01 * i] for i in range(10)])
         y = ["a"] * 30 + ["b"] * 10
         accuracies = []
         for c in (1e-4, 1e-2, 1.0, 100.0):
-            model = fit(spec_from_name("logreg", c=c), X, y)
+            model = fit(spec_from_name("logreg", c=c), X, y, FEATURE)
             accuracies.append(np.mean([p == t for p, t in zip(predict(model, X), y)]))
         assert accuracies == sorted(accuracies)
         assert accuracies[-1] == 1.0
 
     def test_multiclass(self):
-        X = fvs([[0.0, 0], [0.1, 0], [5.0, 5], [5.1, 5], [0.0, 5], [0.1, 5]])
+        X = matrix([[0.0, 0], [0.1, 0], [5.0, 5], [5.1, 5], [0.0, 5], [0.1, 5]])
         y = ["a", "a", "b", "b", "c", "c"]
-        model = fit(spec_from_name("logreg", c=10.0), X, y)
+        model = fit(spec_from_name("logreg", c=10.0), X, y, FEATURE)
         assert predict(model, X) == y
 
 
 class TestDecisionTree:
     def test_axis_aligned_split(self):
-        X = fvs([[0.0], [1.0], [10.0], [11.0]])
+        X = matrix([[0.0], [1.0], [10.0], [11.0]])
         y = ["lo", "lo", "hi", "hi"]
-        model = fit(spec_from_name("dtree"), X, y)
-        assert predict(model, fvs([[2.0], [9.0]])) == ["lo", "hi"]
+        model = fit(spec_from_name("dtree"), X, y, FEATURE)
+        assert predict(model, matrix([[2.0], [9.0]])) == ["lo", "hi"]
 
     def test_training_set_fit(self):
         rng = np.random.default_rng(4)
-        X = fvs(rng.normal(size=(30, 3)))
+        X = matrix(rng.normal(size=(30, 3)))
         y = [f"c{i % 3}" for i in range(30)]
-        model = fit(spec_from_name("dtree"), X, y)
+        model = fit(spec_from_name("dtree"), X, y, FEATURE)
         assert predict(model, X) == y  # duplicate-free data is fit exactly
 
     def test_equal_gain_prefers_lowest_feature(self):
         # Both columns split perfectly; the tree must pick feature 0.
-        X = fvs([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        X = matrix([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = ["a", "a", "b", "b"]
-        model = fit(spec_from_name("dtree"), X, y)
+        model = fit(spec_from_name("dtree"), X, y, FEATURE)
         assert model.parameters["tree"]["feature"][0] == 0  # the root
 
 
 class TestRandomForest:
     def test_fits_blobs(self):
         X, y = blobs(np.random.default_rng(5), n_per_class=50)
-        model = fit(spec_from_name("rforest", trees=25, seed=1), X, y)
+        model = fit(spec_from_name("rforest", trees=25, seed=1), X, y, FEATURE)
         accuracy = np.mean([p == t for p, t in zip(predict(model, X), y)])
         assert accuracy >= 0.98
 
     def test_seed_determinism(self):
         X, y = blobs(np.random.default_rng(6), n_per_class=30)
-        queries = fvs(np.random.default_rng(7).normal(size=(25, 3)))
-        a = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y), queries)
-        b = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y), queries)
+        queries = matrix(np.random.default_rng(7).normal(size=(25, 3)))
+        a = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y, FEATURE), queries)
+        b = predict(fit(spec_from_name("rforest", trees=15, seed=3), X, y, FEATURE), queries)
         assert a == b
 
     @pytest.mark.parametrize("seed", [3, 2**64, 2**70])
@@ -218,7 +212,7 @@ class TestRandomForest:
 
         def saved(seed, name):
             path = tmp_path / name
-            save_model(fit(spec_from_name("rforest", trees=15, seed=seed), X, y), path)
+            save_model(fit(spec_from_name("rforest", trees=15, seed=seed), X, y, FEATURE), path)
             return path.read_bytes()
 
         first = saved(seed, "first.model")
@@ -231,7 +225,7 @@ class TestRandomForest:
         # Written when each tree drew from its own numpy generator: the
         # format and predict are unchanged, so old files predict as then.
         model = load_model(DATA_DIR / "rforest-format2.model")
-        queries = fvs(np.random.default_rng(12).normal(0.0, 2.0, size=(16, 3)))
+        queries = matrix(np.random.default_rng(12).normal(0.0, 2.0, size=(16, 3)))
         assert predict(model, queries) == list("cbacaccaaaaabbcb")
 
 
@@ -370,8 +364,7 @@ class TestTreeGrowth:
         manifest = generate_synthetic_fixedwidth([16, 32, 64], 3, 10, 8192, 5, seed=3)
         task = Task.FIXED_VS_VARIABLE
         train_ids = plan_logocv(manifest, task).folds[0].train_ids
-        features = extract_features(manifest, {0: (train_ids, FeatureConfig("autocorr", 16))})[0]
-        X = np.stack([features[i].values for i in train_ids])
+        X = extract_features(manifest, {0: (train_ids, FeatureConfig("autocorr", 16))})[0]
         y = np.array([task_label(manifest.label_of(manifest.samples[i]), task) == "variable"
                       for i in train_ids], dtype=np.int64)
         assert X.shape == (130, 16)
@@ -398,15 +391,15 @@ class TestTreeGrowth:
         # Alternating labels on one feature grow a chain: every split peels
         # off one row, so the tree is n - 1 levels deep.
         n = 600
-        X = fvs(np.arange(n, dtype=float)[:, None])
+        X = matrix(np.arange(n, dtype=float)[:, None])
         y = ["ab"[i % 2] for i in range(n)]
         path = tmp_path / "deep.model"
-        save_model(fit(spec_from_name("dtree"), X[:4], y[:4]), path)  # imports done at full limit
+        save_model(fit(spec_from_name("dtree"), X[:4], y[:4], FEATURE), path)  # imports done at full limit
         predict(load_model(path), X[:4])
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 100)
         try:
-            model = fit(spec_from_name("dtree"), X, y)
+            model = fit(spec_from_name("dtree"), X, y, FEATURE)
             save_model(model, path)
             predicted = predict(load_model(path), X)
         finally:
@@ -418,26 +411,25 @@ class TestTreeGrowth:
 class TestStandardization:
     def test_stats_present_iff_standardize(self):
         X, y = blobs(np.random.default_rng(8), n_per_class=10)
-        assert fit(spec_from_name("knn3"), X, y).standardization_stats is None
-        model = fit(spec_from_name("knn3", standardize=True), X, y)
+        assert fit(spec_from_name("knn3"), X, y, FEATURE).standardization_stats is None
+        model = fit(spec_from_name("knn3", standardize=True), X, y, FEATURE)
         assert model.standardization_stats is not None
 
     def test_stats_come_from_training_data_only(self):
         rng = np.random.default_rng(9)
-        train = fvs(rng.normal(size=(20, 2)))
+        train = matrix(rng.normal(size=(20, 2)))
         y = ["a"] * 10 + ["b"] * 10
         held_out = rng.normal(size=(5, 2))
-        model = fit(spec_from_name("knn3", standardize=True), train, y)
+        model = fit(spec_from_name("knn3", standardize=True), train, y, FEATURE)
         means, stds = model.standardization_stats
         held_out *= 1000.0  # mutating held-out data cannot touch the stats
-        train_matrix = np.vstack([vec.values for vec in train])
-        assert np.allclose(means, train_matrix.mean(axis=0), atol=0)
-        assert np.allclose(stds, train_matrix.std(axis=0), atol=0)
+        assert np.allclose(means, train.mean(axis=0), atol=0)
+        assert np.allclose(stds, train.std(axis=0), atol=0)
 
     def test_constant_dimension_passes_through(self):
-        X = fvs([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
+        X = matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
         y = ["a", "a", "b", "b"]
-        model = fit(spec_from_name("knn1", standardize=True), X, y)
+        model = fit(spec_from_name("knn1", standardize=True), X, y, FEATURE)
         assert model.standardization_stats[1][1] == 1.0
         assert predict(model, X) == y
 
@@ -445,28 +437,22 @@ class TestStandardization:
 class TestFitErrors:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            fit(spec_from_name("knn1"), fvs([[0.0], [1.0]]), ["a"])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            fit(spec_from_name("knn1"), [fv([0.0]), fv([0.0, 1.0])], ["a", "b"])
-
-    def test_mixed_feature_names(self):
-        with pytest.raises(DimensionMismatch):
-            fit(spec_from_name("knn1"), [fv([0.0], "x"), fv([1.0], "y")], ["a", "b"])
+            fit(spec_from_name("knn1"), matrix([[0.0], [1.0]]), ["a"], FEATURE)
 
     def test_single_class(self):
         with pytest.raises(SingleClassTrainingSet):
-            fit(spec_from_name("knn1"), fvs([[0.0], [1.0]]), ["a", "a"])
+            fit(spec_from_name("knn1"), matrix([[0.0], [1.0]]), ["a", "a"], FEATURE)
 
     def test_too_few_samples(self):
         with pytest.raises(DimensionMismatch):
-            fit(spec_from_name("knn1"), fvs([[0.0]]), ["a"])
+            fit(spec_from_name("knn1"), matrix([[0.0]]), ["a"], FEATURE)
 
     def test_predict_dimension_check(self):
-        model = fit(spec_from_name("knn1"), fvs([[0.0], [1.0]]), ["a", "b"])
+        model = fit(spec_from_name("knn1"), matrix([[0.0], [1.0]]), ["a", "b"], FEATURE)
         with pytest.raises(DimensionMismatch):
-            predict(model, fvs([[0.0, 1.0]]))
+            predict(model, matrix([[0.0, 1.0]]))
+        with pytest.raises(DimensionMismatch):
+            predict(model, np.array([0.0]))  # one row, but not as a matrix
 
 
 class TestDeterminism:
@@ -474,9 +460,9 @@ class TestDeterminism:
     def test_fit_twice_identical_predictions(self, name):
         rng = np.random.default_rng(10)
         X, y = blobs(rng, n_per_class=25)
-        queries = fvs(rng.normal(0.0, 4.0, size=(50, 3)))
+        queries = matrix(rng.normal(0.0, 4.0, size=(50, 3)))
         spec = spec_from_name(name, trees=10, seed=2)
-        assert predict(fit(spec, X, y), queries) == predict(fit(spec, X, y), queries)
+        assert predict(fit(spec, X, y, FEATURE), queries) == predict(fit(spec, X, y, FEATURE), queries)
 
 
 ENVELOPE_KEYS = ["spec", "feature_name", "lag_param", "class_labels",
@@ -498,11 +484,11 @@ class TestModelIO:
     def test_roundtrip_preserves_predictions(self, name, tmp_path):
         rng = np.random.default_rng(11)
         X, y = blobs(rng, n_per_class=20)
-        model = fit(spec_from_name(name, trees=8, seed=4, standardize=(name == "knn3")), X, y)
+        model = fit(spec_from_name(name, trees=8, seed=4, standardize=(name == "knn3")), X, y, FEATURE)
         path = tmp_path / f"{name}.model"
         save_model(model, path)
         loaded = load_model(path)
-        queries = fvs(rng.normal(0.0, 4.0, size=(100, 3)))
+        queries = matrix(rng.normal(0.0, 4.0, size=(100, 3)))
         assert predict(loaded, queries) == predict(model, queries)
         assert loaded.class_labels == model.class_labels
         assert loaded.spec == model.spec
@@ -510,7 +496,7 @@ class TestModelIO:
     def test_truncated_file(self, tmp_path):
         X, y = blobs(np.random.default_rng(12), n_per_class=5)
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name("gnb"), X, y), path)
+        save_model(fit(spec_from_name("gnb"), X, y, FEATURE), path)
         full = path.read_text()
         path.write_text(full[: len(full) // 2])
         with pytest.raises(CorruptModelFile):
@@ -519,7 +505,7 @@ class TestModelIO:
     def test_flipped_byte_fails_checksum(self, tmp_path):
         X, y = blobs(np.random.default_rng(12), n_per_class=5)
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name("gnb"), X, y), path)
+        save_model(fit(spec_from_name("gnb"), X, y, FEATURE), path)
         text = path.read_text()
         path.write_text(text.replace('"k"', '"K"', 1) if '"k"' in text else text.replace("0", "1", 1))
         with pytest.raises(CorruptModelFile) as err:
@@ -528,7 +514,7 @@ class TestModelIO:
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name("gnb"), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        save_model(fit(spec_from_name("gnb"), *blobs(np.random.default_rng(12), n_per_class=5), FEATURE), path)
         payload = read_envelope(path)
         payload["format_version"] = 99
         write_envelope(path, payload)
@@ -540,7 +526,7 @@ class TestModelIO:
     @pytest.mark.parametrize("key", ENVELOPE_KEYS)
     def test_missing_field(self, key, tmp_path):
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name("knn3"), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        save_model(fit(spec_from_name("knn3"), *blobs(np.random.default_rng(12), n_per_class=5), FEATURE), path)
         payload = read_envelope(path)
         del payload[key]
         write_envelope(path, payload)
@@ -561,7 +547,7 @@ class TestModelIO:
     ])
     def test_mistyped_field(self, key, value, tmp_path):
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name("knn3"), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        save_model(fit(spec_from_name("knn3"), *blobs(np.random.default_rng(12), n_per_class=5), FEATURE), path)
         payload = read_envelope(path)
         payload[key] = value
         write_envelope(path, payload)
@@ -572,7 +558,7 @@ class TestModelIO:
     @pytest.mark.parametrize("c", [float("inf"), float("nan")])
     def test_non_finite_c(self, name, c, tmp_path):
         path = tmp_path / "m.model"
-        save_model(fit(spec_from_name(name), *blobs(np.random.default_rng(12), n_per_class=5)), path)
+        save_model(fit(spec_from_name(name), *blobs(np.random.default_rng(12), n_per_class=5), FEATURE), path)
         payload = read_envelope(path)
         payload["spec"]["c"] = c
         write_envelope(path, payload)
@@ -618,7 +604,7 @@ class TestTreeModelIO:
     @pytest.fixture
     def dtree_file(self, tmp_path):
         path = tmp_path / "dtree.model"
-        save_model(fit(spec_from_name("dtree"), *blobs(np.random.default_rng(13), n_per_class=6)),
+        save_model(fit(spec_from_name("dtree"), *blobs(np.random.default_rng(13), n_per_class=6), FEATURE),
                    path)
         return path
 
@@ -643,7 +629,7 @@ class TestTreeModelIO:
     def test_forest_tree_count_must_match_spec(self, count, tmp_path):
         path = tmp_path / "rforest.model"
         X, y = blobs(np.random.default_rng(14), n_per_class=6)
-        save_model(fit(spec_from_name("rforest", trees=8, seed=1), X, y), path)
+        save_model(fit(spec_from_name("rforest", trees=8, seed=1), X, y, FEATURE), path)
         payload = read_envelope(path)
         trees = payload["parameters"]["trees"]
         payload["parameters"]["trees"] = (trees * 2)[:count]
@@ -655,7 +641,7 @@ class TestTreeModelIO:
     def test_corrupt_forest_tree_rejected(self, tmp_path):
         path = tmp_path / "rforest.model"
         X, y = blobs(np.random.default_rng(14), n_per_class=6)
-        save_model(fit(spec_from_name("rforest", trees=8, seed=1), X, y), path)
+        save_model(fit(spec_from_name("rforest", trees=8, seed=1), X, y, FEATURE), path)
         payload = read_envelope(path)
         payload["parameters"]["trees"][5]["value"][0] = 5
         write_envelope(path, payload)
@@ -741,7 +727,7 @@ class TestParameterModelIO:
         name, standardize, mutate, words = PARAMETER_CORRUPTIONS[corruption]
         path = tmp_path / f"{name}.model"
         X, y = blobs(np.random.default_rng(15), n_per_class=6)
-        save_model(fit(spec_from_name(name, standardize=standardize), X, y), path)
+        save_model(fit(spec_from_name(name, standardize=standardize), X, y, FEATURE), path)
         load_model(path)  # the file as saved is accepted
         payload = read_envelope(path)
         mutate(payload)
@@ -783,7 +769,7 @@ class TestSpecModelIO:
     def test_corrupt_spec_rejected(self, corruption, tmp_path):
         name, mutate, words = SPEC_CORRUPTIONS[corruption]
         path = tmp_path / f"{name}.model"
-        save_model(fit(spec_from_name(name, trees=3), *blobs(np.random.default_rng(16), n_per_class=6)),
+        save_model(fit(spec_from_name(name, trees=3), *blobs(np.random.default_rng(16), n_per_class=6), FEATURE),
                    path)
         load_model(path)  # the file as saved is accepted
         payload = read_envelope(path)
@@ -821,7 +807,7 @@ def saved_payloads(fuzz_dir):
     payloads = {}
     for name in ("knn3", "gnb", "dtree", "logreg", "rforest"):
         path = fuzz_dir / f"{name}.model"
-        save_model(fit(spec_from_name(name, trees=3, standardize=name == "knn3"), X, y), path)
+        save_model(fit(spec_from_name(name, trees=3, standardize=name == "knn3"), X, y, FEATURE), path)
         payloads[name] = read_envelope(path)
     return payloads
 

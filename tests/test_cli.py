@@ -721,9 +721,11 @@ class TestTrainPredict:
         width_ids = evaluate.eligible_ids(manifest, Task.FIXED_WIDTH)
         direct = fit(
             spec_from_name("logreg", c=evaluate.DEFAULT_LOGREG_C[(Task.FIXED_WIDTH, AUTOCORR)]),
-            [evaluate.autocorrelation_feature(manifest.samples[i].load(), 32) for i in width_ids],
+            np.array([evaluate.autocorrelation_feature(manifest.samples[i].load(), 32)
+                      for i in width_ids]),
             [evaluate.task_label(manifest.label_of(manifest.samples[i]), Task.FIXED_WIDTH)
              for i in width_ids],
+            evaluate.FeatureConfig(AUTOCORR, 32),
         )
         save_model(direct, tmp_path / "direct.model")
         assert (tmp_path / "direct.model").read_text() == (out / "width.model").read_text()
@@ -767,6 +769,35 @@ class TestTrainPredict:
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(f"error: [stage={stage}] not a {stage} model")
+
+    # One CRC-valid model field naming a feature the model cannot have read,
+    # rejected before anything is extracted.
+    @pytest.mark.parametrize("prefix, field, value, stage", [
+        ("isvar", "feature_name", "foo", "isvar"),
+        ("isvar", "lag_param", 32, "isvar"),
+        ("width", "lag_param", 128, "fixedwidth"),
+        ("endian", "lag_param", 7, "endianness"),
+        ("endian", "feature_name", "bigrams", "endianness"),
+    ])
+    def test_model_feature_checked_per_stage(self, prefix, field, value, stage, models_dir,
+                                             tmp_path, capsys, monkeypatch):
+        for name in ("bigram_histogram", "endianness_signatures", "autocorrelation_feature"):
+            monkeypatch.setattr(evaluate, name, lambda *args: pytest.fail("extracted"))
+        payload = json.loads((models_dir / f"{prefix}.model").read_text().splitlines()[0])
+        payload[field] = value
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        broken = tmp_path / f"{prefix}.model"
+        broken.write_text(f"{body}\ncrc32:{zlib.crc32(body.encode()) & 0xFFFFFFFF:08x}\n")
+        models = {name: models_dir / f"{name}.model" for name in ("endian", "isvar", "width")}
+        models[prefix] = broken
+        argv = ["predict", *(arg for name, path in models.items()
+                             for arg in (f"--{name}-model", str(path))),
+                str(le_fixed32_query(tmp_path / "query.bin"))]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: [stage={stage}] ")
 
     def test_tiny_binary_reports_stage(self, models_dir, tmp_path):
         query = tmp_path / "tiny.bin"

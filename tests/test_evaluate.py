@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -269,11 +268,10 @@ class TestExtractFeatures:
         assert sorted(lags) == sorted((manifest.samples[i].data, 32 if i in width else 8)
                                       for i in isvar)
         for key, (ids, config) in stages.items():
-            assert list(features[key]) == ids
-            for i in ids:
-                direct = extract_feature(manifest.samples[i].load(), config)
-                assert features[key][i].lag_param == direct.lag_param
-                assert np.array_equal(features[key][i].values, direct.values)
+            assert features[key].shape == (len(ids), config.dim)
+            assert features[key].dtype == np.float64 and features[key].flags.c_contiguous
+            for row, i in zip(features[key], ids):
+                assert np.array_equal(row, extract_feature(manifest.samples[i].load(), config))
 
     def test_error_names_the_sample(self, fixedwidth_small):
         ids = eligible_ids(fixedwidth_small, Task.FIXED_WIDTH)
@@ -294,10 +292,10 @@ def byte_manifest(lengths, seed=0):
 def assert_extracts_like_one_sample_at_a_time(manifest, lag):
     ids = list(range(len(manifest.samples)))
     batched = extract_features(manifest, {0: (ids, FeatureConfig("autocorr", lag))})[0]
+    assert batched.shape == (len(ids), lag)
     for i in ids:
         own = autocorrelation_feature(manifest.samples[i].load(), lag)
-        assert batched[i].lag_param == lag
-        assert np.array_equal(batched[i].values, own.values), (i, lag)
+        assert np.array_equal(batched[i], own), (i, lag)
 
 
 class TestBatchedExtraction:
@@ -342,13 +340,14 @@ class TestBatchedExtraction:
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert len(result[0]) == count
+            assert result[0].shape == (count, 16)
             return peak - current  # what extraction held beyond its result
 
         small, large = extra(100), extra(1000)
         assert small < features.STAGING_BYTES + (512 << 10)
         # Holding one more 8 KiB series per sample would add 7 MiB; the
-        # per-sample bookkeeping of the lag and feature dicts adds about 0.4.
+        # per-sample bookkeeping, a dict and a list of row views to fill for
+        # each sample, adds about 0.4.
         assert large - small < 900 * 1024
 
 
@@ -469,9 +468,9 @@ class TestGridSearch:
 
 def train_stage(manifest, task, config, spec):
     ids = eligible_ids(manifest, task)
-    X = [extract_feature(manifest.samples[i].load(), config) for i in ids]
+    X = np.array([extract_feature(manifest.samples[i].load(), config) for i in ids])
     y = [task_label(manifest.label_of(manifest.samples[i]), task) for i in ids]
-    return fit(spec, X, y)
+    return fit(spec, X, y, config)
 
 
 def le_fixed32_binary(n_instr=2048, seed=0):
@@ -533,8 +532,10 @@ class TestPredictUnknown:
         assert calls == [32]
 
     def test_stage_lags_share_the_largest_that_fits(self, stage_models, monkeypatch):
-        endian_model, isvar_model, width_model = stage_models
-        width_model = dataclasses.replace(width_model, lag_param=4000)  # longer than the binary
+        endian_model, isvar_model, _ = stage_models
+        width_model = train_stage(  # at a lag longer than the binary
+            generate_synthetic_fixedwidth([16, 32, 64], 2, 4, 8192, 3, seed=31), Task.FIXED_WIDTH,
+            FeatureConfig("autocorr", 4000), spec_from_name("knn3"))
         calls = []
         original = evaluate.autocorrelation_feature
         monkeypatch.setattr(evaluate, "autocorrelation_feature",

@@ -27,8 +27,7 @@ from isatraits.features import (
     GEMM_ROWS,
     GEMM_WIDE_ROWS,
     SIGNATURE_BIGRAMS,
-    FeatureVector,
-    autocorr_prefix,
+    FeatureConfig,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
@@ -45,13 +44,13 @@ def sample(data: bytes, isa="test") -> BinarySample:
 class TestBigramHistogram:
     def test_single_bigram(self):
         vec = bigram_histogram(sample(bytes([0x00, 0x01])))
-        assert vec.values[0x0001] == 1.0
-        assert vec.values.sum() == 1.0
+        assert vec[0x0001] == 1.0
+        assert vec.sum() == 1.0
         assert len(vec) == BIGRAM_DIM
 
     def test_overlapping_pairs(self):
         vec = bigram_histogram(sample(bytes([0xAA, 0xAA, 0xAA])))
-        assert vec.values[0xAAAA] == 1.0
+        assert vec[0xAAAA] == 1.0
 
     def test_matches_pair_count_oracle(self):
         rng = random.Random(13)
@@ -59,7 +58,7 @@ class TestBigramHistogram:
         vec = bigram_histogram(sample(data))
         expected = bigram_count_oracle(data)
         for bin_index in range(BIGRAM_DIM):
-            assert vec.values[bin_index] == expected.get(bin_index, 0) / (len(data) - 1)
+            assert vec[bin_index] == expected.get(bin_index, 0) / (len(data) - 1)
 
     def test_too_short(self):
         with pytest.raises(SampleTooShort):
@@ -81,18 +80,18 @@ class TestBigramHistogram:
     @settings(max_examples=50, deadline=None)
     def test_sums_to_one_and_nonnegative(self, data):
         vec = bigram_histogram(sample(data))
-        assert abs(vec.values.sum() - 1.0) <= 1e-9
-        assert (vec.values >= 0.0).all()
+        assert abs(vec.sum() - 1.0) <= 1e-9
+        assert (vec >= 0.0).all()
 
 
 class TestEndiannessSignatures:
     def test_single_fffe(self):
         vec = endianness_signatures(sample(bytes([0xFF, 0xFE])))
-        assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert vec.tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_0001_and_0100(self):
         vec = endianness_signatures(sample(bytes([0x00, 0x01, 0x00])))
-        assert vec.values.tolist() == [0.0, 0.0, 0.5, 0.5]
+        assert vec.tolist() == [0.0, 0.0, 0.5, 0.5]
 
     def test_matches_full_histogram_bins(self):
         rng = random.Random(7)
@@ -101,13 +100,13 @@ class TestEndiannessSignatures:
             sig = endianness_signatures(sample(data))
             full = bigram_histogram(sample(data))
             for slot, bin_index in enumerate(SIGNATURE_BIGRAMS):
-                assert sig.values[slot] == full.values[bin_index]
+                assert sig[slot] == full[bin_index]
 
     @staticmethod
     def assert_equals_histogram_bins(data: bytes):
         counts = bigram_count_oracle(data)
         expected = np.array([counts.get(b, 0) for b in SIGNATURE_BIGRAMS]) / (len(data) - 1)
-        values = endianness_signatures(sample(data)).values
+        values = endianness_signatures(sample(data))
         assert values.dtype == np.float64
         assert np.array_equal(values, expected), data[:16]
 
@@ -133,7 +132,7 @@ class TestEndiannessSignatures:
     def test_pair_in_last_two_bytes(self, slot, pair):
         data = b"\x10" * 99 + pair.to_bytes(2, "big")
         self.assert_equals_histogram_bins(data)
-        assert endianness_signatures(sample(data)).values[slot] == 1 / 100
+        assert endianness_signatures(sample(data))[slot] == 1 / 100
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 100])
     @pytest.mark.parametrize("slot, pair", enumerate(SIGNATURE_BIGRAMS))
@@ -141,13 +140,13 @@ class TestEndiannessSignatures:
         # The last pair starts at an even offset when n is even, an odd one when n is odd.
         data = b"\x10" * (n - 2) + pair.to_bytes(2, "big")
         self.assert_equals_histogram_bins(data)
-        assert endianness_signatures(sample(data)).values[slot] == 1 / (n - 1)
+        assert endianness_signatures(sample(data))[slot] == 1 / (n - 1)
 
     def test_le_files_favor_0100_over_0001(self):
         manifest = generate_synthetic_endian(2, 16, 4096, seed=21)  # 32 LE files
         le_samples = [r for r in manifest.samples if r.isa_name.startswith("synthLE")]
         assert len(le_samples) >= 30
-        sigs = np.array([endianness_signatures(r.load()).values for r in le_samples])
+        sigs = np.array([endianness_signatures(r.load()) for r in le_samples])
         means = sigs.mean(axis=0)
         assert means[3] > means[2]  # 0x0100 over 0x0001
         assert means[1] > means[0]  # 0xfeff over 0xfffe
@@ -163,8 +162,8 @@ class TestEndiannessSignatures:
             words.append(b"\x10\x20")  # neutral separator
         data = b"".join(words)
         swapped = b"".join(data[i + 1:i + 2] + data[i:i + 1] for i in range(0, len(data), 2))
-        orig = endianness_signatures(sample(data)).values
-        flip = endianness_signatures(sample(swapped)).values
+        orig = endianness_signatures(sample(data))
+        flip = endianness_signatures(sample(swapped))
         assert orig[0] == flip[1] and orig[1] == flip[0]
         assert orig[2] == flip[3] and orig[3] == flip[2]
 
@@ -174,26 +173,26 @@ class TestPearson:
     known: s[:n-k] against s[k:]."""
 
     def test_identical_sequences(self):
-        assert autocorrelation_feature(sample(bytes([1, 2, 3, 1, 2, 3])), 3).values[3 - 1] == 1.0
+        assert autocorrelation_feature(sample(bytes([1, 2, 3, 1, 2, 3])), 3)[3 - 1] == 1.0
 
     def test_exact_anticorrelation(self):
-        assert autocorrelation_feature(sample(bytes([1, 2, 3, 2, 1])), 2).values[2 - 1] == -1.0
+        assert autocorrelation_feature(sample(bytes([1, 2, 3, 2, 1])), 2)[2 - 1] == -1.0
 
     def test_oracle_value_for_hump(self):
         data = bytes([0, 0, 2, 1])  # windows [0, 0, 2] and [0, 2, 1]
         expected = autocorr_oracle(data, 1)
         assert expected == 0.0  # numerator 3*2 - 2*3 vanishes
-        assert autocorrelation_feature(sample(data), 1).values[1 - 1] == expected
+        assert autocorrelation_feature(sample(data), 1)[1 - 1] == expected
 
     def test_zero_variance_sentinel(self):
-        assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3).values[3 - 1] == 0.0
-        assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3).values[2] == 0.0
+        assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3)[3 - 1] == 0.0
+        assert autocorrelation_feature(sample(bytes([5, 5, 5, 1, 2, 3])), 3)[2] == 0.0
 
     @given(st.lists(st.integers(0, 255), min_size=3, max_size=64), st.data())
     @settings(max_examples=100, deadline=None)
     def test_range_and_oracle_agreement(self, xs, data):
         k = data.draw(st.integers(1, len(xs) - 2))
-        values = autocorrelation_feature(sample(bytes(xs)), k).values
+        values = autocorrelation_feature(sample(bytes(xs)), k)
         assert ((values >= -1.0) & (values <= 1.0)).all()
         for lag in (1, k):
             assert values[lag - 1] == pytest.approx(autocorr_oracle(xs, lag), abs=1e-9)
@@ -202,25 +201,25 @@ class TestPearson:
 class TestAutocorrAtLag:
     def test_periodic_lag_equals_period(self):
         data = bytes([1, 2, 3, 4] * 64)
-        assert autocorrelation_feature(sample(data), 4).values[4 - 1] == pytest.approx(1.0, abs=1e-12)
+        assert autocorrelation_feature(sample(data), 4)[4 - 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_periodic_lag_one_is_negative(self):
         data = bytes([1, 2, 3, 4] * 64)
-        value = autocorrelation_feature(sample(data), 1).values[1 - 1]
+        value = autocorrelation_feature(sample(data), 1)[1 - 1]
         assert value < 0.0
         assert value == pytest.approx(autocorr_oracle(data, 1), abs=1e-9)
 
     def test_constant_series(self):
-        assert autocorrelation_feature(sample(bytes([5] * 6)), 2).values[2 - 1] == 0.0
+        assert autocorrelation_feature(sample(bytes([5] * 6)), 2)[2 - 1] == 0.0
 
     def test_lag_too_large(self):
         with pytest.raises(SampleTooShort):
-            autocorrelation_feature(sample(bytes(8)), 7).values[7 - 1]
-        autocorrelation_feature(sample(bytes(range(8))), 6).values[6 - 1]  # k = n-2 is the boundary
+            autocorrelation_feature(sample(bytes(8)), 7)[7 - 1]
+        autocorrelation_feature(sample(bytes(range(8))), 6)[6 - 1]  # k = n-2 is the boundary
 
     def test_bad_lag(self):
         with pytest.raises(ValueError):
-            autocorrelation_feature(sample(bytes(8)), 0).values[0 - 1]
+            autocorrelation_feature(sample(bytes(8)), 0)[0 - 1]
 
     def test_matches_oracle_on_random_samples(self):
         rng = random.Random(99)
@@ -228,7 +227,7 @@ class TestAutocorrAtLag:
             n = rng.randrange(64, 512)
             data = bytes(rng.randrange(256) for _ in range(n))
             k = rng.randrange(1, 33)
-            assert autocorrelation_feature(sample(data), k).values[k - 1] == pytest.approx(
+            assert autocorrelation_feature(sample(data), k)[k - 1] == pytest.approx(
                 autocorr_oracle(data, k), abs=1e-9
             )
 
@@ -237,20 +236,19 @@ class TestAutocorrelationFeature:
     def test_periodic_vector(self):
         data = bytes([1, 2, 3, 4] * 64)
         vec = autocorrelation_feature(sample(data), 4)
-        assert vec.feature_name == AUTOCORR
-        assert vec.lag_param == 4
-        assert vec.values[3] == pytest.approx(1.0, abs=1e-12)
-        assert vec.values[3] == vec.values.max()
+        assert vec.dtype == np.float64 and vec.shape == (4,)
+        assert vec[3] == pytest.approx(1.0, abs=1e-12)
+        assert vec[3] == vec.max()
         for k in (1, 2, 3):
-            assert vec.values[k - 1] == pytest.approx(autocorr_oracle(data, k), abs=1e-9)
+            assert vec[k - 1] == pytest.approx(autocorr_oracle(data, k), abs=1e-9)
 
     def test_width32_synthetic_peaks_at_multiples_of_four(self):
         manifest = generate_synthetic_fixedwidth([32], 1, 1, 8192, 0, seed=17)
         vec = autocorrelation_feature(manifest.samples[0].load(), 32)
         for k in range(4, 33, 4):
-            assert vec.values[k - 1] > vec.values[k - 2]
+            assert vec[k - 1] > vec[k - 2]
             if k < 32:
-                assert vec.values[k - 1] > vec.values[k]
+                assert vec[k - 1] > vec[k]
 
     def test_boundary_lag_too_long(self):
         data = bytes(range(32))
@@ -267,13 +265,35 @@ class TestAutocorrelationFeature:
             data = bytes(pattern * (256 // period + 2))
             vec = autocorrelation_feature(sample(data), 64)
             for m in range(1, 64 // period + 1):
-                assert vec.values[m * period - 1] == pytest.approx(1.0, abs=1e-9)
+                assert vec[m * period - 1] == pytest.approx(1.0, abs=1e-9)
 
     def test_values_in_range(self):
         rng = random.Random(1)
         data = bytes(rng.randrange(256) for _ in range(256))
         vec = autocorrelation_feature(sample(data), 64)
-        assert (vec.values >= -1.0).all() and (vec.values <= 1.0).all()
+        assert (vec >= -1.0).all() and (vec <= 1.0).all()
+
+
+class TestFeatureConfig:
+    @pytest.mark.parametrize("config, extract", [
+        (FeatureConfig("bigrams"), bigram_histogram),
+        (FeatureConfig("endsig"), endianness_signatures),
+        (FeatureConfig(AUTOCORR, 7), lambda s: autocorrelation_feature(s, 7)),
+    ], ids=["bigrams", "endsig", "autocorr"])
+    def test_dim_is_the_length_of_the_extractors_vector(self, config, extract):
+        values = extract(sample(bytes(range(256)) * 4))
+        assert values.dtype == np.float64 and values.shape == (config.dim,)
+
+    @pytest.mark.parametrize("name, lag, message", [
+        ("trigram", None, "unknown feature 'trigram'; valid: bigrams, endsig, autocorr"),
+        (AUTOCORR, None, "positive lag"),
+        (AUTOCORR, 0, "positive lag"),
+        ("endsig", 7, "endsig takes no lag, got 7"),
+        ("bigrams", 1, "bigrams takes no lag, got 1"),
+    ])
+    def test_rejects_what_no_extractor_takes(self, name, lag, message):
+        with pytest.raises(ValueError, match=message):
+            FeatureConfig(name, lag)
 
 
 def random_bytes(n, seed):
@@ -297,14 +317,14 @@ class TestAutocorrKernel:
         manifest = generate_synthetic_fixedwidth([16, 32, 64], 2, 2, 4096, 2, seed=11)
         for ref in manifest.samples:
             data = ref.load().data
-            assert np.array_equal(autocorrelation_feature(sample(data), 256).values,
+            assert np.array_equal(autocorrelation_feature(sample(data), 256),
                                   autocorr_reference(data, 256))
 
     @pytest.mark.parametrize("n", [AUTOCORR_BLOCK - 1, AUTOCORR_BLOCK, AUTOCORR_BLOCK + 1])
     def test_block_boundaries_with_lag_near_n(self, n):
         data = random_bytes(n, seed=n)
         l = n - 2
-        assert np.array_equal(autocorrelation_feature(sample(data), l).values,
+        assert np.array_equal(autocorrelation_feature(sample(data), l),
                               autocorr_reference(data, l))
 
     @pytest.mark.parametrize("n", [200, AUTOCORR_BLOCK, AUTOCORR_BLOCK + 1, 2 * AUTOCORR_BLOCK + 70])
@@ -356,7 +376,7 @@ class TestAutocorrKernel:
     def test_degenerate_series(self):
         for data, l in [(bytes([7]) * 1000, 50), (bytes([0, 255]) * 5000, 300),
                         (bytes([3, 9, 1]), 1), (bytes([255]) * (3 * AUTOCORR_BLOCK) + b"\0", 64)]:
-            assert np.array_equal(autocorrelation_feature(sample(data), l).values,
+            assert np.array_equal(autocorrelation_feature(sample(data), l),
                                   autocorr_reference(data, l))
 
     def test_prefix_of_larger_lag(self):
@@ -364,11 +384,7 @@ class TestAutocorrKernel:
         full = autocorrelation_feature(sample(data), 1024)
         for l in (1, 16, 100, 512, 1024):
             own = autocorrelation_feature(sample(data), l)
-            cut = autocorr_prefix(full, l)
-            assert cut.lag_param == l
-            assert np.array_equal(cut.values, own.values)
-        with pytest.raises(ValueError):
-            autocorr_prefix(full, 1025)
+            assert np.array_equal(full[:l], own)
 
     def test_16mib_products_equal_int64_dot(self):
         series = np.frombuffer(random_bytes(16 << 20, seed=16), dtype=np.uint8)
@@ -414,13 +430,13 @@ class TestMeanCurve:
     def test_single_sample_class_is_identity(self):
         manifest = generate_synthetic_fixedwidth([16], 1, 1, 2048, 1, seed=2)
         curves = mean_curve_by_class(manifest, 8, Task.FIXED_VS_VARIABLE)
-        own = autocorrelation_feature(manifest.samples[0].load(), 8).values
+        own = autocorrelation_feature(manifest.samples[0].load(), 8)
         assert np.array_equal(curves["fixed"], own)
 
     def test_two_sample_mean(self):
         manifest = generate_synthetic_fixedwidth([16], 1, 2, 2048, 0, seed=2)
         curves = mean_curve_by_class(manifest, 8, Task.FIXED_VS_VARIABLE)
-        a, b = (autocorrelation_feature(r.load(), 8).values for r in manifest.samples)
+        a, b = (autocorrelation_feature(r.load(), 8) for r in manifest.samples)
         assert np.allclose(curves["fixed"], (a + b) / 2.0, atol=0)
 
     def test_fixed_beats_variable_at_period(self):
