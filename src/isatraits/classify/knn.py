@@ -2,6 +2,13 @@
 
 Tie handling: distance ties rank by lower training index (stable sort);
 vote ties go to the class of the nearest neighbor among the tied classes.
+
+predict_indices votes for every query row at once: one stable argsort of
+the whole distance matrix ranks each row's neighbors, one bincount over
+(row, class) counts the votes, and each row takes the class of its first
+neighbor (nearest first) whose class has the row's top count. With a
+single top class that neighbor is of the top class itself, so one argmax
+over the tied mask, gathered at the neighbors, applies both rules.
 """
 
 from __future__ import annotations
@@ -28,18 +35,10 @@ def predict_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np
         + np.einsum("ij,ij->i", X, X)[None, :]
     )
 
-    out = np.empty(Q.shape[0], dtype=np.int64)
-    for row in range(Q.shape[0]):
-        order = np.argsort(d2[row], kind="stable")
-        neighbors = y[order[:k]]
-        counts = np.bincount(neighbors, minlength=n_classes)
-        best = counts.max()
-        tied = counts == best
-        if tied.sum() == 1:
-            out[row] = int(np.argmax(counts))
-        else:
-            for label in neighbors:  # nearest-first
-                if tied[label]:
-                    out[row] = int(label)
-                    break
-    return out
+    rows = np.arange(Q.shape[0])[:, None]
+    neighbors = y[np.argsort(d2, axis=1, kind="stable")[:, :k]]  # nearest first
+    counts = np.bincount((rows * n_classes + neighbors).ravel(),
+                         minlength=rows.size * n_classes).reshape(rows.size, n_classes)
+    tied = counts == counts.max(axis=1, keepdims=True)
+    first_tied = tied[rows, neighbors].argmax(axis=1)
+    return neighbors[rows[:, 0], first_tied]

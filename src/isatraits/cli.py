@@ -190,6 +190,18 @@ def _parse_int_list(raw: str, flag: str, as_float: bool = False) -> list:
     return values
 
 
+def _parse_grid(raw: str, as_float: bool = False) -> list:
+    """--grid's values; each is evaluated once, so one given twice, compared
+    as parsed (1e9 and 1000000000 are one c), is a usage error."""
+    values = _parse_int_list(raw, "--grid", as_float)
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise UsageError(f"--grid: {value:g} is given more than once")
+        seen.add(value)
+    return values
+
+
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------
@@ -271,14 +283,14 @@ def cmd_gridsearch(args) -> int:
         if args.feature is None:
             raise UsageError("gridsearch c requires --feature")
         lag = _resolve_lag(args.lag, task, "logreg") if args.feature == AUTOCORR else None
-        grid = _parse_int_list(args.grid, "--grid", as_float=True) if args.grid else list(DEFAULT_C_GRID)
+        grid = _parse_grid(args.grid, as_float=True) if args.grid else list(DEFAULT_C_GRID)
         manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_c(manifest, task, FeatureConfig(args.feature, lag), grid)
         print(f"best c: {best:g}")
     else:
         spec = spec_from_name(args.classifier, c=_resolve_c(args.c, task, AUTOCORR),
                               trees=args.trees, seed=args.seed)
-        grid = _parse_int_list(args.grid, "--grid") if args.grid else list(DEFAULT_LAG_GRID)
+        grid = _parse_grid(args.grid) if args.grid else list(DEFAULT_LAG_GRID)
         manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_lag(manifest, task, spec, grid)
         print(f"best lag: {best}")

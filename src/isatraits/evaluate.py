@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Hashable, Mapping, Sequence, TextIO
@@ -179,12 +179,22 @@ class Fold:
     held_out_isa: str
     train_ids: tuple[int, ...]
     test_ids: tuple[int, ...]
+    # Positions of train_ids and test_ids in the plan's ids: the fold's rows
+    # of any feature matrix aligned with them.
+    train_rows: np.ndarray = field(compare=False, repr=False)
+    test_rows: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class LogoSplitPlan:
+    """The folds of one task on one manifest, with the eligible sample ids
+    in manifest order and each one's task class. It depends on neither the
+    feature nor the classifier, so a sweep plans once for every grid value."""
+
     groups: tuple[str, ...]
     folds: tuple[Fold, ...]
+    ids: tuple[int, ...]
+    labels: tuple[str, ...]
 
 
 def eligible_ids(manifest: CorpusManifest, task: Task) -> list[int]:
@@ -199,6 +209,7 @@ def plan_logocv(manifest: CorpusManifest, task: Task) -> LogoSplitPlan:
     """One fold per eligible ISA: its samples form the test set, all other
     eligible samples the training set. Folds are ordered by ISA name."""
     ids = eligible_ids(manifest, task)
+    row_of = {i: r for r, i in enumerate(ids)}
     by_group: dict[str, list[int]] = {}
     for i in ids:
         by_group.setdefault(manifest.samples[i].isa_name, []).append(i)
@@ -211,8 +222,11 @@ def plan_logocv(manifest: CorpusManifest, task: Task) -> LogoSplitPlan:
     for held_out in groups:
         test = tuple(by_group[held_out])
         train = tuple(i for g in groups if g != held_out for i in by_group[g])
-        folds.append(Fold(held_out, train, test))
-    return LogoSplitPlan(tuple(groups), tuple(folds))
+        folds.append(Fold(held_out, train, test,
+                          np.array([row_of[i] for i in train], dtype=np.intp),
+                          np.array([row_of[i] for i in test], dtype=np.intp)))
+    labels = tuple(task_label(manifest.label_of(manifest.samples[i]), task) for i in ids)
+    return LogoSplitPlan(tuple(groups), tuple(folds), tuple(ids), labels)
 
 
 # ----------------------------------------------------------------------
@@ -271,22 +285,20 @@ def _run_fold(
     fold: Fold,
     features: np.ndarray,
     labels: Sequence[str],
-    row_of: Mapping[int, int],
     classifier: ClassifierSpec,
     feature: FeatureConfig,
 ) -> FoldResult:
-    """One fold's model, fitted and scored on the rows of features and
-    labels that row_of gives its samples."""
-    train = [row_of[i] for i in fold.train_ids]
-    test = [row_of[i] for i in fold.test_ids]
+    """One fold's model, fitted and scored on its rows of features and
+    labels."""
     try:
-        model = fit(classifier, features[train], [labels[r] for r in train], feature)
-        predicted = predict(model, features[test])
+        model = fit(classifier, features[fold.train_rows],
+                    [labels[r] for r in fold.train_rows.tolist()], feature)
+        predicted = predict(model, features[fold.test_rows])
     except IsaTraitsError as exc:
         raise type(exc)(f"fold {fold.held_out_isa}: {exc}") from exc
     confusion: dict[str, dict[str, int]] = {}
     correct = 0
-    for r, pred in zip(test, predicted):
+    for r, pred in zip(fold.test_rows.tolist(), predicted):
         true = labels[r]
         confusion.setdefault(true, {})
         confusion[true][pred] = confusion[true].get(pred, 0) + 1
@@ -301,20 +313,20 @@ def run_evaluation(
     feature: FeatureConfig,
     classifier: ClassifierSpec,
     features: np.ndarray | None = None,
+    plan: LogoSplitPlan | None = None,
 ) -> EvaluationReport:
     """Full LOGOCV: extract features once, fit/score one model per fold in
-    group order, aggregate. features, when given, is the already extracted
-    `feature` matrix, row r of it sample eligible_ids(manifest, task)[r]
-    (the grid searches pass it so they extract once for a whole sweep)."""
-    plan = plan_logocv(manifest, task)
-    ids = eligible_ids(manifest, task)
+    group order, aggregate. plan, when given, is plan_logocv(manifest,
+    task), and features the already extracted `feature` matrix, row r of it
+    sample plan.ids[r]: the grid searches pass both, so that they plan and
+    extract once for a whole sweep."""
+    if plan is None:
+        plan = plan_logocv(manifest, task)
+    ids, labels = plan.ids, plan.labels
     if features is None:
         features = extract_features(manifest, {task: (ids, feature)})[task]
-    labels = [task_label(manifest.label_of(manifest.samples[i]), task) for i in ids]
-    row_of = {i: r for r, i in enumerate(ids)}
 
-    per_fold = [_run_fold(fold, features, labels, row_of, classifier, feature)
-                for fold in plan.folds]
+    per_fold = [_run_fold(fold, features, labels, classifier, feature) for fold in plan.folds]
 
     feature_accuracy = mean_fold_accuracy([fr.accuracy for fr in per_fold])
     total = sum(fr.n_test for fr in per_fold)
@@ -350,16 +362,18 @@ def grid_search_c(
     c_grid: Sequence[float],
 ) -> tuple[float, list[tuple[float, float]]]:
     """Sweep logistic-regression c over the grid; best is the argmax of
-    feature accuracy, ties to the smaller c."""
+    feature accuracy, ties to the smaller c. The folds are planned and the
+    features extracted once for the whole grid."""
     if not c_grid:
         raise ValueError("c grid must be non-empty")
     if any(c <= 0 for c in c_grid):
         raise ValueError("c values must be positive")
-    features = extract_features(manifest, {task: (eligible_ids(manifest, task), feature)})[task]
+    plan = plan_logocv(manifest, task)
+    features = extract_features(manifest, {task: (plan.ids, feature)})[task]
     table = []
     for c in sorted(c_grid):
         spec = ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)
-        report = run_evaluation(manifest, task, feature, spec, features=features)
+        report = run_evaluation(manifest, task, feature, spec, features=features, plan=plan)
         table.append((c, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])  # ascending grid => ties keep smaller c
     return best[0], table
@@ -373,19 +387,20 @@ def grid_search_lag(
 ) -> tuple[int, list[tuple[int, float]]]:
     """Sweep the autocorrelation lag over the grid; ties to the smaller lag.
 
-    Every sample is loaded and extracted once, at the largest lag; each
-    lag's evaluation takes the columns f(1..lag), which are bit-identical to
-    extracting at that lag."""
+    The folds are planned once, and every sample is loaded and extracted
+    once, at the largest lag; each lag's evaluation takes the columns
+    f(1..lag), which are bit-identical to extracting at that lag."""
     if not lag_grid:
         raise ValueError("lag grid must be non-empty")
     if any(lag < 1 for lag in lag_grid):
         raise ValueError("lags must be positive")
-    ids = eligible_ids(manifest, task)
-    features = extract_features(manifest, {task: (ids, FeatureConfig(AUTOCORR, max(lag_grid)))})[task]
+    plan = plan_logocv(manifest, task)
+    widest = FeatureConfig(AUTOCORR, max(lag_grid))
+    features = extract_features(manifest, {task: (plan.ids, widest)})[task]
     table = []
     for lag in sorted(lag_grid):
         report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,
-                                features=features[:, :lag])
+                                features=features[:, :lag], plan=plan)
         table.append((lag, report.feature_accuracy))
     best = max(table, key=lambda row: row[1])
     return best[0], table

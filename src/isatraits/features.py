@@ -61,12 +61,16 @@ a per-lag loop sums, elementwise over the batch's (series, l) array, so
 f(1..l) is bit-identical to the per-lag computation, whatever the batch,
 and to the first l values of f(1..L) for any L >= l.
 
-Batching pays on the GEMM path for many short series, where per-call
-overhead dominates: on 140 series of 8 KiB at lag 16 the kernel took
-6.5 ms in batches of 12 against 20 ms one series at a time.
-autocorr_batch_size caps a batch so that its stacked bytes, float32
-buffers and moment arrays stay within STAGING_BYTES, whatever the corpus
-size; a series too long to share that budget, or on the FFT path, is a
+Batching pays for many short series, where per-call overhead dominates:
+on 140 series of 8 KiB at lag 16 the GEMM path took 6.5 ms in batches of
+12 against 20 ms one series at a time. The FFT path transforms one series
+at a time whatever the batch, since batched transforms measured no faster,
+so a batch there shares its moment and Pearson arithmetic, which runs once
+per batch and not once per series: extract_features on 140 series of 8 KiB
+at lag 1024 took about 49 ms in batches of 9 against 59 ms one series at a
+time. autocorr_batch_size caps a batch so that its stacked bytes, moment
+arrays and, on the GEMM path, float32 buffers stay within STAGING_BYTES,
+whatever the corpus size; a series too long to share that budget is a
 batch of one, read in place.
 """
 
@@ -275,15 +279,15 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 def autocorr_batch_size(n: int, l: int) -> int:
     """How many series of n bytes autocorrelation_rows takes at once at lag l:
-    on the GEMM path, as many as fit STAGING_BYTES, each costing its n bytes,
-    stacked, its float32 chunk and product buffers and about a dozen int64
-    or float64 moment arrays of l entries; on the FFT path one, since each
-    series' FFTs dominate there (140 series of 8 KiB at lag 1024 took 54 to
-    61 ms in batches against 65 ms singly, for up to 0.6 MiB more memory)."""
-    if not _uses_gemm(n, l):
-        return 1
-    w = max(l, GEMM_MIN_WIDTH)
-    per_series = n + 12 * 8 * l + (min(GEMM_ROWS, -(-n // w)) + w) * 2 * w * 4
+    as many as fit STAGING_BYTES, each costing its n bytes, stacked, about a
+    dozen int64 or float64 moment arrays of l entries and, on the GEMM path,
+    its float32 chunk and product buffers. The FFT path's buffers are one
+    series' worth whatever the batch, since it transforms one series at a
+    time."""
+    per_series = n + 12 * 8 * l
+    if _uses_gemm(n, l):
+        w = max(l, GEMM_MIN_WIDTH)
+        per_series += (min(GEMM_ROWS, -(-n // w)) + w) * 2 * w * 4
     return max(1, STAGING_BYTES // per_series)
 
 

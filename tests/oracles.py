@@ -7,9 +7,10 @@ autocorr_reference, a per-lag numpy loop in float64 arithmetic kept for
 bit-equality checks of the FFT autocorrelation kernel, tree_reference, the
 recursive one-node-at-a-time CART grower kept for node-for-node checks of
 the batched tree grower (forest_reference draws its trees' bootstraps and
-feature subsets one Python int at a time), and logreg_reference, the
-logistic-regression fit by scipy's L-BFGS-B that the package used before
-its own minimizer.
+feature subsets one Python int at a time), knn_reference, the kNN vote
+one query row at a time that the whole-array vote replaced, and
+logreg_reference, the logistic-regression fit by scipy's L-BFGS-B that the
+package used before its own minimizer.
 """
 
 import itertools
@@ -218,6 +219,39 @@ def flatten_reference(root):
         return index
 
     visit(root)
+    return out
+
+
+def knn_reference(params, Q, n_classes):
+    """kNN class indices one query row at a time: a stable argsort of the
+    row's distances, a bincount of its k nearest classes, and a walk from
+    the nearest neighbor to the first one of a tied top class."""
+    X = params["train_x"]
+    y = params["train_y"]
+    k = min(params["k"], X.shape[0])
+
+    # Squared distances via (q - x)^2 = |q|^2 - 2 q.x + |x|^2; identical
+    # training rows still produce identical floats, so ties stay exact.
+    d2 = (
+        np.einsum("ij,ij->i", Q, Q)[:, None]
+        - 2.0 * (Q @ X.T)
+        + np.einsum("ij,ij->i", X, X)[None, :]
+    )
+
+    out = np.empty(Q.shape[0], dtype=np.int64)
+    for row in range(Q.shape[0]):
+        order = np.argsort(d2[row], kind="stable")
+        neighbors = y[order[:k]]
+        counts = np.bincount(neighbors, minlength=n_classes)
+        best = counts.max()
+        tied = counts == best
+        if tied.sum() == 1:
+            out[row] = int(np.argmax(counts))
+        else:
+            for label in neighbors:  # nearest-first
+                if tied[label]:
+                    out[row] = int(label)
+                    break
     return out
 
 

@@ -20,7 +20,7 @@ from isatraits.classify import (
     save_model,
     spec_from_name,
 )
-from isatraits.classify import tree
+from isatraits.classify import knn, tree
 from isatraits.corpus import generate_synthetic_fixedwidth
 from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTrainingSet
 from isatraits.evaluate import FeatureConfig, Task, extract_features, plan_logocv, task_label
@@ -30,6 +30,7 @@ from oracles import (
     flatten_reference,
     forest_draws_reference,
     forest_reference,
+    knn_reference,
     splitmix_child,
     subset_reference,
     tree_reference,
@@ -105,6 +106,32 @@ class TestKnn:
         X = matrix([[0.0], [3.0], [4.0]])
         model = fit(spec_from_name("knn3"), X, ["a", "b", "b"], FEATURE)
         assert predict(model, matrix([[1.0]])) == ["b"]
+
+
+@st.composite
+def knn_cases(draw):
+    """kNN parameters and queries on a few small integer points, so that
+    distances tie, with training rows drawn from them with repeats."""
+    n_classes = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 3))
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=9))
+    y = draw(st.lists(st.integers(0, n_classes - 1), min_size=len(picks), max_size=len(picks)))
+    queries = draw(st.lists(point, min_size=1, max_size=6))
+    params = {"train_x": matrix([points[i] for i in picks]),
+              "train_y": np.array(y, dtype=np.int64),
+              "k": draw(st.sampled_from([1, 3, 5]))}
+    return params, matrix(queries), n_classes
+
+
+@given(knn_cases())
+@settings(max_examples=300, deadline=None)
+def test_knn_vote_matches_the_per_row_reference(case):
+    params, Q, n_classes = case
+    got = knn.predict_indices(params, Q, n_classes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, knn_reference(params, Q, n_classes))
 
 
 class TestGaussianNB:

@@ -843,6 +843,22 @@ class TestUsageErrorsBeforeCorpusWork:
                        "--corpus", tmp_path / "missing", "--labels", tmp_path / "labels.csv")
         one_error_line(proc, "--grid")
 
+    @pytest.mark.parametrize("mode, grid, value", [
+        ("lag", "16,16,32", "16"),
+        ("lag", "32,16,032", "32"),
+        ("c", "1e9,1e9,1000000000", "1e+09"),
+        ("c", "10,1e1", "10"),
+    ])
+    def test_gridsearch_repeated_grid_value(self, mode, grid, value, capsys, tmp_path):
+        head = (["lag", "--task", "isvar"] if mode == "lag"
+                else ["c", "--task", "endianness", "--feature", "endsig"])
+        code = cli.main(["gridsearch", *head, "--grid", grid, "--corpus", str(tmp_path / "missing"),
+                         "--labels", str(tmp_path / "labels.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"error: --grid: {value} is given more than once"]
+
     def test_gridsearch_c_without_feature(self, tmp_path):
         proc = run_cli("gridsearch", "c", "--task", "endianness",
                        "--corpus", tmp_path / "missing", "--labels", tmp_path / "labels.csv")

@@ -58,7 +58,10 @@ def dummy_manifest(labels, files_per_isa=1):
     return CorpusManifest(samples, registry)
 
 
-def assert_plan_invariants(manifest, plan):
+def assert_plan_invariants(manifest, plan, task):
+    assert plan.ids == tuple(eligible_ids(manifest, task))
+    assert plan.labels == tuple(task_label(manifest.label_of(manifest.samples[i]), task)
+                                for i in plan.ids)
     all_test = []
     for fold in plan.folds:
         train_isas = {manifest.samples[i].isa_name for i in fold.train_ids}
@@ -66,6 +69,10 @@ def assert_plan_invariants(manifest, plan):
         assert test_isas == {fold.held_out_isa}
         assert fold.held_out_isa not in train_isas
         assert not (set(fold.train_ids) & set(fold.test_ids))
+        # A fold's rows are its samples' positions in the plan's ids.
+        assert [plan.ids[r] for r in fold.train_rows] == list(fold.train_ids)
+        assert [plan.ids[r] for r in fold.test_rows] == list(fold.test_ids)
+        assert fold.train_rows.dtype == fold.test_rows.dtype == np.intp
         all_test.extend(fold.test_ids)
     assert len(all_test) == len(set(all_test))  # each sample tested exactly once
 
@@ -109,7 +116,7 @@ class TestPlanLogocv:
         for fold in plan.folds:
             assert len(fold.test_ids) == 2
             assert len(fold.train_ids) == 4
-        assert_plan_invariants(manifest, plan)
+        assert_plan_invariants(manifest, plan, Task.ENDIANNESS)
 
     def test_single_group_rejected(self):
         manifest = dummy_manifest([label("only")], files_per_isa=3)
@@ -121,7 +128,7 @@ class TestPlanLogocv:
         manifest = dummy_manifest(list(registry.values()))
         plan = plan_logocv(manifest, Task.FIXED_WIDTH)
         assert len(plan.folds) == 25
-        assert_plan_invariants(manifest, plan)
+        assert_plan_invariants(manifest, plan, Task.FIXED_WIDTH)
 
     def test_cpurec_style_scan_yields_51_endianness_samples(self, cpurec_labels_path, tmp_path):
         # one file per ISA, like the real single-file-per-ISA corpus
@@ -157,7 +164,7 @@ class TestPlanLogocv:
             ]
             manifest = CorpusManifest(samples, registry)
             plan = plan_logocv(manifest, Task.ENDIANNESS)
-            assert_plan_invariants(manifest, plan)
+            assert_plan_invariants(manifest, plan, Task.ENDIANNESS)
             assert sum(len(f.test_ids) for f in plan.folds) == len(samples)
 
 
@@ -309,10 +316,12 @@ class TestBatchedExtraction:
         lengths = [700] * 3 + [8192] * 14 + [700, 8193, 8193, 2000] + [8192] * 2 + [1 << 16] * 2
         assert_extracts_like_one_sample_at_a_time(byte_manifest(lengths, seed=lag), lag)
 
-    @pytest.mark.parametrize("lag", [16, 64])
+    # 8 KiB series take the GEMM path at lags 16 and 64, the FFT at 1024.
+    @pytest.mark.parametrize("lag", [16, 64, 1024])
     @pytest.mark.parametrize("extra", [-1, 0, 1, None])
     def test_batches_around_the_staging_budget(self, lag, extra, monkeypatch):
         size = features.autocorr_batch_size(8192, lag)
+        assert size > 1
         count = 2 * size + 1 if extra is None else size + extra
         batches = []
         original = evaluate.autocorrelation_rows
@@ -331,24 +340,25 @@ class TestBatchedExtraction:
         assert str(err.value).startswith("mem://5: ")
 
     def test_extra_memory_does_not_grow_with_the_corpus(self):
-        def extra(count):
+        def extra(count, lag):
             manifest = byte_manifest([8192] * count, seed=count)
-            stage = {0: (range(count), FeatureConfig("autocorr", 16))}
+            stage = {0: (range(count), FeatureConfig("autocorr", lag))}
             tracemalloc.start()
             try:
                 result = extract_features(manifest, stage)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert result[0].shape == (count, 16)
+            assert result[0].shape == (count, lag)
             return peak - current  # what extraction held beyond its result
 
-        small, large = extra(100), extra(1000)
-        assert small < features.STAGING_BYTES + (512 << 10)
-        # Holding one more 8 KiB series per sample would add 7 MiB; the
-        # per-sample bookkeeping, a dict and a list of row views to fill for
-        # each sample, adds about 0.4.
-        assert large - small < 900 * 1024
+        for lag in (16, 1024):  # 8 KiB series: the GEMM and the FFT path
+            small, large = extra(100, lag), extra(1000, lag)
+            assert small < features.STAGING_BYTES + (512 << 10), lag
+            # Holding one more 8 KiB series per sample would add 7 MiB; the
+            # per-sample bookkeeping, a dict and a list of row views to fill
+            # for each sample, adds about 0.4.
+            assert large - small < 900 * 1024, lag
 
 
 # sha256 of report_to_dict's JSON (indent=2) for every suite classifier at lag
@@ -449,6 +459,24 @@ class TestGridSearch:
                                  FeatureConfig("autocorr", lag), spec).feature_accuracy)
             for lag in (4, 16, 64)
         ]
+
+    def test_lag_sweep_plans_once(self, fixedwidth_small, monkeypatch):
+        counts = {"plan_logocv": 0, "eligible_ids": 0}
+        for name in counts:
+            original = getattr(evaluate, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(evaluate, name, counted)
+        _, table = grid_search_lag(fixedwidth_small, Task.FIXED_VS_VARIABLE,
+                                   spec_from_name("knn3"), DEFAULT_LAG_GRID)
+        assert len(table) == 7
+        assert counts == {"plan_logocv": 1, "eligible_ids": 1}
+        counts.update(plan_logocv=0, eligible_ids=0)
+        run_evaluation(fixedwidth_small, Task.FIXED_VS_VARIABLE, FeatureConfig("autocorr", 16),
+                       spec_from_name("knn3"))
+        assert counts == {"plan_logocv": 1, "eligible_ids": 1}
 
     def test_c_sweep_extracts_each_sample_once(self, endian_small, monkeypatch):
         calls = []
