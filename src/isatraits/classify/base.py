@@ -1,19 +1,27 @@
-"""Classifier suite core: specs, trained models, fit/predict dispatch.
+"""Classifier suite core: specs, trained models, and the learner table
+that fit, predict and load_model dispatch through.
 
 The suite is self-contained and runs on numpy alone; logistic regression
 brings its own L-BFGS minimizer. fit and predict take one float64
 (samples x features) matrix, as evaluate.extract_features returns it per
 stage; fit records the FeatureConfig it is given on the model, and predict
 checks only that its matrix is 2-D with the model's column count. Each
-algorithm lives in its own module and exposes train()/predict_indices()
-working on those matrices and integer class indices. Class labels are
-sorted lexicographically at fit time, and every tie rule below resolves to
-the lowest class index, so results are fully deterministic.
+learner's module (knn, gaussian_nb, logistic, and tree for both dtree and
+rforest) owns its algorithm, its parameters and their model-file checks
+behind three functions, and LEARNERS holds them by ClassifierKind:
+train(X, y, n_classes, spec) -> params fits the (standardized) rows X to
+class indices y; predict_indices(params, Q, n_classes) gives one class
+index per row of Q; load(raw, spec, n_features, n_classes) -> params turns
+a model file's parameters into train's, or raises ValueError (or KeyError,
+TypeError) unless predict_indices can use them. Class labels are sorted
+lexicographically at fit time, and every tie rule resolves to the lowest
+class index, so results are fully deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Sequence
@@ -22,6 +30,7 @@ import numpy as np
 
 from ..errors import DimensionMismatch, SingleClassTrainingSet
 from ..features import FeatureConfig
+from . import gaussian_nb, knn, logistic, tree
 
 
 class ClassifierKind(str, Enum):
@@ -106,14 +115,20 @@ def spec_from_name(
 
 
 def name_of_spec(spec: ClassifierSpec) -> str:
-    if spec.kind is ClassifierKind.KNN:
-        return f"knn{spec.k}"
-    return {
-        ClassifierKind.GAUSSIAN_NB: "gnb",
-        ClassifierKind.DECISION_TREE: "dtree",
-        ClassifierKind.LOGISTIC_REGRESSION: "logreg",
-        ClassifierKind.RANDOM_FOREST: "rforest",
-    }[spec.kind]
+    """spec's name in CLASSIFIER_NAMES: that of its kind, and its k for knn."""
+    return next(name for name, named in CLASSIFIER_NAMES.items() if named.kind is spec.kind
+                and (named.k == spec.k or spec.kind is not ClassifierKind.KNN))
+
+
+# One learner's three functions, as the module docstring sets out.
+Learner = namedtuple("Learner", ("train", "predict_indices", "load"))
+LEARNERS: dict[ClassifierKind, Learner] = {
+    ClassifierKind.KNN: Learner(knn.train, knn.predict_indices, knn.load),
+    ClassifierKind.GAUSSIAN_NB: Learner(gaussian_nb.train, gaussian_nb.predict_indices, gaussian_nb.load),
+    ClassifierKind.DECISION_TREE: Learner(tree.train_tree, tree.predict_indices, tree.load_tree),
+    ClassifierKind.LOGISTIC_REGRESSION: Learner(logistic.train, logistic.predict_indices, logistic.load),
+    ClassifierKind.RANDOM_FOREST: Learner(tree.train_forest, tree.predict_indices, tree.load_forest),
+}
 
 
 @dataclass
@@ -139,18 +154,9 @@ def _matrix(X) -> np.ndarray:
     return matrix
 
 
-def _apply_standardization(model: TrainedModel, matrix: np.ndarray) -> np.ndarray:
-    if model.standardization_stats is None:
-        return matrix
-    means, stds = model.standardization_stats
-    return (matrix - means) / stds
-
-
 def fit(spec: ClassifierSpec, X: np.ndarray, y: Sequence[str], feature: FeatureConfig) -> TrainedModel:
     """Fit one classifier on the rows of X, of the given feature.
     Deterministic given (spec, X, y), including any seeded randomness."""
-    from . import gaussian_nb, knn, logistic, tree  # cycle-free; local to keep import light
-
     matrix = _matrix(X)
     if len(matrix) != len(y):
         raise DimensionMismatch(f"got {len(matrix)} rows but {len(y)} labels")
@@ -171,26 +177,12 @@ def fit(spec: ClassifierSpec, X: np.ndarray, y: Sequence[str], feature: FeatureC
         stats = (means, stds)
         matrix = (matrix - means) / stds
 
-    n_classes = len(class_labels)
-    if spec.kind is ClassifierKind.KNN:
-        parameters = knn.train(matrix, y_idx, spec.k)
-    elif spec.kind is ClassifierKind.GAUSSIAN_NB:
-        parameters = gaussian_nb.train(matrix, y_idx, n_classes)
-    elif spec.kind is ClassifierKind.DECISION_TREE:
-        parameters = tree.train_tree(matrix, y_idx, n_classes)
-    elif spec.kind is ClassifierKind.RANDOM_FOREST:
-        parameters = tree.train_forest(matrix, y_idx, n_classes, spec.trees, spec.seed)
-    elif spec.kind is ClassifierKind.LOGISTIC_REGRESSION:
-        parameters = logistic.train(matrix, y_idx, n_classes, spec.c)
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unhandled classifier kind {spec.kind}")
-
     return TrainedModel(
         spec=spec,
         feature_name=feature.name,
         lag_param=feature.lag,
         class_labels=class_labels,
-        parameters=parameters,
+        parameters=LEARNERS[spec.kind].train(matrix, y_idx, len(class_labels), spec),
         standardization_stats=stats,
         n_features=matrix.shape[1],
     )
@@ -198,8 +190,6 @@ def fit(spec: ClassifierSpec, X: np.ndarray, y: Sequence[str], feature: FeatureC
 
 def predict(model: TrainedModel, X: np.ndarray) -> list[str]:
     """One label per row of X; a matrix of no rows yields an empty list."""
-    from . import gaussian_nb, knn, logistic, tree
-
     matrix = _matrix(X)
     if matrix.shape[1] != model.n_features:
         raise DimensionMismatch(
@@ -207,20 +197,8 @@ def predict(model: TrainedModel, X: np.ndarray) -> list[str]:
         )
     if not len(matrix):
         return []
-    matrix = _apply_standardization(model, matrix)
-
-    n_classes = len(model.class_labels)
-    kind = model.spec.kind
-    if kind is ClassifierKind.KNN:
-        idx = knn.predict_indices(model.parameters, matrix, n_classes)
-    elif kind is ClassifierKind.GAUSSIAN_NB:
-        idx = gaussian_nb.predict_indices(model.parameters, matrix)
-    elif kind is ClassifierKind.DECISION_TREE:
-        idx = tree.predict_tree_indices(model.parameters, matrix)
-    elif kind is ClassifierKind.RANDOM_FOREST:
-        idx = tree.predict_forest_indices(model.parameters, matrix, n_classes)
-    elif kind is ClassifierKind.LOGISTIC_REGRESSION:
-        idx = logistic.predict_indices(model.parameters, matrix)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled classifier kind {kind}")
+    if model.standardization_stats is not None:
+        means, stds = model.standardization_stats
+        matrix = (matrix - means) / stds
+    idx = LEARNERS[model.spec.kind].predict_indices(model.parameters, matrix, len(model.class_labels))
     return [model.class_labels[i] for i in idx]

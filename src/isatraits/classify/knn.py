@@ -9,17 +9,25 @@ the whole distance matrix ranks each row's neighbors, one bincount over
 neighbor (nearest first) whose class has the row's top count. With a
 single top class that neighbor is of the top class itself, so one argmax
 over the tied mask, gathered at the neighbors, applies both rules.
+
+A model file's parameters load only as finite (rows x n_features)
+training rows, each row's class inside the class labels, and spec.k.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .arrays import checked_array
 
-def train(X: np.ndarray, y: np.ndarray, k: int) -> dict[str, Any]:
-    return {"train_x": X.copy(), "train_y": y.copy(), "k": int(k)}
+if TYPE_CHECKING:
+    from .base import ClassifierSpec
+
+
+def train(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ClassifierSpec) -> dict[str, Any]:
+    return {"train_x": X.copy(), "train_y": y.copy(), "k": int(spec.k)}
 
 
 def predict_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np.ndarray:
@@ -42,3 +50,13 @@ def predict_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np
     tied = counts == counts.max(axis=1, keepdims=True)
     first_tied = tied[rows, neighbors].argmax(axis=1)
     return neighbors[rows[:, 0], first_tied]
+
+
+def load(raw: dict[str, Any], spec: ClassifierSpec, n_features: int, n_classes: int) -> dict[str, Any]:
+    train_x = checked_array(raw["train_x"], "train_x", (None, n_features))
+    train_y = checked_array(raw["train_y"], "train_y", (train_x.shape[0],), integers=True)
+    if train_y.min() < 0 or train_y.max() >= n_classes:
+        raise ValueError(f"'train_y' holds a class outside [0, {n_classes})")
+    if raw["k"] != spec.k:
+        raise ValueError(f"'k' must be spec.k={spec.k}, got {raw['k']!r}")
+    return {"train_x": train_x, "train_y": train_y, "k": spec.k}

@@ -11,15 +11,23 @@ Zhu, SIAM J. Sci. Comput. 16, 1995) without bounds: max |g_i| <= GRAD_TOL,
 a relative decrease of at most FTOL, MAX_ITER iterations or MAX_FUN
 objective evaluations. Everything is numpy in a fixed order, so a fit is
 deterministic, and neither fitting nor prediction needs scipy.
+
+A model file's parameters load only as finite ((n_features + 1) x
+classes) weights, the bias in the last row.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
+
+from .arrays import checked_array
+
+if TYPE_CHECKING:
+    from .base import ClassifierSpec
 
 GRAD_TOL = 1e-6
 FTOL = 1e-14
@@ -169,18 +177,22 @@ def minimize_lbfgs(fun: Objective, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def train(X: np.ndarray, y: np.ndarray, n_classes: int, c: float) -> dict[str, Any]:
+def train(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ClassifierSpec) -> dict[str, Any]:
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0
 
-    w = minimize_lbfgs(lambda w_flat: _loss_and_grad(w_flat, Xb, y, onehot, c),
+    w = minimize_lbfgs(lambda w_flat: _loss_and_grad(w_flat, Xb, y, onehot, spec.c),
                        np.zeros((d + 1) * n_classes))
     return {"weights": w.reshape(d + 1, n_classes)}
 
 
-def predict_indices(params: dict[str, Any], Q: np.ndarray) -> np.ndarray:
+def predict_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np.ndarray:
     W = params["weights"]
     scores = np.hstack([Q, np.ones((Q.shape[0], 1))]) @ W
     return np.argmax(scores, axis=1)  # ties resolve to the lowest class index
+
+
+def load(raw: dict[str, Any], spec: ClassifierSpec, n_features: int, n_classes: int) -> dict[str, Any]:
+    return {"weights": checked_array(raw["weights"], "weights", (n_features + 1, n_classes))}

@@ -2,20 +2,15 @@
 
 Envelope fields: format_version, spec, feature_name, lag_param,
 class_labels, standardization_stats, n_features, parameters. Parameters are
-arrays written as JSON lists, a decision tree or each forest tree as its
-five parallel node arrays (see tree.py). Floats are serialized via repr and
-therefore round-trip bit-for-bit, so a loaded model predicts identically to
-the one saved. A missing or mistyped field of the envelope or the spec
-(checked, never coerced) is a CorruptModelFile, like a bad checksum or a
-payload nested too deep to decode, and so are parameters predict could not
-use: an array that is not finite or not of the shape n_features and the
-class count give it (kNN training rows, Gaussian NB priors, means and
-variances, logistic weights, standardization means and stds), a kNN class
-outside the class labels or a k other than the spec's, a variance that is
-not positive, standardization stats present without spec.standardize or
-missing with it, and a tree predict could not walk: arrays of unequal
-length, a feature, child or class index out of range, a child that does
-not come after its node, or a forest whose tree count is not its spec's.
+each learner's arrays (dicts and lists of them) written as JSON lists.
+Floats are serialized via repr and therefore round-trip bit-for-bit, so a
+loaded model predicts identically to the one saved. A missing or mistyped
+field of the envelope or the spec (checked, never coerced) is a
+CorruptModelFile, like a bad checksum or a payload nested too deep to
+decode, and so are standardization stats present without spec.standardize
+or missing with it, means or stds that are not n_features finite numbers,
+and parameters predict could not use: the load of the spec's learner in
+base.LEARNERS checks those, and its module's docstring lists the checks.
 Format version 2 introduced the array trees; version 1 (trees as nested
 objects) is rejected like any other version.
 """
@@ -32,8 +27,8 @@ import numpy as np
 
 from ..errors import CorruptModelFile
 from ..features import AUTOCORR
-from . import tree
-from .base import ClassifierKind, ClassifierSpec, TrainedModel
+from .arrays import checked_array
+from .base import LEARNERS, ClassifierKind, ClassifierSpec, TrainedModel
 
 MODEL_FORMAT_VERSION = 2
 
@@ -48,64 +43,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, list):
         return [_jsonable(item) for item in value]
     return value
-
-
-def _array(raw: Any, name: str, shape: tuple, integers: bool = False) -> np.ndarray:
-    """raw as a non-empty, finite float64 (or int64) array of the given
-    shape; a None in shape is any length."""
-    what = "integers" if integers else "numbers"
-    try:
-        values = np.asarray(raw)
-    except ValueError:  # ragged nested lists
-        raise ValueError(f"{name!r} must be a rectangular array of shape {shape}") from None
-    if values.size and values.dtype.kind not in ("i" if integers else "if"):
-        raise ValueError(f"{name!r} must be a list of {what}")
-    if values.size == 0 or values.ndim != len(shape) or any(
-            want is not None and got != want for got, want in zip(values.shape, shape)):
-        raise ValueError(f"{name!r} must be a non-empty array of shape {shape}, got {values.shape}")
-    values = values.astype(np.int64 if integers else np.float64)
-    if not np.all(np.isfinite(values)):  # NaN scores would pick class 0 silently
-        raise ValueError(f"{name!r} holds a value that is not finite")
-    return values
-
-
-def _tree_from_jsonable(raw: Any, n_features: int, n_classes: int) -> dict[str, np.ndarray]:
-    if not isinstance(raw, dict):
-        raise ValueError("a tree must be an object of arrays")
-    arrays = {name: _array(raw[name], name, (None,), integers=name != "threshold")
-              for name in tree.TREE_FIELDS}
-    tree.check_tree(arrays, n_features, n_classes)
-    return arrays
-
-
-def _params_from_jsonable(
-    spec: ClassifierSpec, params: dict[str, Any], n_features: int, n_classes: int
-) -> dict[str, Any]:
-    """The parameters as arrays; a ValueError unless predict can use them."""
-    kind = spec.kind
-    if kind is ClassifierKind.KNN:
-        train_x = _array(params["train_x"], "train_x", (None, n_features))
-        train_y = _array(params["train_y"], "train_y", (train_x.shape[0],), integers=True)
-        if train_y.min() < 0 or train_y.max() >= n_classes:
-            raise ValueError(f"'train_y' holds a class outside [0, {n_classes})")
-        if params["k"] != spec.k:
-            raise ValueError(f"'k' must be spec.k={spec.k}, got {params['k']!r}")
-        return {"train_x": train_x, "train_y": train_y, "k": spec.k}
-    if kind is ClassifierKind.GAUSSIAN_NB:
-        gnb = {"log_priors": _array(params["log_priors"], "log_priors", (n_classes,))}
-        for key in ("means", "variances"):
-            gnb[key] = _array(params[key], key, (n_classes, n_features))
-        if not np.all(gnb["variances"] > 0):
-            raise ValueError("'variances' must all be > 0")
-        return gnb
-    if kind is ClassifierKind.LOGISTIC_REGRESSION:
-        return {"weights": _array(params["weights"], "weights", (n_features + 1, n_classes))}
-    if kind is ClassifierKind.DECISION_TREE:
-        return {"tree": _tree_from_jsonable(params["tree"], n_features, n_classes)}
-    trees = params["trees"]
-    if not isinstance(trees, list) or len(trees) != spec.trees:
-        raise ValueError(f"a forest of spec.trees={spec.trees} needs that many trees")
-    return {"trees": [_tree_from_jsonable(raw, n_features, n_classes) for raw in trees]}
 
 
 def _is_int(value: Any) -> bool:
@@ -212,10 +149,10 @@ def load_model(path: str | Path) -> TrainedModel:
         if (stats is not None) != spec.standardize:
             raise ValueError("standardization_stats must be present iff spec.standardize")
         if stats is not None:
-            stats = tuple(_array(values, name, (n_features,))
+            stats = tuple(checked_array(values, name, (n_features,))
                           for name, values in zip(("means", "stds"), stats))
-        parameters = _params_from_jsonable(spec, payload["parameters"], n_features,
-                                           len(payload["class_labels"]))
+        parameters = LEARNERS[spec.kind].load(payload["parameters"], spec, n_features,
+                                              len(payload["class_labels"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelFile(f"{path}: malformed spec or parameters: {exc!r}") from exc
     return TrainedModel(

@@ -56,14 +56,23 @@ tree is the same grower with one tree and all features.
 
 Prediction advances the node indices of all (row, tree) pairs together,
 one tree level per step. Forest votes are summed and ties go to the
-lowest class index.
+lowest class index; a decision tree votes as a forest of one. A model
+file's tree loads only as one predict can walk: five arrays of one
+non-empty length, finite thresholds, feature indices in [-1, n_features),
+classes inside the class labels, and each child after its node and inside
+the tree; a forest loads only with its spec's tree count.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
+
+from .arrays import checked_array
+
+if TYPE_CHECKING:
+    from .base import ClassifierSpec
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
@@ -335,7 +344,7 @@ def _grow(
         top[tree] = stack
 
 
-def train_tree(X: np.ndarray, y: np.ndarray, n_classes: int) -> dict[str, Any]:
+def train_tree(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ClassifierSpec) -> dict[str, Any]:
     every_feature = np.arange(X.shape[1])[None]
     return {"tree": _grow(X, y, n_classes, np.arange(X.shape[0])[None], lambda _: every_feature)[0]}
 
@@ -422,22 +431,18 @@ def _forest_draws(
     return roots, draw
 
 
-def train_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    n_trees: int,
-    seed: int,
-) -> dict[str, Any]:
-    roots, draw = _forest_draws(seed, n_trees, *X.shape)
+def train_forest(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ClassifierSpec) -> dict[str, Any]:
+    roots, draw = _forest_draws(spec.seed, spec.trees, *X.shape)
     return {"trees": _grow(X, y, n_classes, roots, draw)}
 
 
-def check_tree(tree: dict[str, np.ndarray], n_features: int, n_classes: int) -> None:
-    """Raise ValueError unless the arrays form a tree that predict can walk:
-    equal non-empty lengths, features in [-1, n_features), each internal
-    node's children after it and inside the tree, classes in
-    [0, n_classes) and finite thresholds."""
+def _load_one(raw: Any, n_features: int, n_classes: int) -> dict[str, np.ndarray]:
+    """One model-file tree as its arrays; a ValueError unless predict can
+    walk it, as the module docstring sets out."""
+    if not isinstance(raw, dict):
+        raise ValueError("a tree must be an object of arrays")
+    tree = {name: checked_array(raw[name], name, (None,), integers=name != "threshold")
+            for name in TREE_FIELDS}
     size = tree["value"].size
     if size == 0 or any(tree[name].shape != (size,) for name in TREE_FIELDS):
         raise ValueError("tree arrays must be one-dimensional, non-empty and of equal length")
@@ -453,6 +458,18 @@ def check_tree(tree: dict[str, np.ndarray], n_features: int, n_classes: int) -> 
         raise ValueError(f"tree class outside [0, {n_classes})")
     if not np.all(np.isfinite(tree["threshold"])):
         raise ValueError("tree threshold is not finite")
+    return tree
+
+
+def load_tree(raw: dict[str, Any], spec: ClassifierSpec, n_features: int, n_classes: int) -> dict[str, Any]:
+    return {"tree": _load_one(raw["tree"], n_features, n_classes)}
+
+
+def load_forest(raw: dict[str, Any], spec: ClassifierSpec, n_features: int, n_classes: int) -> dict[str, Any]:
+    trees = raw["trees"]
+    if not isinstance(trees, list) or len(trees) != spec.trees:
+        raise ValueError(f"a forest of spec.trees={spec.trees} needs that many trees")
+    return {"trees": [_load_one(tree, n_features, n_classes) for tree in trees]}
 
 
 def _leaf_values(trees: list[dict[str, np.ndarray]], Q: np.ndarray) -> np.ndarray:
@@ -477,12 +494,9 @@ def _leaf_values(trees: list[dict[str, np.ndarray]], Q: np.ndarray) -> np.ndarra
         node = np.where(internal, np.where(go_left, left[node], right[node]), node)
 
 
-def predict_tree_indices(params: dict[str, Any], Q: np.ndarray) -> np.ndarray:
-    return _leaf_values([params["tree"]], Q)[:, 0]
-
-
-def predict_forest_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np.ndarray:
-    leaves = _leaf_values(params["trees"], Q)
+def predict_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np.ndarray:
+    """The vote of a forest's trees, or of a decision tree as a forest of one."""
+    leaves = _leaf_values(params["trees"] if "trees" in params else [params["tree"]], Q)
     slots = np.arange(Q.shape[0])[:, None] * n_classes + leaves
     votes = np.bincount(slots.ravel(), minlength=Q.shape[0] * n_classes)
     return np.argmax(votes.reshape(Q.shape[0], n_classes), axis=1)  # ties go to the lowest class

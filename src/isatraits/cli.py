@@ -178,6 +178,8 @@ def _labels_sha256(path: str) -> str:
 
 
 def _parse_int_list(raw: str, flag: str, as_float: bool = False) -> list:
+    """flag's values, each one grid point or width: one given twice, compared
+    as parsed (1e9 and 1000000000 are one c), is a usage error."""
     cast = float if as_float else int
     try:
         values = [cast(cell) for cell in raw.split(",") if cell.strip()]
@@ -187,18 +189,9 @@ def _parse_int_list(raw: str, flag: str, as_float: bool = False) -> list:
         raise UsageError(f"{flag}: empty list")
     if not all(math.isfinite(v) and v > 0 for v in values):
         raise UsageError(f"{flag}: values must be positive and finite")
-    return values
-
-
-def _parse_grid(raw: str, as_float: bool = False) -> list:
-    """--grid's values; each is evaluated once, so one given twice, compared
-    as parsed (1e9 and 1000000000 are one c), is a usage error."""
-    values = _parse_int_list(raw, "--grid", as_float)
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise UsageError(f"--grid: {value:g} is given more than once")
-        seen.add(value)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"{flag}: {value:g} is given more than once")
     return values
 
 
@@ -283,14 +276,14 @@ def cmd_gridsearch(args) -> int:
         if args.feature is None:
             raise UsageError("gridsearch c requires --feature")
         lag = _resolve_lag(args.lag, task, "logreg") if args.feature == AUTOCORR else None
-        grid = _parse_grid(args.grid, as_float=True) if args.grid else list(DEFAULT_C_GRID)
+        grid = _parse_int_list(args.grid, "--grid", as_float=True) if args.grid else list(DEFAULT_C_GRID)
         manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_c(manifest, task, FeatureConfig(args.feature, lag), grid)
         print(f"best c: {best:g}")
     else:
         spec = spec_from_name(args.classifier, c=_resolve_c(args.c, task, AUTOCORR),
                               trees=args.trees, seed=args.seed)
-        grid = _parse_grid(args.grid) if args.grid else list(DEFAULT_LAG_GRID)
+        grid = _parse_int_list(args.grid, "--grid") if args.grid else list(DEFAULT_LAG_GRID)
         manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_lag(manifest, task, spec, grid)
         print(f"best lag: {best}")

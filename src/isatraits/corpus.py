@@ -131,9 +131,6 @@ class CorpusManifest:
     def label_of(self, ref: SampleRef) -> IsaLabel:
         return self.registry[ref.isa_name]
 
-    def groups(self) -> list[str]:
-        return sorted({ref.isa_name for ref in self.samples})
-
     def counts_per_isa(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for ref in self.samples:
@@ -432,9 +429,11 @@ def generate_synthetic_fixedwidth(
     offsets, plus variable-length ISAs (synthVAR_i)."""
     if not widths_bits and variable_isas < 1:
         raise ValueError("need at least one width or variable ISA")
-    for w in widths_bits:
+    for i, w in enumerate(widths_bits):
         if w <= 0 or w % 8 != 0:
             raise ValueError(f"width {w} must be a positive multiple of 8 bits")
+        if w in widths_bits[:i]:  # its ISAs would share names, and so files
+            raise ValueError(f"width {w} is given more than once")
     if isas_per_width < 0 or files_per_isa < 1 or variable_isas < 0:
         raise ValueError("counts must be non-negative (files_per_isa >= 1)")
     if widths_bits:

@@ -191,7 +191,6 @@ class LogoSplitPlan:
     in manifest order and each one's task class. It depends on neither the
     feature nor the classifier, so a sweep plans once for every grid value."""
 
-    groups: tuple[str, ...]
     folds: tuple[Fold, ...]
     ids: tuple[int, ...]
     labels: tuple[str, ...]
@@ -226,7 +225,7 @@ def plan_logocv(manifest: CorpusManifest, task: Task) -> LogoSplitPlan:
                           np.array([row_of[i] for i in train], dtype=np.intp),
                           np.array([row_of[i] for i in test], dtype=np.intp)))
     labels = tuple(task_label(manifest.label_of(manifest.samples[i]), task) for i in ids)
-    return LogoSplitPlan(tuple(groups), tuple(folds), tuple(ids), labels)
+    return LogoSplitPlan(tuple(folds), tuple(ids), labels)
 
 
 # ----------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_criterion_5_synthetic_endianness():
         manifest = generate_synthetic_endian(
             isa_count_per_class=4, files_per_isa=20, file_len=65536, seed=202
         )
-        assert len(manifest.groups()) == 8
+        assert len(manifest.counts_per_isa()) == 8
         assert len(manifest.samples) == 160
         report = run_evaluation(
             manifest, Task.ENDIANNESS, FeatureConfig("endsig"), spec_from_name("knn3")

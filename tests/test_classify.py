@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import subprocess
 import sys
 import tracemalloc
 import zlib
@@ -12,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isatraits.classify import (
+    SUITE_NAMES,
     ClassifierKind,
     ClassifierSpec,
     fit,
     load_model,
+    name_of_spec,
     predict,
     save_model,
     spec_from_name,
 )
 from isatraits.classify import knn, tree
+from isatraits.classify.base import LEARNERS
 from isatraits.corpus import generate_synthetic_fixedwidth
 from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTrainingSet
 from isatraits.evaluate import FeatureConfig, Task, extract_features, plan_logocv, task_label
@@ -72,6 +76,24 @@ class TestSpec:
         assert spec_from_name("logreg", c=100.0).c == 100.0
         with pytest.raises(ValueError):
             spec_from_name("svm")
+
+
+class TestLearnerTable:
+    def test_every_kind_has_a_learner(self):
+        assert set(LEARNERS) == set(ClassifierKind)
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_name_of_spec_inverts_spec_from_name(self, name):
+        assert name_of_spec(spec_from_name(name)) == name
+        assert name_of_spec(spec_from_name(name, c=5.0, trees=3, seed=2, standardize=True)) == name
+
+    @pytest.mark.parametrize("module", ["knn", "gaussian_nb", "logistic", "tree", "serialize"])
+    def test_module_imports_first(self, module):
+        # A learner module imported before the package's table must not
+        # meet a half-initialised module on the way.
+        proc = subprocess.run([sys.executable, "-c", f"import isatraits.classify.{module}"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestKnn:
@@ -346,6 +368,13 @@ def _tree_cases():
 TREE_CASES = _tree_cases()
 
 
+DTREE = spec_from_name("dtree")
+
+
+def forest(n_trees, seed):
+    return spec_from_name("rforest", trees=n_trees, seed=seed)
+
+
 def assert_same_tree(flat, reference):
     expected = flatten_reference(reference)
     for name in tree.TREE_FIELDS:
@@ -359,11 +388,11 @@ class TestFlatTrees:
     walking each row."""
 
     def test_tree_matches_reference(self, name, X, y, n_classes):
-        assert_same_tree(tree.train_tree(X, y, n_classes)["tree"], tree_reference(X, y, n_classes))
+        assert_same_tree(tree.train_tree(X, y, n_classes, DTREE)["tree"], tree_reference(X, y, n_classes))
 
     @pytest.mark.parametrize("n_trees", [1, 7, 53, 100])
     def test_forest_matches_reference(self, name, X, y, n_classes, n_trees):
-        flat = tree.train_forest(X, y, n_classes, n_trees, seed=5)["trees"]
+        flat = tree.train_forest(X, y, n_classes, forest(n_trees, seed=5))["trees"]
         reference = forest_reference(X, y, n_classes, n_trees, seed=5)
         assert len(flat) == n_trees
         for grown, expected in zip(flat, reference):
@@ -371,16 +400,16 @@ class TestFlatTrees:
 
     def test_predict_matches_walk(self, name, X, y, n_classes):
         queries = np.vstack([X, np.random.default_rng(22).normal(size=(25, X.shape[1]))])
-        single = tree.train_tree(X, y, n_classes)
+        single = tree.train_tree(X, y, n_classes, DTREE)
         walked = [walk_reference(tree_reference(X, y, n_classes), row) for row in queries]
-        assert tree.predict_tree_indices(single, queries).tolist() == walked
+        assert tree.predict_indices(single, queries, n_classes).tolist() == walked
 
-        forest = tree.train_forest(X, y, n_classes, 7, seed=1)
+        grown = tree.train_forest(X, y, n_classes, forest(7, seed=1))
         votes = np.zeros((queries.shape[0], n_classes), dtype=np.int64)
         for root in forest_reference(X, y, n_classes, 7, seed=1):
             for i, row in enumerate(queries):
                 votes[i, walk_reference(root, row)] += 1
-        assert tree.predict_forest_indices(forest, queries, n_classes).tolist() == \
+        assert tree.predict_indices(grown, queries, n_classes).tolist() == \
             np.argmax(votes, axis=1).tolist()
 
 
@@ -397,7 +426,7 @@ class TestTreeGrowth:
         assert X.shape == (130, 16)
         tracemalloc.start()
         try:
-            tree.train_forest(X, y, 2, 100, seed=0)
+            tree.train_forest(X, y, 2, forest(100, seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,9 +439,9 @@ class TestTreeGrowth:
         high = np.nextafter(low, 2.0)
         assert (low + high) / 2.0 == high
         X = np.array([[low], [high], [low], [high]])
-        grown = tree.train_tree(X, np.array([0, 1, 0, 1]), 2)["tree"]
+        grown = tree.train_tree(X, np.array([0, 1, 0, 1]), 2, DTREE)["tree"]
         assert grown["threshold"][0] == low
-        assert tree.predict_tree_indices({"tree": grown}, X).tolist() == [0, 1, 0, 1]
+        assert tree.predict_indices({"tree": grown}, X, 2).tolist() == [0, 1, 0, 1]
 
     def test_tree_deeper_than_the_recursion_limit(self, tmp_path):
         # Alternating labels on one feature grow a chain: every split peels

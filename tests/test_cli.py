@@ -871,6 +871,17 @@ class TestUsageErrorsBeforeCorpusWork:
         one_error_line(proc, "--widths")
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("widths", ["16,16", "16,016"])
+    def test_synth_repeated_width(self, widths, capsys, tmp_path):
+        code = cli.main(["synth", "fixedwidth", "--widths", widths, "--isas-per-width", "1",
+                         "--files", "2", "--len", "4096", "--variable", "1",
+                         "--out", str(tmp_path / "c")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "error: --widths: 16 is given more than once"]
+        assert not (tmp_path / "c").exists()
+
 
 class TestExportCurves:
     def test_size_kind_grouping(self, size_corpus, tmp_path):

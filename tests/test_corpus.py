@@ -273,7 +273,7 @@ class TestSyntheticEndian:
     def test_shape_arithmetic(self):
         manifest = generate_synthetic_endian(4, 10, 1024, seed=3)
         assert len(manifest.samples) == 80
-        assert len(manifest.groups()) == 8
+        assert len(manifest.counts_per_isa()) == 8
         assert all(len(ref.data) == 1024 for ref in manifest.samples)
 
     def test_labels(self):
@@ -316,7 +316,7 @@ class TestSyntheticFixedWidth:
     def test_shape_arithmetic(self):
         manifest = generate_synthetic_fixedwidth([16, 32], 3, 5, 2048, 3, seed=3)
         assert len(manifest.samples) == 45
-        assert len(manifest.groups()) == 9
+        assert len(manifest.counts_per_isa()) == 9
 
     def test_labels(self):
         manifest = generate_synthetic_fixedwidth([16], 1, 1, 1024, 1, seed=3)
@@ -358,6 +358,8 @@ class TestSyntheticFixedWidth:
             generate_synthetic_fixedwidth([12], 1, 1, 4096, 0, seed=0)  # not a byte multiple
         with pytest.raises(ValueError):
             generate_synthetic_fixedwidth([64], 1, 1, 100, 0, seed=0)  # too short
+        with pytest.raises(ValueError, match="width 16 is given more than once"):
+            generate_synthetic_fixedwidth([16, 32, 16], 1, 2, 4096, 1, seed=0)  # ISA names collide
 
 
 class TestWriteCorpus:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from isatraits.classify import ClassifierKind, ClassifierSpec, logistic
+from isatraits.classify.base import LEARNERS, Learner
 from isatraits.corpus import generate_synthetic_endian, generate_synthetic_fixedwidth
 from isatraits.evaluate import (
     DEFAULT_C_GRID,
@@ -53,24 +54,23 @@ def objective(W, X, y, n_classes, c):
 def logreg_runs(monkeypatch, run, reference):
     """Every logreg fold's predictions and objective while run() evaluates,
     fitted natively or, when reference, by logreg_reference."""
-    native_train, native_predict = logistic.train, logistic.predict_indices
     predictions, objectives = [], []
 
-    def train(X, y, n_classes, c):
+    def train(X, y, n_classes, spec):
         if reference:
-            W = logreg_reference(X, y, n_classes, c)
+            W = logreg_reference(X, y, n_classes, spec.c)
         else:
-            W = native_train(X, y, n_classes, c)["weights"]
-        objectives.append(objective(W, X, y, n_classes, c))
+            W = logistic.train(X, y, n_classes, spec)["weights"]
+        objectives.append(objective(W, X, y, n_classes, spec.c))
         return {"weights": W}
 
-    def predict_indices(params, Q):
-        predictions.append(native_predict(params, Q))
+    def predict_indices(params, Q, n_classes):
+        predictions.append(logistic.predict_indices(params, Q, n_classes))
         return predictions[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(logistic, "train", train)
-        patch.setattr(logistic, "predict_indices", predict_indices)
+        patch.setitem(LEARNERS, ClassifierKind.LOGISTIC_REGRESSION,
+                      Learner(train, predict_indices, logistic.load))
         result = run()
     return result, predictions, objectives
 
@@ -138,7 +138,7 @@ def counted_fit(monkeypatch, X, y, n_classes, c):
     loss_and_grad, calls = counting(logistic._loss_and_grad)
     with monkeypatch.context() as patch:
         patch.setattr(logistic, "_loss_and_grad", loss_and_grad)
-        W = logistic.train(X, y, n_classes, c)["weights"]
+        W = logistic.train(X, y, n_classes, logreg(c))["weights"]
     return W, len(calls)
 
 
@@ -169,7 +169,7 @@ class TestDegenerateTrainingSets:
         assert evaluations <= logistic.MAX_FUN
         assert W.shape == (X.shape[1] + 1, n_classes)
         assert np.isfinite(W).all()
-        assert W.tobytes() == logistic.train(X, y, n_classes, c)["weights"].tobytes()
+        assert W.tobytes() == logistic.train(X, y, n_classes, logreg(c))["weights"].tobytes()
 
     def test_zero_gradient_stops_at_start(self, monkeypatch):
         W, evaluations = counted_fit(monkeypatch, *DEGENERATE["constant-balanced"])
@@ -178,15 +178,15 @@ class TestDegenerateTrainingSets:
 
     def test_constant_features_learn_class_frequencies(self):
         X, y, n_classes, c = DEGENERATE["constant-unbalanced"]
-        W = logistic.train(X, y, n_classes, c)["weights"]
+        W = logistic.train(X, y, n_classes, logreg(c))["weights"]
         scores = np.append(X[0], 1.0) @ W
         probs = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
         np.testing.assert_allclose(probs, [0.6, 0.4], atol=1e-6)
 
     def test_separable_fits_every_sample(self):
         X, y, n_classes, c = DEGENERATE["separable-top-of-grid"]
-        params = logistic.train(X, y, n_classes, c)
-        np.testing.assert_array_equal(logistic.predict_indices(params, X), y)
+        params = logistic.train(X, y, n_classes, logreg(c))
+        np.testing.assert_array_equal(logistic.predict_indices(params, X, n_classes), y)
 
 
 class TestMinimizer:
