@@ -156,7 +156,10 @@ def _matrix(X) -> np.ndarray:
 
 def fit(spec: ClassifierSpec, X: np.ndarray, y: Sequence[str], feature: FeatureConfig) -> TrainedModel:
     """Fit one classifier on the rows of X, of the given feature.
-    Deterministic given (spec, X, y), including any seeded randomness."""
+    Deterministic given (spec, X, y), including any seeded randomness.
+
+    The model may keep the matrix it is given without a copy (a kNN model
+    keeps its training rows), so X must not change while the model is used."""
     matrix = _matrix(X)
     if len(matrix) != len(y):
         raise DimensionMismatch(f"got {len(matrix)} rows but {len(y)} labels")

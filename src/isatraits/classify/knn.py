@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 
 
 def train(X: np.ndarray, y: np.ndarray, n_classes: int, spec: ClassifierSpec) -> dict[str, Any]:
-    return {"train_x": X.copy(), "train_y": y.copy(), "k": int(spec.k)}
+    return {"train_x": X, "train_y": y, "k": int(spec.k)}
 
 
 def predict_indices(params: dict[str, Any], Q: np.ndarray, n_classes: int) -> np.ndarray:

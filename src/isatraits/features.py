@@ -27,16 +27,21 @@ batch of one), from the exact integer lagged products
 p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two paths:
 
 * GEMM (l <= GEMM_LAGS, or l <= GEMM_MAX_LAGS on a series of at least
-  GEMM_WIDE_ROWS rows of width l): each series is read as rows of width
-  w = max(l, GEMM_MIN_WIDTH), GEMM_ROWS rows at a time, each chunk of
-  every series in the batch copied into one reused float32 buffer next to
-  the row that follows each of its rows. One batched float32 matrix
-  product per chunk (a matrix per series) gives every sum of s[i]*s[i+k]
-  over the chunk's i in one residue class mod w; p[k] is its k-th
-  diagonal. Every entry sums at most GEMM_ROWS byte products of at
-  most 255**2, and 256 * 255**2 < 2**24, so each float32 partial sum is an
-  exact integer whatever order, thread split or FMA the BLAS uses. The
-  diagonals are summed in float64, exact below 2**53. O(n l) time.
+  GEMM_WIDE_ROWS rows of width l): banded float32 matrix products. Each
+  series is read as rows of width w, a multiple of the block height bw
+  (GEMM_BLOCK, or max(l, GEMM_MIN_BLOCK) when smaller) with w >= bw + l,
+  at most GEMM_ROWS rows at a time, each chunk of every series in the batch
+  copied once into one reused flat float32 buffer, with the row after it.
+  Block b of every row (its bw bytes at offset b*bw) is multiplied by band
+  b (the bw + l bytes from the same offset, read in place with row stride
+  w), in one batched product per chunk; diagonal k of each (bw, bw + l)
+  product sums s[i]*s[i+k] over the chunk's i in block b, so p[k] is
+  diagonal k summed over the blocks. Only the band of diagonals 0..l is
+  multiplied: 2 * (bw + l) flops per byte. Every entry sums at most
+  GEMM_ROWS byte products of at most 255**2, and 256 * 255**2 < 2**24, so
+  each float32 partial sum is an exact integer whatever order, thread
+  split or FMA the BLAS uses. The diagonals are summed in float64, exact
+  below 2**53. O(n l) time.
 * FFT (every other l): one series and one block of AUTOCORR_BLOCK bytes
   at a time, each block correlated with itself plus the l bytes that
   follow it by a zero-padded real FFT (Wiener-Khinchin). Every moment is
@@ -46,13 +51,13 @@ p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two paths:
   exactly. O(n log(block + l)) time.
 
 Which path is faster was measured (tables in CHANGES.md): at 4 MiB and
-lag 128 the GEMM path took about 40 ms against about 200 ms for the FFT.
+lag 128 the GEMM path took about 22 ms against about 200 ms for the FFT.
 The GEMM path's cost per byte grows with l and, on short series, with its
-per-chunk work, so on 8 KiB the FFT is as fast from about lag 256 up, while
-at lag 512 the GEMM path is about twice as fast from 64 KiB up. Both paths
-keep a series uint8 and copy it only one chunk or block at a time, so a
-batch of one needs O(GEMM_ROWS * l + l**2) or O(block + l) extra memory,
-never O(n).
+per-chunk work, so on 8 KiB the FFT is faster at lag 512, while at lags
+257-512 the GEMM path is faster from 32 rows of width l up (16 KiB at lag
+512); it takes them from GEMM_WIDE_ROWS rows up. Both paths keep a series
+uint8 and copy it only one chunk or block at a time, so a batch of one
+needs O(GEMM_ROWS * l + l**2) or O(block + l) extra memory, never O(n).
 
 The window sums Sx, Sy, Sxx and Syy of every lag come from the series
 total, the lag-0 product and cumulative sums over the first and last l
@@ -62,8 +67,8 @@ f(1..l) is bit-identical to the per-lag computation, whatever the batch,
 and to the first l values of f(1..L) for any L >= l.
 
 Batching pays for many short series, where per-call overhead dominates:
-on 140 series of 8 KiB at lag 16 the GEMM path took 6.5 ms in batches of
-12 against 20 ms one series at a time. The FFT path transforms one series
+on 140 series of 8 KiB at lag 16 the GEMM path took 4-5 ms in batches of
+12 against 16 ms one series at a time. The FFT path transforms one series
 at a time whatever the batch, since batched transforms measured no faster,
 so a batch there shares its moment and Pearson arithmetic, which runs once
 per batch and not once per series: extract_features on 140 series of 8 KiB
@@ -163,23 +168,33 @@ def _pearson_from_moments(m, sx, sy, sxx, syy, sxy) -> np.ndarray:
 # cache; at 32K points each point cost 1.6x as much.
 AUTOCORR_BLOCK = 8 * 1024
 # Up to this many lags the GEMM path is used on any series. The GEMM costs
-# O(l) per byte, a block's FFT O(log(block + l)); on 8 KiB samples the two
-# are level at 256 lags and the FFT is 2x faster at 512 (table in CHANGES.md).
+# O(l) per byte, a block's FFT O(log(block + l)); on 8 KiB samples the GEMM
+# took 0.66 of the FFT's time at 256 lags and 1.5 times it at 512 (tables in
+# CHANGES.md).
 GEMM_LAGS = 256
 # Up to this many lags the GEMM path is also used on a series of at least
 # GEMM_WIDE_ROWS rows of width l, where its per-chunk work is spread over
-# enough rows: at lag 512 it took 0.4-0.6 of the FFT's time from 64 KiB up,
-# but 0.6-1.2 at 32 KiB and 1.2-2.3 at 8-16 KiB. At lag 1024 the FFT is
-# faster at every size (tables in CHANGES.md).
+# enough rows: at lags 257-512 it took 0.24-0.39 of the FFT's time on
+# 64 KiB, 0.27-0.90 on 32 rows, and up to 1.5 times it on 16 rows (a single
+# FFT block). At lag 1024 the FFT is faster at every size (tables in
+# CHANGES.md).
 GEMM_MAX_LAGS = 512
 GEMM_WIDE_ROWS = 128
-# Rows per GEMM chunk. Each float32 product entry sums GEMM_ROWS byte
+# Most rows per GEMM chunk. Each float32 product entry sums GEMM_ROWS byte
 # products of at most 255**2, so it stays an integer below 2**24: exact in
 # any summation order.
 GEMM_ROWS = 256
-# Narrowest row of the GEMM path: below it the per-chunk overhead dominates,
-# so small lags use rows this wide and read fewer diagonals.
-GEMM_MIN_WIDTH = 32
+# Block height of the banded GEMM: each block of GEMM_BLOCK bytes of a row
+# is multiplied by the GEMM_BLOCK + l bytes from its offset, the band of
+# diagonals 0..l and no more, so a byte costs 2 * (GEMM_BLOCK + l) flops
+# (384 at lag 128, where the full product of each row with the row after it
+# costs 512; at 4 MiB that took about 21 against 25-37 ms). Taller blocks
+# multiply more diagonals past l, shorter ones make more, smaller products.
+GEMM_BLOCK = 64
+# Lowest block height, used below this lag: shorter blocks make more, smaller
+# products for the same bytes (4 MiB at lag 1 took 6.6 ms with blocks of 32,
+# 7.5 with 16 and 11.8 with 8).
+GEMM_MIN_BLOCK = 32
 # Bytes a batch of series may stage at once (autocorr_batch_size): 12
 # series of 8 KiB at lag 16, as fast per series as 16 or 32 were, while one
 # series at a time took 3x as long.
@@ -224,33 +239,50 @@ def _fft_row_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
+def _gemm_shape(n: int, max_lag: int) -> tuple[int, int, int]:
+    """(block height bw, row width w, rows per chunk) of the banded GEMM on
+    series of n bytes at lag max_lag: bw is GEMM_BLOCK, or max(max_lag,
+    GEMM_MIN_BLOCK) when that is smaller, w the least multiple of bw with
+    w >= bw + max_lag, and the series' rows split into the fewest chunks of
+    at most GEMM_ROWS rows, of equal size but for the last, so that a
+    ragged last chunk multiplies few rows of zeros."""
+    bw = min(GEMM_BLOCK, max(max_lag, GEMM_MIN_BLOCK))
+    w = -(-(bw + max_lag) // bw) * bw
+    total = max(1, -(-n // w))
+    chunks = -(-total // GEMM_ROWS)
+    return bw, w, -(-total // chunks)
+
+
 def _gemm_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     # Row r of a chunk of series j is s[r*w:(r+1)*w], zero past the end of
-    # the series. Row r of buf[j] is [row r | row r+1], so prod[j] =
-    # this_row[j].T @ buf[j] holds at [a, a + k] the sum of s[i] * s[i + k] over
-    # the chunk's i = a (mod w), for k = 0..w: diagonal k of prod[j], summed,
-    # is the chunk's p[k] of series j.
+    # the series; flat[j] holds the chunk's rows and the row after them.
+    # Block b of a row is its bw bytes at offset b*bw, and band b the bw + l
+    # bytes from there on, which run into the next row: x[j, b] and y[j, b]
+    # read them from every row in place (row stride w >= bw + l, so both are
+    # plain BLAS operands). prod[j, b] = x[j, b].T @ y[j, b] holds at [a, a + k]
+    # the sum of s[i] * s[i + k] over the chunk's i = b*bw + a (mod w), so
+    # diagonal k of prod[j], summed over its blocks, is the chunk's p[k].
     k, n = series.shape
-    w = max(max_lag, GEMM_MIN_WIDTH)
-    rows = min(GEMM_ROWS, max(1, -(-n // w)))
+    bw, w, rows = _gemm_shape(n, max_lag)
+    blocks, band = w // bw, bw + max_lag
     step = rows * w
-    buf = np.empty((k, rows, 2 * w), dtype=np.float32)
-    this_row, next_row = buf[:, :, :w], buf[:, :, w:]
-    prod = np.empty((k, w, 2 * w), dtype=np.float32)
-    item = prod.itemsize
+    flat = np.empty((k, step + w), dtype=np.float32)
+    item = flat.itemsize
+    x = np.lib.stride_tricks.as_strided(
+        flat, shape=(k, blocks, bw, rows), strides=(flat.strides[0], bw * item, item, w * item))
+    y = np.lib.stride_tricks.as_strided(
+        flat, shape=(k, blocks, rows, band), strides=(flat.strides[0], bw * item, w * item, item))
+    prod = np.empty((k, blocks, bw, band), dtype=np.float32)
     diagonals = np.lib.stride_tricks.as_strided(
-        prod, shape=(k, max_lag + 1, w), strides=(2 * w * w * item, item, (2 * w + 1) * item))
+        prod, shape=(k, max_lag + 1, blocks, bw),
+        strides=(prod.strides[0], item, bw * band * item, (band + 1) * item))
     out = np.zeros((k, max_lag + 1), dtype=np.float64)  # integer sums below 2**53: exact
     for start in range(0, n, step):
         seg = series[:, start:start + step + w]
-        if seg.shape[1] < step + w:
-            seg = np.concatenate([seg, np.zeros((k, step + w - seg.shape[1]), dtype=np.uint8)],
-                                 axis=1)
-        seg = seg.reshape(k, rows + 1, w)
-        this_row[:] = seg[:, :-1]
-        next_row[:] = seg[:, 1:]
-        np.matmul(this_row.transpose(0, 2, 1), buf, out=prod)
-        out += diagonals.sum(axis=2, dtype=np.float64)
+        flat[:, :seg.shape[1]] = seg
+        flat[:, seg.shape[1]:] = 0
+        np.matmul(x, y, out=prod)
+        out += diagonals.sum(axis=(2, 3), dtype=np.float64)
     return out.astype(np.int64)
 
 
@@ -277,18 +309,31 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     return kernel(stack, max_lag).reshape(series.shape[:-1] + (max_lag + 1,))
 
 
-def autocorr_batch_size(n: int, l: int) -> int:
-    """How many series of n bytes autocorrelation_rows takes at once at lag l:
-    as many as fit STAGING_BYTES, each costing its n bytes, stacked, about a
-    dozen int64 or float64 moment arrays of l entries and, on the GEMM path,
-    its float32 chunk and product buffers. The FFT path's buffers are one
-    series' worth whatever the batch, since it transforms one series at a
-    time."""
+def _series_staging_bytes(n: int, l: int) -> int:
+    # Per series: its n bytes, stacked, about a dozen int64 or float64 moment
+    # arrays of l entries and, on the GEMM path, its share of the float32
+    # flat chunk and block products. Those buffers are charged at least as
+    # chunks of rows of v = max(l, GEMM_MIN_BLOCK) bytes, each next to the
+    # row after it, and a (v, 2v) product: 73,728 bytes at 8 KiB and lag 16,
+    # where the banded buffers take 45,312. A charge of the banded buffers
+    # alone batched 19 series of 8 KiB at lag 16 instead of 12, and
+    # gridsearch lag then ran slower.
     per_series = n + 12 * 8 * l
     if _uses_gemm(n, l):
-        w = max(l, GEMM_MIN_WIDTH)
-        per_series += (min(GEMM_ROWS, -(-n // w)) + w) * 2 * w * 4
-    return max(1, STAGING_BYTES // per_series)
+        bw, w, rows = _gemm_shape(n, l)
+        v = max(l, GEMM_MIN_BLOCK)
+        per_series += 4 * max((rows + 1) * w + w * (bw + l),
+                              (min(GEMM_ROWS, -(-n // v)) + v) * 2 * v)
+    return per_series
+
+
+def autocorr_batch_size(n: int, l: int) -> int:
+    """How many series of n bytes autocorrelation_rows takes at once at lag l:
+    as many as fit STAGING_BYTES, each costing its bytes, its moment arrays
+    and its GEMM buffers (_series_staging_bytes). The FFT path's buffers are
+    one series' worth whatever the batch, since it transforms one series at
+    a time."""
+    return max(1, STAGING_BYTES // _series_staging_bytes(n, l))
 
 
 def autocorr_series(sample: BinarySample, l: int) -> np.ndarray:

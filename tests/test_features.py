@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -21,13 +22,16 @@ from isatraits.features import (
     AUTOCORR,
     AUTOCORR_BLOCK,
     BIGRAM_DIM,
+    GEMM_BLOCK,
     GEMM_LAGS,
     GEMM_MAX_LAGS,
-    GEMM_MIN_WIDTH,
+    GEMM_MIN_BLOCK,
     GEMM_ROWS,
     GEMM_WIDE_ROWS,
     SIGNATURE_BIGRAMS,
+    STAGING_BYTES,
     FeatureConfig,
+    autocorr_batch_size,
     autocorrelation_feature,
     bigram_histogram,
     endianness_signatures,
@@ -300,6 +304,19 @@ def random_bytes(n, seed):
     return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8).tobytes()
 
 
+def filled_series(n, fill, seed):
+    """n random bytes, or n bytes of 0xff, as a uint8 series."""
+    if fill == "random":
+        return np.frombuffer(random_bytes(n, seed=seed), dtype=np.uint8)
+    return np.full(n, 0xFF, dtype=np.uint8)
+
+
+def int64_products(series, lag):
+    """[sum_i s[i] * s[i + k] for k = 0..lag] by int64 dot products."""
+    wide = series.astype(np.int64)
+    return [int(wide[:wide.size - k] @ wide[k:]) for k in range(lag + 1)]
+
+
 def direct_lagged_product(series, k, chunk=1 << 20):
     """sum_i s[i] * s[i + k] as int64 dot products over chunks of the series."""
     total = 0
@@ -335,23 +352,44 @@ class TestAutocorrKernel:
         assert lagged_products(series, lag).tolist() == expected
 
     @pytest.mark.parametrize("fill", ["random", "0xff"])
-    @pytest.mark.parametrize("lag", [1, GEMM_LAGS, GEMM_LAGS + 1])
+    @pytest.mark.parametrize("lag", [
+        1, GEMM_MIN_BLOCK - 1, GEMM_MIN_BLOCK, GEMM_MIN_BLOCK + 1, GEMM_BLOCK - 1, GEMM_BLOCK,
+        GEMM_BLOCK + 1, 2 * GEMM_BLOCK - 1, 2 * GEMM_BLOCK + 1, GEMM_LAGS, GEMM_LAGS + 1])
     def test_products_at_chunk_boundaries(self, lag, fill):
-        # A GEMM chunk is GEMM_ROWS rows of width max(lag, GEMM_MIN_WIDTH);
-        # all-0xff bytes give the largest float32 partial sums.
-        width = max(lag, GEMM_MIN_WIDTH)
+        # A GEMM chunk holds at most GEMM_ROWS rows of the kernel's row width,
+        # so a byte past GEMM_ROWS or 2 * GEMM_ROWS rows adds a chunk; the
+        # block height leaves GEMM_MIN_BLOCK and GEMM_BLOCK at these lags, and
+        # from 2 * GEMM_BLOCK + 1 a row holds four blocks. All-0xff bytes give
+        # the largest float32 partial sums.
+        bw, width, _ = features._gemm_shape(0, lag)
+        assert width % bw == 0 and width >= bw + lag
         ends = {GEMM_ROWS * lag, GEMM_ROWS * width, 2 * GEMM_ROWS * width}
         for n in sorted(end + d for end in ends for d in (-1, 0, 1)):
-            if fill == "random":
-                series = np.frombuffer(random_bytes(n, seed=n), dtype=np.uint8)
-            else:
-                series = np.full(n, 0xFF, dtype=np.uint8)
-            wide = series.astype(np.int64)
-            expected = [int(wide[:n - k] @ wide[k:]) for k in range(lag + 1)]
-            assert lagged_products(series, lag).tolist() == expected, n
+            series = filled_series(n, fill, seed=n)
+            assert lagged_products(series, lag).tolist() == int64_products(series, lag), n
+
+    @pytest.mark.parametrize("lag", [16, GEMM_LAGS])
+    def test_batch_with_ragged_last_chunk(self, lag):
+        width = features._gemm_shape(0, lag)[1]
+        n = 2 * GEMM_ROWS * width + 5 * width // 3 + 1
+        stack = np.stack([filled_series(n, fill, seed=seed)
+                          for seed, fill in enumerate(["random", "0xff", "random"])])
+        assert lagged_products(stack, lag).tolist() == [int64_products(row, lag) for row in stack]
+
+    @settings(max_examples=60, deadline=None)
+    @given(lag=st.integers(1, 512), extra=st.integers(1, 40_000), fill=st.integers(-1, 255),
+           seed=st.integers(0, 2**32 - 1))
+    def test_products_equal_int64_dots_for_any_series(self, lag, extra, fill, seed):
+        # fill -1: random bytes; otherwise every byte is fill.
+        n = lag + extra
+        if fill < 0:
+            series = np.frombuffer(random_bytes(n, seed), dtype=np.uint8)
+        else:
+            series = np.full(n, fill, dtype=np.uint8)
+        assert lagged_products(series, lag).tolist() == int64_products(series, lag)
 
     @pytest.mark.parametrize("lag, n, path", [
-        (GEMM_LAGS, GEMM_MIN_WIDTH, "gemm"),
+        (GEMM_LAGS, GEMM_MIN_BLOCK, "gemm"),
         (GEMM_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_LAGS + 1) - 1, "fft"),
         (GEMM_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_LAGS + 1), "gemm"),
         (GEMM_MAX_LAGS, GEMM_WIDE_ROWS * GEMM_MAX_LAGS - 1, "fft"),
@@ -403,6 +441,49 @@ class TestAutocorrKernel:
                 assert tracemalloc.get_traced_memory()[1] < 4 << 20, lag
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [4096, 8192, 65536])
+    def test_gemm_buffers_stay_within_the_batch_charge(self, n):
+        # A batch of autocorr_batch_size series is charged n bytes each for
+        # the stack; the kernel's float32 buffers and its (l + 1)-entry sums
+        # must fit in the rest of the charge, at every lag the GEMM takes.
+        # numpy's casting buffers (8,192 elements an operand) come once a
+        # call, not once a series, so they are allowed on top.
+        cast_buffers = 128 << 10
+        rng = np.random.default_rng(n)
+        tracemalloc.start()
+        try:
+            for lag in range(1, GEMM_MAX_LAGS + 1):
+                if not features._uses_gemm(n, lag):
+                    continue
+                size = autocorr_batch_size(n, lag)
+                charged = features._series_staging_bytes(n, lag) - n
+                assert size == 1 or size * (charged + n) <= STAGING_BYTES
+                stack = rng.integers(0, 256, (size, n), dtype=np.uint8)
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                features._gemm_products(stack, lag)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= size * charged + cast_buffers, lag
+        finally:
+            tracemalloc.stop()
+
+    # sha256 of autocorrelation_feature(...).tobytes() on a generated
+    # 1 MiB + 3 B binary, recorded with the full [row | next row] GEMM
+    # product that the banded kernel replaced: the two are bit-identical.
+    PINNED_FEATURES = {
+        16: "fed60192c1380482150ef063632b7a3f8a2f3f0bc6d63427d8ef720ac4c46ec1",
+        128: "49782769654b51e8c833f0fcce07db6c6288c3880fd9addceb572436cef71a32",
+        256: "10ba93e03acf41e57446913bc565860b4240aff9ca9fe1a949d21aecd62c8748",
+        512: "9efad25ff6d461dd7f85ecf56a2b3ebd6fdeb10cc4a868311c65ef166a1af74b",
+    }
+
+    def test_pinned_feature_hashes(self):
+        manifest = generate_synthetic_fixedwidth([32], 1, 1, (1 << 20) + 3, 0, seed=15)
+        binary = manifest.samples[0].load()
+        for lag, digest in self.PINNED_FEATURES.items():
+            values = autocorrelation_feature(binary, lag)
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest, lag
 
     def test_grid_search_lag_loads_and_extracts_each_sample_once(self, monkeypatch):
         manifest = generate_synthetic_fixedwidth([16, 32], 2, 3, 2048, 2, seed=3)
