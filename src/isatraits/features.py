@@ -29,19 +29,19 @@ p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two paths:
 * GEMM (l <= GEMM_LAGS, or l <= GEMM_MAX_LAGS on a series of at least
   GEMM_WIDE_ROWS rows of width l): banded float32 matrix products. Each
   series is read as rows of width w, a multiple of the block height bw
-  (GEMM_BLOCK, or max(l, GEMM_MIN_BLOCK) when smaller) with w >= bw + l,
-  at most GEMM_ROWS rows at a time, each chunk of every series in the batch
-  copied once into one reused flat float32 buffer, with the row after it.
-  Block b of every row (its bw bytes at offset b*bw) is multiplied by band
-  b (the bw + l bytes from the same offset, read in place with row stride
-  w), in one batched product per chunk; diagonal k of each (bw, bw + l)
-  product sums s[i]*s[i+k] over the chunk's i in block b, so p[k] is
-  diagonal k summed over the blocks. Only the band of diagonals 0..l is
-  multiplied: 2 * (bw + l) flops per byte. Every entry sums at most
-  GEMM_ROWS byte products of at most 255**2, and 256 * 255**2 < 2**24, so
-  each float32 partial sum is an exact integer whatever order, thread
-  split or FMA the BLAS uses. The diagonals are summed in float64, exact
-  below 2**53. O(n l) time.
+  that GEMM_BLOCKS gives lag l, with w >= bw + l, at most GEMM_ROWS rows
+  at a time, each chunk of every series in the batch copied once into one
+  reused flat float32 buffer, with the row after it. Block b of every row
+  (its bw bytes at offset b*bw) is multiplied by band b (the bw + l bytes
+  from the same offset, read in place with row stride w), in one batched
+  product per chunk; diagonal k of each (bw, bw + l) product sums
+  s[i]*s[i+k] over the chunk's i in block b, so p[k] is diagonal k summed
+  over the blocks. Only the band of diagonals 0..l is multiplied:
+  2 * (bw + l) flops per byte. Every entry sums at most GEMM_ROWS byte
+  products of at most 255**2, and 256 * 255**2 < 2**24, so each float32
+  partial sum is an exact integer whatever bw, order, thread split or FMA
+  the BLAS uses. The diagonals are summed in float64, exact below 2**53.
+  O(n l) time.
 * FFT (every other l): one series and one block of AUTOCORR_BLOCK bytes
   at a time, each block correlated with itself plus the l bytes that
   follow it by a zero-padded real FFT (Wiener-Khinchin). Every moment is
@@ -51,13 +51,13 @@ p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two paths:
   exactly. O(n log(block + l)) time.
 
 Which path is faster was measured (tables in CHANGES.md): at 4 MiB and
-lag 128 the GEMM path took about 22 ms against about 200 ms for the FFT.
+lag 128 the GEMM path took about 15 ms against about 200 ms for the FFT.
 The GEMM path's cost per byte grows with l and, on short series, with its
 per-chunk work, so on 8 KiB the FFT is faster at lag 512, while at lags
-257-512 the GEMM path is faster from 32 rows of width l up (16 KiB at lag
-512); it takes them from GEMM_WIDE_ROWS rows up. Both paths keep a series
-uint8 and copy it only one chunk or block at a time, so a batch of one
-needs O(GEMM_ROWS * l + l**2) or O(block + l) extra memory, never O(n).
+257-512 the GEMM path is faster from GEMM_WIDE_ROWS rows of width l up
+(12 KiB at lag 512). Both paths keep a series uint8 and copy it only one
+chunk or block at a time, so a batch of one needs O(GEMM_ROWS * l + l**2)
+or O(block + l) extra memory, never O(n).
 
 The window sums Sx, Sy, Sxx and Syy of every lag come from the series
 total, the lag-0 product and cumulative sums over the first and last l
@@ -95,6 +95,10 @@ SIGNATURE_BIGRAMS = (0xFFFE, 0xFEFF, 0x0001, 0x0100)
 # Entry 256*b0 + b1 is the native uint16 of bytes (b0, b1): native-order
 # views, since comparing big-endian views made endsig 2.7x slower on 4 MiB.
 _BIN_WORDS = np.arange(BIGRAM_DIM, dtype=">u2").view(np.uint16)
+# Words per comparison in endianness_signatures, into one reused bool mask:
+# on 4 MiB that took 2.35 ms, against 3.4 for a new mask over each whole
+# 2M-word view (2.5 ms with chunks of 128K words, 3.1 with 1M).
+ENDSIG_CHUNK = 1 << 18
 
 BIGRAMS = "bigrams"
 ENDSIG = "endsig"
@@ -146,9 +150,16 @@ def endianness_signatures(sample: BinarySample) -> np.ndarray:
     """The four signature bins of bigram_histogram, in the fixed order
     (0xfffe, 0xfeff, 0x0001, 0x0100)."""
     even, odd = _pair_words(sample.data)
-    counts = [np.count_nonzero(even == word) + np.count_nonzero(odd == word)
-              for word in _BIN_WORDS[list(SIGNATURE_BIGRAMS)]]
-    return np.array(counts, dtype=np.float64) / (len(sample.data) - 1)
+    words = _BIN_WORDS[list(SIGNATURE_BIGRAMS)]
+    counts = np.zeros(len(words), dtype=np.int64)
+    mask = np.empty(min(even.size, ENDSIG_CHUNK), dtype=bool)
+    for view in (even, odd):
+        for start in range(0, view.size, ENDSIG_CHUNK):
+            chunk = view[start:start + ENDSIG_CHUNK]
+            hits = mask[:chunk.size]
+            for i, word in enumerate(words):
+                counts[i] += np.count_nonzero(np.equal(chunk, word, out=hits))
+    return counts.astype(np.float64) / (len(sample.data) - 1)
 
 
 def _pearson_from_moments(m, sx, sy, sxx, syy, sxy) -> np.ndarray:
@@ -174,27 +185,31 @@ AUTOCORR_BLOCK = 8 * 1024
 GEMM_LAGS = 256
 # Up to this many lags the GEMM path is also used on a series of at least
 # GEMM_WIDE_ROWS rows of width l, where its per-chunk work is spread over
-# enough rows: at lags 257-512 it took 0.24-0.39 of the FFT's time on
-# 64 KiB, 0.27-0.90 on 32 rows, and up to 1.5 times it on 16 rows (a single
-# FFT block). At lag 1024 the FFT is faster at every size (tables in
-# CHANGES.md).
+# enough rows: at lags 257-512 it took 0.46-0.90 of the FFT's time on 24
+# rows, 0.25-0.84 on 32 and 0.19-0.39 on 64 KiB, but up to 1.4 times it on
+# 16 rows (a single FFT block). At lag 1024 the FFT is faster at every size
+# (tables in CHANGES.md).
 GEMM_MAX_LAGS = 512
-GEMM_WIDE_ROWS = 128
+GEMM_WIDE_ROWS = 24
 # Most rows per GEMM chunk. Each float32 product entry sums GEMM_ROWS byte
 # products of at most 255**2, so it stays an integer below 2**24: exact in
 # any summation order.
 GEMM_ROWS = 256
-# Block height of the banded GEMM: each block of GEMM_BLOCK bytes of a row
-# is multiplied by the GEMM_BLOCK + l bytes from its offset, the band of
-# diagonals 0..l and no more, so a byte costs 2 * (GEMM_BLOCK + l) flops
-# (384 at lag 128, where the full product of each row with the row after it
-# costs 512; at 4 MiB that took about 21 against 25-37 ms). Taller blocks
-# multiply more diagonals past l, shorter ones make more, smaller products.
-GEMM_BLOCK = 64
-# Lowest block height, used below this lag: shorter blocks make more, smaller
-# products for the same bytes (4 MiB at lag 1 took 6.6 ms with blocks of 32,
-# 7.5 with 16 and 11.8 with 8).
-GEMM_MIN_BLOCK = 32
+# Block height of the banded GEMM by lag: (top, bw) gives block height bw
+# to the lags above the previous entry's top and up to top. Each block of
+# bw bytes of a row is multiplied by the bw + l bytes from its offset, the
+# band of diagonals 0..l and no more, so a byte costs 2 * (bw + l) flops:
+# taller blocks multiply more diagonals past l, shorter ones make more,
+# smaller products. The time is not monotone in bw, since the BLAS runs
+# some block shapes faster than others, so the heights come from a sweep
+# of lags 1-512, bw 8-64 and 8 KiB to 4 MiB (tables in CHANGES.md). At lag
+# 128 on 4 MiB, bw = 12 took 3.5 ns a byte, 16 took 4.2 and 64 took 4.8.
+# At lags 64-312 bw = 12 was the fastest, or within 8% of it, on 64 KiB to
+# 4 MiB, and within 3% of bw = 16 on 8 KiB; at lags 33-63 the two tied.
+# At lags up to 32 and above 312 the fastest height depended on the size
+# (16 or 12 on short series, 32 or 48-64 on long ones); those ranges take
+# 32 and 64.
+GEMM_BLOCKS = ((32, 32), (312, 12), (GEMM_MAX_LAGS, 64))
 # Bytes a batch of series may stage at once (autocorr_batch_size): 12
 # series of 8 KiB at lag 16, as fast per series as 16 or 32 were, while one
 # series at a time took 3x as long.
@@ -241,12 +256,11 @@ def _fft_row_products(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 def _gemm_shape(n: int, max_lag: int) -> tuple[int, int, int]:
     """(block height bw, row width w, rows per chunk) of the banded GEMM on
-    series of n bytes at lag max_lag: bw is GEMM_BLOCK, or max(max_lag,
-    GEMM_MIN_BLOCK) when that is smaller, w the least multiple of bw with
-    w >= bw + max_lag, and the series' rows split into the fewest chunks of
-    at most GEMM_ROWS rows, of equal size but for the last, so that a
-    ragged last chunk multiplies few rows of zeros."""
-    bw = min(GEMM_BLOCK, max(max_lag, GEMM_MIN_BLOCK))
+    series of n bytes at lag max_lag: bw from GEMM_BLOCKS, w the least
+    multiple of bw with w >= bw + max_lag, and the series' rows split into
+    the fewest chunks of at most GEMM_ROWS rows, of equal size but for the
+    last, so that a ragged last chunk multiplies few rows of zeros."""
+    bw = next(bw for top, bw in GEMM_BLOCKS if max_lag <= top)
     w = -(-(bw + max_lag) // bw) * bw
     total = max(1, -(-n // w))
     chunks = -(-total // GEMM_ROWS)
@@ -313,15 +327,15 @@ def _series_staging_bytes(n: int, l: int) -> int:
     # Per series: its n bytes, stacked, about a dozen int64 or float64 moment
     # arrays of l entries and, on the GEMM path, its share of the float32
     # flat chunk and block products. Those buffers are charged at least as
-    # chunks of rows of v = max(l, GEMM_MIN_BLOCK) bytes, each next to the
-    # row after it, and a (v, 2v) product: 73,728 bytes at 8 KiB and lag 16,
+    # chunks of rows of v = max(l, 32) bytes, each next to the row after
+    # it, and a (v, 2v) product: 73,728 bytes at 8 KiB and lag 16,
     # where the banded buffers take 45,312. A charge of the banded buffers
     # alone batched 19 series of 8 KiB at lag 16 instead of 12, and
     # gridsearch lag then ran slower.
     per_series = n + 12 * 8 * l
     if _uses_gemm(n, l):
         bw, w, rows = _gemm_shape(n, l)
-        v = max(l, GEMM_MIN_BLOCK)
+        v = max(l, 32)
         per_series += 4 * max((rows + 1) * w + w * (bw + l),
                               (min(GEMM_ROWS, -(-n // v)) + v) * 2 * v)
     return per_series
@@ -347,6 +361,20 @@ def autocorr_series(sample: BinarySample, l: int) -> np.ndarray:
     return np.frombuffer(sample.data, dtype=np.uint8)
 
 
+def _series_totals(stack: np.ndarray) -> np.ndarray:
+    # Each series' byte sum, exact in int64: runs of 256 bytes are summed in
+    # uint16 (256 * 255 < 2**16), read in place, and only those partial sums
+    # and the ragged tail are widened. On 4 MiB that took 0.77 ms against
+    # 1.84 for one int64 sum over every byte.
+    k, n = stack.shape
+    head = n - n % 256
+    runs = np.lib.stride_tricks.as_strided(
+        stack, shape=(k, head // 256, 256),
+        strides=(stack.strides[0], 256 * stack.strides[1], stack.strides[1]))
+    return (runs.sum(axis=2, dtype=np.uint16).sum(axis=1, dtype=np.int64)
+            + stack[:, head:].sum(axis=1, dtype=np.int64))
+
+
 def autocorrelation_rows(series: Sequence[np.ndarray], l: int) -> np.ndarray:
     """(f(1), ..., f(l)) of each of a few equal-length series from
     autocorr_series, as the rows of one (len(series), l) array."""
@@ -354,7 +382,7 @@ def autocorrelation_rows(series: Sequence[np.ndarray], l: int) -> np.ndarray:
     stack = series[0][None] if len(series) == 1 else np.stack(series)
     n = stack.shape[1]
     products = lagged_products(stack, l)
-    total = stack.sum(axis=1, dtype=np.int64)[:, None]
+    total = _series_totals(stack)[:, None]
     head = stack[:, :l].astype(np.int64)
     tail = stack[:, n - l:][:, ::-1].astype(np.int64)
     sx = (total - np.cumsum(tail, axis=1)).astype(np.float64)

@@ -22,10 +22,10 @@ from isatraits.features import (
     AUTOCORR,
     AUTOCORR_BLOCK,
     BIGRAM_DIM,
-    GEMM_BLOCK,
+    ENDSIG_CHUNK,
+    GEMM_BLOCKS,
     GEMM_LAGS,
     GEMM_MAX_LAGS,
-    GEMM_MIN_BLOCK,
     GEMM_ROWS,
     GEMM_WIDE_ROWS,
     SIGNATURE_BIGRAMS,
@@ -126,6 +126,17 @@ class TestEndiannessSignatures:
         self.assert_equals_histogram_bins(rng.integers(0, 256, n, dtype=np.uint8).tobytes())
         signature_bytes = np.array([0x00, 0x01, 0xFE, 0xFF], dtype=np.uint8)
         self.assert_equals_histogram_bins(rng.choice(signature_bytes, n).tobytes())
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2, 3, 4 * ENDSIG_CHUNK + 5])
+    def test_inputs_over_several_chunks(self, extra):
+        # The even and odd views of 2 * ENDSIG_CHUNK + extra bytes end one
+        # word short of a chunk, on its end or one word past it; the last
+        # input spans several chunks and a ragged one.
+        n = 2 * ENDSIG_CHUNK + extra
+        rng = np.random.default_rng(n)
+        data = rng.choice(np.array([0x00, 0x01, 0xFE, 0xFF], dtype=np.uint8), n).tobytes()
+        full = bigram_histogram(sample(data))
+        assert np.array_equal(endianness_signatures(sample(data)), full[list(SIGNATURE_BIGRAMS)])
 
     @pytest.mark.parametrize("byte", [0xFF, 0xFE, 0x00, 0x01])
     @pytest.mark.parametrize("n", [2, 3, 1000])
@@ -311,6 +322,16 @@ def filled_series(n, fill, seed):
     return np.full(n, 0xFF, dtype=np.uint8)
 
 
+def block_edge_lags():
+    """The GEMM lags where the kernel's shape changes: the edges of each
+    GEMM_BLOCKS range and of the path, and bw - 1, bw, bw + 1, 2bw - 1 and
+    2bw + 1 for every block height bw."""
+    lags = {1, GEMM_LAGS, GEMM_LAGS + 1}
+    for top, bw in GEMM_BLOCKS:
+        lags |= {top, top + 1, bw - 1, bw, bw + 1, 2 * bw - 1, 2 * bw + 1}
+    return sorted(lag for lag in lags if 1 <= lag <= GEMM_MAX_LAGS)
+
+
 def int64_products(series, lag):
     """[sum_i s[i] * s[i + k] for k = 0..lag] by int64 dot products."""
     wide = series.astype(np.int64)
@@ -352,21 +373,30 @@ class TestAutocorrKernel:
         assert lagged_products(series, lag).tolist() == expected
 
     @pytest.mark.parametrize("fill", ["random", "0xff"])
-    @pytest.mark.parametrize("lag", [
-        1, GEMM_MIN_BLOCK - 1, GEMM_MIN_BLOCK, GEMM_MIN_BLOCK + 1, GEMM_BLOCK - 1, GEMM_BLOCK,
-        GEMM_BLOCK + 1, 2 * GEMM_BLOCK - 1, 2 * GEMM_BLOCK + 1, GEMM_LAGS, GEMM_LAGS + 1])
+    @pytest.mark.parametrize("lag", block_edge_lags())
     def test_products_at_chunk_boundaries(self, lag, fill):
         # A GEMM chunk holds at most GEMM_ROWS rows of the kernel's row width,
-        # so a byte past GEMM_ROWS or 2 * GEMM_ROWS rows adds a chunk; the
-        # block height leaves GEMM_MIN_BLOCK and GEMM_BLOCK at these lags, and
-        # from 2 * GEMM_BLOCK + 1 a row holds four blocks. All-0xff bytes give
-        # the largest float32 partial sums.
-        bw, width, _ = features._gemm_shape(0, lag)
-        assert width % bw == 0 and width >= bw + lag
+        # so a byte past GEMM_ROWS or 2 * GEMM_ROWS rows adds a chunk; at these
+        # lags the block height changes or a row gains a block. All-0xff bytes
+        # give the largest float32 partial sums.
+        width = features._gemm_shape(0, lag)[1]
         ends = {GEMM_ROWS * lag, GEMM_ROWS * width, 2 * GEMM_ROWS * width}
         for n in sorted(end + d for end in ends for d in (-1, 0, 1)):
             series = filled_series(n, fill, seed=n)
             assert lagged_products(series, lag).tolist() == int64_products(series, lag), n
+
+    @pytest.mark.parametrize("n", [0, 1, 4096, 8192, 65536, (1 << 20) + 3, 4 << 20])
+    def test_gemm_shape_holds_every_band(self, n):
+        for lag in range(1, GEMM_MAX_LAGS + 1):
+            bw, width, rows = features._gemm_shape(n, lag)
+            assert width % bw == 0 and width >= bw + lag and 1 <= rows <= GEMM_ROWS, lag
+
+    @pytest.mark.parametrize("n", [3, 255, 256, 257, 4096 + 77])
+    def test_series_totals_are_exact(self, n):
+        # All-0xff runs of 256 bytes give the largest uint16 partial sums.
+        stack = np.stack([filled_series(n, fill, seed=seed)
+                          for seed, fill in enumerate(["random", "0xff", "random"])])
+        assert np.array_equal(features._series_totals(stack), stack.sum(axis=1, dtype=np.int64))
 
     @pytest.mark.parametrize("lag", [16, GEMM_LAGS])
     def test_batch_with_ragged_last_chunk(self, lag):
@@ -389,7 +419,7 @@ class TestAutocorrKernel:
         assert lagged_products(series, lag).tolist() == int64_products(series, lag)
 
     @pytest.mark.parametrize("lag, n, path", [
-        (GEMM_LAGS, GEMM_MIN_BLOCK, "gemm"),
+        (GEMM_LAGS, 32, "gemm"),
         (GEMM_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_LAGS + 1) - 1, "fft"),
         (GEMM_LAGS + 1, GEMM_WIDE_ROWS * (GEMM_LAGS + 1), "gemm"),
         (GEMM_MAX_LAGS, GEMM_WIDE_ROWS * GEMM_MAX_LAGS - 1, "fft"),
