@@ -5,6 +5,12 @@ gridsearch (c or lag sweep), train (fit the three stage models), predict
 (two-stage classification of one binary), export-curves (mean
 autocorrelation per class), stats (label counts and baselines).
 
+COMMANDS holds each command's help line, its cmd_* function and the
+function that adds its flags. A call whose first argument names a command
+builds and parses with that command's parser alone; the full parser,
+built by build_parser from the same table, serves --help, --version, a
+missing or unknown command and the report of an unrecognized argument.
+
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. A --config
 file's key=value lines are read as flags placed before the command line's
 own, so argparse checks them and any explicit flag overrides them.
@@ -17,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -409,16 +416,7 @@ def _add_corpus_flags(p, labels_required=True):
                    help="max files per ISA (lexicographic-first)")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
-        prog="isatraits",
-        description="Detect endianness and instruction-size characteristics of unknown-ISA binaries.",
-    )
-    parser.add_argument("--version", action="version", version=f"isatraits {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with known ground truth")
+def _synth_flags(p):
     p.add_argument("mode", choices=["endian", "fixedwidth"])
     p.add_argument("--isas", type=_positive_int, default=4,
                    help="endian mode: ISAs per endianness class")
@@ -430,10 +428,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--len", type=_positive_int, required=True, help="bytes per file")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="output corpus directory")
-    p.set_defaults(func=cmd_synth)
-    registry["synth"] = p
 
-    p = sub.add_parser("evaluate", help="run a LOGOCV evaluation")
+
+def _evaluate_flags(p):
     p.add_argument("--task", required=True, choices=TASK_NAMES)
     p.add_argument("--feature", required=True, choices=FEATURE_NAMES)
     p.add_argument("--classifier", default="knn3", choices=SUITE_NAMES)
@@ -448,10 +445,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--report", default=None, help="write full JSON report here")
     p.add_argument("--csv", default=None, help="write per-fold CSV here")
     p.add_argument("--config", default=None, help="key=value defaults file")
-    p.set_defaults(func=cmd_evaluate)
-    registry["evaluate"] = p
 
-    p = sub.add_parser("gridsearch", help="sweep c (logreg) or lag (autocorr)")
+
+def _gridsearch_flags(p):
     p.add_argument("mode", choices=["c", "lag"])
     p.add_argument("--task", required=True, choices=TASK_NAMES)
     p.add_argument("--feature", default=None, choices=FEATURE_NAMES, help="c mode: feature to use")
@@ -465,10 +461,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="write the sweep table CSV here")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_gridsearch)
-    registry["gridsearch"] = p
 
-    p = sub.add_parser("train", help="fit the three stage models and write model files")
+
+def _train_flags(p):
     p.add_argument("--corpus", default=None, help="corpus for all stages unless overridden")
     p.add_argument("--labels", default=None)
     for corpus in dict.fromkeys(corpus for _, _, corpus in STAGES):
@@ -483,56 +478,101 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out", required=True, help="directory for endian.model/isvar.model/width.model")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_train)
-    registry["train"] = p
 
-    p = sub.add_parser("predict", help="classify one binary with trained stage models")
+
+def _predict_flags(p):
     for _, prefix, _ in STAGES:
         p.add_argument(f"--{prefix}-model", required=True)
     p.add_argument("binary", help="path to the binary to classify")
-    p.set_defaults(func=cmd_predict)
-    registry["predict"] = p
 
-    p = sub.add_parser("export-curves", help="mean autocorrelation per class as CSV")
+
+def _export_curves_flags(p):
     p.add_argument("--lag", type=_positive_int, required=True)
     p.add_argument("--group-by", default="size-kind", choices=["size-kind", "fixed-bits"])
     _add_corpus_flags(p)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_export_curves)
-    registry["export-curves"] = p
 
-    p = sub.add_parser("stats", help="per-class counts and baselines from a label file")
+
+def _stats_flags(p):
     p.add_argument("--labels", required=True)
     p.add_argument("--corpus", default=None, help="also count files per ISA")
-    p.set_defaults(func=cmd_stats)
-    registry["stats"] = p
 
-    return parser, registry
+
+# A command: its help line in the full parser's listing, the function that
+# runs it on the parsed flags and the function that adds those flags.
+Command = namedtuple("Command", ("help", "run", "add_flags"))
+COMMANDS: dict[str, Command] = {
+    "synth": Command("generate a synthetic corpus with known ground truth", cmd_synth, _synth_flags),
+    "evaluate": Command("run a LOGOCV evaluation", cmd_evaluate, _evaluate_flags),
+    "gridsearch": Command("sweep c (logreg) or lag (autocorr)", cmd_gridsearch, _gridsearch_flags),
+    "train": Command("fit the three stage models and write model files", cmd_train, _train_flags),
+    "predict": Command("classify one binary with trained stage models", cmd_predict, _predict_flags),
+    "export-curves": Command("mean autocorrelation per class as CSV", cmd_export_curves,
+                             _export_curves_flags),
+    "stats": Command("per-class counts and baselines from a label file", cmd_stats, _stats_flags),
+}
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The whole command line: the top-level parser, with every command's
+    parser under it by name. main builds it only to print the top-level
+    help, usage or version and to report an unknown command or an
+    unrecognized argument."""
+    parser = argparse.ArgumentParser(
+        prog="isatraits",
+        description="Detect endianness and instruction-size characteristics of unknown-ISA binaries.",
+    )
+    parser.add_argument("--version", action="version", version=f"isatraits {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers: dict[str, argparse.ArgumentParser] = {}
+    for name, command in COMMANDS.items():
+        subparsers[name] = sub.add_parser(name, help=command.help)
+        command.add_flags(subparsers[name])
+    return parser, subparsers
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """argv parsed by one command's parser. Arguments it does not know are
+    reported as the full parser reports them, with the top-level usage."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        build_parser()[0].error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
-    # The first parse only finds the command and its --config file, so a
-    # command that takes --config does not yet insist on flags the file may
-    # supply. The second parse sees the file's flags and checks everything.
-    deferred = [a for p in registry.values() if "--config" in p._option_string_actions
-                for a in p._actions if a.required and a.option_strings]
+    if not argv or argv[0] not in COMMANDS:
+        # No command first: --help, --version, an empty or unknown command.
+        # The full parser prints or reports it and exits, unless a "--"
+        # comes before the command and the running argparse skips it.
+        args = build_parser()[0].parse_args(argv)
+        argv = argv[argv.index(args.command):]
+    name, argv = argv[0], argv[1:]
+    parser = argparse.ArgumentParser(prog=f"isatraits {name}")
+    COMMANDS[name].add_flags(parser)
+    # A command that takes --config does not yet insist on flags the file
+    # may supply: the first parse finds the file, and a second parse, with
+    # the file's flags placed first, checks everything.
+    deferred = ([a for a in parser._actions if a.required and a.option_strings]
+                if "--config" in parser._option_string_actions else [])
     for action in deferred:
         action.required = False
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     for action in deferred:
         action.required = True
     try:
-        if getattr(args, "config", None):
-            at = argv.index(args.command) + 1
-            argv[at:at] = _config_flags(args.config, registry[args.command])
-        args = parser.parse_args(argv)
-        return args.func(args)
+        # Required flags have no default, so None marks one not given; the
+        # second parse then reports it.
+        if deferred and (args.config or any(getattr(args, a.dest) is None for a in deferred)):
+            if args.config:
+                argv = _config_flags(args.config, parser) + argv
+            args = _parse(parser, argv)
+        return COMMANDS[name].run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        registry[args.command].print_usage(sys.stderr)
+        parser.print_usage(sys.stderr)
         return 2
     except (IsaTraitsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

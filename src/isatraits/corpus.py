@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -110,7 +111,8 @@ class SampleRef:
     def load(self) -> BinarySample:
         payload = self.data
         if payload is None:
-            payload = Path(self.source_path).read_bytes()
+            with open(self.source_path, "rb") as fh:
+                payload = fh.read()
         return BinarySample(payload, self.isa_name, self.source_path)
 
 
@@ -278,16 +280,19 @@ def scan_corpus(
 
     samples: list[SampleRef] = []
     warnings: list[str] = []
-    for child in sorted(root.iterdir(), key=lambda p: p.name):
-        if not child.is_dir():
+    # One scandir per directory; DirEntry.is_dir and is_file follow symlinks
+    # as Path's do, and an entry's path is str(directory / name).
+    with os.scandir(root) as entries:
+        names = sorted(entry.name for entry in entries if entry.is_dir())
+    for name in names:
+        if name not in registry:
+            warnings.append(name)
             continue
-        if child.name not in registry:
-            warnings.append(child.name)
-            continue
-        files = sorted((p for p in child.iterdir() if p.is_file()), key=lambda p: str(p))
+        with os.scandir(root / name) as entries:
+            files = sorted(entry.path for entry in entries if entry.is_file())
         if per_isa_cap is not None:
             files = files[:per_isa_cap]
-        samples.extend(SampleRef(str(p), child.name) for p in files)
+        samples.extend(SampleRef(path, name) for path in files)
 
     if not samples:
         raise EmptyCorpus(f"no samples found under {root}")

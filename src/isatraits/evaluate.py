@@ -91,7 +91,7 @@ def extract_features(
             rows.setdefault(i, {}).setdefault(feature.name, []).append(row)
     batch_rows: list[list[np.ndarray]] = []
     batch: list[np.ndarray] = []  # series of one length, extracted at batch_lag
-    batch_lag = 0
+    batch_lag = batch_cap = 0  # batch_cap: autocorr_batch_size of the batch's length and lag
 
     def flush() -> None:
         for dest, values in zip(batch_rows, autocorrelation_rows(batch, batch_lag)):
@@ -116,9 +116,10 @@ def extract_features(
             raise type(exc)(f"{ref.source_path}: {exc}") from exc
         if lag:
             if batch and (lag != batch_lag or series.size != batch[0].size
-                          or len(batch) == autocorr_batch_size(series.size, lag)):
+                          or len(batch) == batch_cap):
                 flush()
-            batch_lag = lag
+            if not batch:
+                batch_lag, batch_cap = lag, autocorr_batch_size(series.size, lag)
             batch_rows.append(dest)
             batch.append(series)
     if batch:

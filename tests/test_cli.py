@@ -1131,3 +1131,100 @@ def test_main_exits_0_1_or_2_with_one_error_line(fuzz_workspace, data):
     assert "Traceback" not in stderr
     if code != 0:
         assert len([line for line in stderr.splitlines() if "error" in line]) == 1, (argv, stderr)
+
+
+# ----------------------------------------------------------------------
+# Parity: main parses with the named command's parser alone, and must
+# exit, print and fail as the full parser does.
+# ----------------------------------------------------------------------
+
+def full_parser_main(argv):
+    """main's parsing on the full build_parser() tree: every --config
+    command's required flags wait for a second parse, which sees the file's
+    flags placed right after the command."""
+    parser, subparsers = cli.build_parser()
+    deferred = [a for p in subparsers.values() if "--config" in p._option_string_actions
+                for a in p._actions if a.required and a.option_strings]
+    for action in deferred:
+        action.required = False
+    args = parser.parse_args(argv)
+    for action in deferred:
+        action.required = True
+    if getattr(args, "config", None):
+        at = argv.index(args.command) + 1
+        argv[at:at] = cli._config_flags(args.config, subparsers[args.command])
+    args = parser.parse_args(argv)
+    return cli.COMMANDS[args.command].run(args)
+
+
+# An argv after its command that each command parses without error.
+PARITY_ARGV = {
+    "synth": ["endian", "--files", "2", "--len", "64", "--out", "o"],
+    "evaluate": ["--task", "endianness", "--feature", "endsig", "--corpus", "c", "--labels", "l"],
+    "gridsearch": ["lag", "--task", "isvar", "--corpus", "c", "--labels", "l"],
+    "train": ["--corpus", "c", "--labels", "l", "--out", "o"],
+    "predict": ["--endian-model", "e", "--isvar-model", "i", "--width-model", "w", "b"],
+    "export-curves": ["--lag", "16", "--corpus", "c", "--labels", "l"],
+    "stats": ["--labels", "l", "--corpus", "c"],
+}
+assert sorted(PARITY_ARGV) == sorted(cli.COMMANDS)
+
+
+def _parity_cases():
+    yield from ([], ["--help"], ["-h", "predict"], ["--version"], ["frobnicate"], ["--bogus"])
+    for name, valid in PARITY_ARGV.items():
+        yield from ([name], [name, "--help"], [name, *valid], [name, *valid, "extra"],
+                    [name, *valid, "--bogus=1"], [name, *valid, "--class", "knn1"],
+                    [name, *valid, "--conf", "parity.conf"])
+        if "--labels" in valid:  # the file supplies it: required by evaluate, gridsearch, ...
+            at = valid.index("--labels")
+            yield [name, *valid[:at], *valid[at + 2:], "--conf=parity.conf"]
+        for action in _COMMANDS[name]._actions:
+            if action.choices and action.option_strings:
+                yield [name, *valid, action.option_strings[-1], "bogus"]
+            elif action.choices:
+                yield [name, "bogus", *valid[1:]]
+
+
+@pytest.mark.parametrize("argv", list(_parity_cases()), ids=" ".join)
+def test_command_parser_matches_full_parser(argv, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "parity.conf").write_text("cap=2\nlabels=from-config.csv\n")
+    for name, command in cli.COMMANDS.items():  # each command returns what it parsed
+        monkeypatch.setitem(cli.COMMANDS, name, command._replace(
+            run=lambda args: sorted((k, v) for k, v in vars(args).items() if k != "command")))
+
+    def outcome(call):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = call(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    assert outcome(cli.main) == outcome(full_parser_main)
+
+
+def test_a_run_that_succeeds_builds_no_full_parser(models_dir, endian_corpus, monkeypatch,
+                                                  tmp_path, capsys):
+    def refuse():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    query = le_fixed32_query(tmp_path / "query.bin")
+    assert cli.main(["predict", *(arg for _, prefix, _ in cli.STAGES for arg in
+                                  (f"--{prefix}-model", str(models_dir / f"{prefix}.model"))),
+                     str(query)]) == 0
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("task=endianness\nclassifier=knn1\n")
+    assert cli.main(["evaluate", "--config", str(cfg), "--feature", "endsig",
+                     "--corpus", str(endian_corpus),
+                     "--labels", str(endian_corpus / "labels.csv")]) == 0
+    assert cli.main(["evaluate", "--task", "endianness", "--feature", "endsig",
+                     "--corpus", str(endian_corpus),
+                     "--labels", str(endian_corpus / "labels.csv")]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out.splitlines()[0])["endianness"] == "LE"
+    assert "classifier: knn1" in out and "classifier: knn3" in out

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -213,6 +214,25 @@ class TestScanCorpus:
         first = [r.source_path for r in scan_corpus(root, registry).samples]
         second = [r.source_path for r in scan_corpus(root, registry).samples]
         assert first == second == sorted(first)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs symlinks and FIFOs")
+    def test_entries_that_are_not_files(self, tmp_path):
+        """Links are followed: a link to a file is a sample and a link to a
+        directory an ISA. A broken link, a subdirectory and a FIFO are not
+        samples, and a file in the root is not an ISA."""
+        root = self.make_tree(tmp_path, {"a": ["f2", "f0"], "elsewhere": ["g"]})
+        os.symlink(root / "a" / "f0", root / "a" / "f1")
+        os.symlink(root / "a" / "gone", root / "a" / "f3")
+        (root / "a" / "f4").mkdir()
+        os.mkfifo(root / "a" / "f5")
+        os.symlink(root / "elsewhere", root / "b")
+        (root / "stray.bin").write_bytes(b"\0")
+        manifest = scan_corpus(root, self.registry_for("a", "b"))
+        assert [(r.source_path, r.isa_name) for r in manifest.samples] == [
+            (str(root / "a" / "f0"), "a"), (str(root / "a" / "f1"), "a"),
+            (str(root / "a" / "f2"), "a"), (str(root / "b" / "g"), "b")]
+        assert manifest.warnings == ["elsewhere"]
+        assert manifest.samples[1].load().data == bytes([1, 2, 3, 4])
 
 
 # sha256 of every sample's bytes, pinned from the generators as they were
