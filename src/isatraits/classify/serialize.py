@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..corpus import open_regular
 from ..errors import CorruptModelFile
 from ..features import AUTOCORR
 from .arrays import checked_array
@@ -109,7 +110,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> TrainedModel:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_regular(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CorruptModelFile(f"cannot read model file {path}: {exc}") from exc
 

@@ -456,9 +456,7 @@ def _load_one(raw: Any, n_features: int, n_classes: int) -> dict[str, np.ndarray
             raise ValueError(f"tree {name} child must lie after its node and inside the tree")
     if tree["value"].min() < 0 or tree["value"].max() >= n_classes:
         raise ValueError(f"tree class outside [0, {n_classes})")
-    if not np.all(np.isfinite(tree["threshold"])):
-        raise ValueError("tree threshold is not finite")
-    return tree
+    return tree  # checked_array has rejected a threshold that is not finite
 
 
 def load_tree(raw: dict[str, Any], spec: ClassifierSpec, n_features: int, n_classes: int) -> dict[str, Any]:

@@ -34,6 +34,7 @@ from .corpus import (
     generate_synthetic_endian,
     generate_synthetic_fixedwidth,
     manifest_summary,
+    open_regular,
     parse_label_registry,
     scan_corpus,
     write_corpus,
@@ -99,7 +100,9 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     flags: dict[argparse.Action, str | None] = {}  # a repeated key: its last line wins
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    with open_regular(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,7 +184,8 @@ def _class_order(classes, task: Task) -> list[str]:
 
 
 def _labels_sha256(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open_regular(path) as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _parse_int_list(raw: str, flag: str, as_float: bool = False) -> list:
@@ -409,9 +413,9 @@ def cmd_stats(args) -> int:
 # Parser construction
 # ----------------------------------------------------------------------
 
-def _add_corpus_flags(p, labels_required=True):
+def _add_corpus_flags(p):
     p.add_argument("--corpus", required=True, help="corpus root: <root>/<isa>/<files...>")
-    p.add_argument("--labels", required=labels_required, help="label CSV path")
+    p.add_argument("--labels", required=True, help="label CSV path")
     p.add_argument("--cap", type=_positive_int, default=None,
                    help="max files per ISA (lexicographic-first)")
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import os
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateIsa, EmptyCorpus, MalformedLabelFile
+from .errors import DuplicateIsa, EmptyCorpus, MalformedLabelFile, NotRegularFile
 
 LABEL_HEADER = [
     "isa_name",
@@ -46,25 +47,30 @@ class SizeKind(str, Enum):
 @dataclass(frozen=True)
 class InstructionSizeSpec:
     """Instruction-width ground truth: fixed (with width in bits), variable
-    (optionally with a min..max bit range), or unknown."""
+    (optionally with a min..max bit range), or unknown. Errors name the
+    label-file columns the fields are read from: inst_size_bits for
+    fixed_bits, inst_size_min and inst_size_max for variable_range."""
 
     kind: SizeKind
     fixed_bits: int | None = None
-    variable_range: tuple[int, int] | None = None
+    variable_range: tuple[int | None, int | None] | None = None
 
     def __post_init__(self):
         if self.kind is SizeKind.FIXED:
             if self.fixed_bits is None or self.fixed_bits <= 0:
-                raise ValueError("fixed instruction size requires positive fixed_bits")
-            if self.variable_range is not None:
-                raise ValueError("fixed instruction size cannot carry a variable range")
-        else:
-            if self.fixed_bits is not None:
-                raise ValueError(f"{self.kind.value} instruction size cannot carry fixed_bits")
-        if self.variable_range is not None:
-            lo, hi = self.variable_range
-            if lo <= 0 or hi < lo:
-                raise ValueError(f"invalid variable range {lo}..{hi}")
+                raise ValueError("fixed instruction size requires a positive inst_size_bits")
+        elif self.fixed_bits is not None:
+            raise ValueError(f"{self.kind.value} instruction size cannot carry inst_size_bits")
+        if self.variable_range is None:
+            return
+        if self.kind is not SizeKind.VARIABLE:
+            raise ValueError(f"{self.kind.value} instruction size cannot carry a min/max range")
+        lo, hi = self.variable_range
+        if lo is None or hi is None:
+            raise ValueError("inst_size_min and inst_size_max must appear together")
+        if lo <= 0 or hi < lo:
+            raise ValueError(f"invalid min/max range {lo}..{hi}: inst_size_min must be positive"
+                             " and at most inst_size_max")
 
     @classmethod
     def fixed(cls, bits: int) -> "InstructionSizeSpec":
@@ -72,7 +78,7 @@ class InstructionSizeSpec:
 
     @classmethod
     def variable(cls, min_bits: int | None = None, max_bits: int | None = None) -> "InstructionSizeSpec":
-        rng = (min_bits, max_bits) if min_bits is not None and max_bits is not None else None
+        rng = None if min_bits is None and max_bits is None else (min_bits, max_bits)
         return cls(SizeKind.VARIABLE, variable_range=rng)
 
     @classmethod
@@ -99,6 +105,19 @@ class BinarySample:
     source_path: str
 
 
+def open_regular(path: str | Path, mode: str = "rb", **kwargs):
+    """path opened for reading, as open(path, mode, **kwargs) would, if it
+    is a regular file; anything else is a NotRegularFile before any read.
+    The open does not wait for a FIFO's writer (O_NONBLOCK); fstat then
+    checks the file that was opened, so no other can take its place."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise NotRegularFile(f"{path} is not a regular file")
+    os.set_blocking(fd, True)
+    return open(fd, mode, **kwargs)
+
+
 @dataclass(frozen=True)
 class SampleRef:
     """Lazy handle to a sample: synthetic corpora keep bytes in memory,
@@ -111,7 +130,7 @@ class SampleRef:
     def load(self) -> BinarySample:
         payload = self.data
         if payload is None:
-            with open(self.source_path, "rb") as fh:
+            with open_regular(self.source_path) as fh:
                 payload = fh.read()
         return BinarySample(payload, self.isa_name, self.source_path)
 
@@ -122,7 +141,6 @@ class CorpusManifest:
 
     samples: list[SampleRef]
     registry: dict[str, IsaLabel]
-    per_isa_cap: int | None = None
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -181,26 +199,10 @@ def _parse_label_row(row: list[str], line_no: int) -> IsaLabel:
     lo = _parse_optional_int(row[4], line_no, "inst_size_min")
     hi = _parse_optional_int(row[5], line_no, "inst_size_max")
     word = _parse_optional_int(row[6], line_no, "word_size_bits")
-
-    if kind is SizeKind.FIXED:
-        if bits is None:
-            raise MalformedLabelFile(line_no, "fixed instruction size requires inst_size_bits")
-        if lo is not None or hi is not None:
-            raise MalformedLabelFile(line_no, "fixed instruction size cannot have a min/max range")
-        size = InstructionSizeSpec.fixed(bits)
-    elif kind is SizeKind.VARIABLE:
-        if bits is not None:
-            raise MalformedLabelFile(line_no, "variable instruction size cannot have inst_size_bits")
-        if (lo is None) != (hi is None):
-            raise MalformedLabelFile(line_no, "inst_size_min and inst_size_max must appear together")
-        if lo is not None and hi < lo:
-            raise MalformedLabelFile(line_no, f"inst_size_min {lo} exceeds inst_size_max {hi}")
-        size = InstructionSizeSpec.variable(lo, hi)
-    else:
-        if bits is not None or lo is not None or hi is not None:
-            raise MalformedLabelFile(line_no, "unknown instruction size cannot carry size columns")
-        size = InstructionSizeSpec.unknown()
-
+    try:
+        size = InstructionSizeSpec(kind, bits, None if lo is None and hi is None else (lo, hi))
+    except ValueError as exc:
+        raise MalformedLabelFile(line_no, str(exc)) from None
     return IsaLabel(name, endianness, size, word)
 
 
@@ -219,7 +221,7 @@ def parse_label_registry(path: str | Path) -> dict[str, IsaLabel]:
     """Read a label CSV into a registry. Rows with bad enum values or
     malformed integers abort parsing rather than being skipped."""
     registry: dict[str, IsaLabel] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_regular(path, "r", newline="", encoding="utf-8") as fh:
         header_seen = False
         for line_no, row in _csv_rows(fh):
             if not row or (row[0].lstrip().startswith("#")):
@@ -296,7 +298,7 @@ def scan_corpus(
 
     if not samples:
         raise EmptyCorpus(f"no samples found under {root}")
-    return CorpusManifest(samples, dict(registry), per_isa_cap=per_isa_cap, warnings=warnings)
+    return CorpusManifest(samples, dict(registry), warnings=warnings)
 
 
 def write_corpus(manifest: CorpusManifest, out_dir: str | Path) -> Path:

@@ -44,6 +44,11 @@ class EmptyCorpus(IsaTraitsError):
     """The corpus root yielded no usable samples."""
 
 
+class NotRegularFile(IsaTraitsError):
+    """An input path names a FIFO, device, directory or socket: refused
+    before any read, since a FIFO blocks and a device may never end."""
+
+
 # -- features ----------------------------------------------------------
 
 class SampleTooShort(IsaTraitsError):

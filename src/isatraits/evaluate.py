@@ -307,53 +307,66 @@ def _run_fold(
     return FoldResult(fold.held_out_isa, correct / len(fold.test_ids), len(fold.test_ids), confusion)
 
 
+def _logocv(
+    manifest: CorpusManifest,
+    task: Task,
+    points: Sequence[tuple[FeatureConfig, ClassifierSpec]],
+) -> list[EvaluationReport]:
+    """Full LOGOCV at each (feature, classifier) point, all of one feature
+    name: the folds are planned once, every sample is loaded and extracted
+    once, at the widest feature, and each point's folds read its first
+    feature.dim columns, bit-identical to extracting that feature alone.
+    The baseline and the single-ISA classes depend on neither, so they are
+    computed once too."""
+    plan = plan_logocv(manifest, task)
+    widest = max((feature for feature, _ in points), key=lambda feature: feature.dim)
+    matrix = extract_features(manifest, {task: (plan.ids, widest)})[task]
+    baseline = compute_baseline(plan.labels)
+    isas_per_class: dict[str, set[str]] = {}
+    for i, klass in zip(plan.ids, plan.labels):
+        isas_per_class.setdefault(klass, set()).add(manifest.samples[i].isa_name)
+    single = tuple(sorted(k for k, isas in isas_per_class.items() if len(isas) == 1))
+
+    reports = []
+    for feature, classifier in points:
+        features = matrix[:, :feature.dim]
+        per_fold = tuple(_run_fold(fold, features, plan.labels, classifier, feature)
+                         for fold in plan.folds)
+        total = sum(fr.n_test for fr in per_fold)
+        reports.append(EvaluationReport(
+            task=task,
+            feature=feature,
+            classifier=classifier,
+            per_fold=per_fold,
+            feature_accuracy=mean_fold_accuracy([fr.accuracy for fr in per_fold]),
+            pooled_accuracy=sum(fr.accuracy * fr.n_test for fr in per_fold) / total,
+            baseline=baseline,
+            single_isa_classes=single,
+        ))
+    return reports
+
+
 def run_evaluation(
     manifest: CorpusManifest,
     task: Task,
     feature: FeatureConfig,
     classifier: ClassifierSpec,
-    features: np.ndarray | None = None,
-    plan: LogoSplitPlan | None = None,
 ) -> EvaluationReport:
-    """Full LOGOCV: extract features once, fit/score one model per fold in
-    group order, aggregate. plan, when given, is plan_logocv(manifest,
-    task), and features the already extracted `feature` matrix, row r of it
-    sample plan.ids[r]: the grid searches pass both, so that they plan and
-    extract once for a whole sweep."""
-    if plan is None:
-        plan = plan_logocv(manifest, task)
-    ids, labels = plan.ids, plan.labels
-    if features is None:
-        features = extract_features(manifest, {task: (ids, feature)})[task]
-
-    per_fold = [_run_fold(fold, features, labels, classifier, feature) for fold in plan.folds]
-
-    feature_accuracy = mean_fold_accuracy([fr.accuracy for fr in per_fold])
-    total = sum(fr.n_test for fr in per_fold)
-    pooled = sum(fr.accuracy * fr.n_test for fr in per_fold) / total
-
-    baseline = compute_baseline(labels)
-
-    isas_per_class: dict[str, set[str]] = {}
-    for i, klass in zip(ids, labels):
-        isas_per_class.setdefault(klass, set()).add(manifest.samples[i].isa_name)
-    single = tuple(sorted(k for k, isas in isas_per_class.items() if len(isas) == 1))
-
-    return EvaluationReport(
-        task=task,
-        feature=feature,
-        classifier=classifier,
-        per_fold=tuple(per_fold),
-        feature_accuracy=feature_accuracy,
-        pooled_accuracy=pooled,
-        baseline=baseline,
-        single_isa_classes=single,
-    )
+    """Full LOGOCV of one point, the sweep of one: extract features once,
+    fit/score one model per fold in group order, aggregate."""
+    return _logocv(manifest, task, [(feature, classifier)])[0]
 
 
 # ----------------------------------------------------------------------
 # Grid search
 # ----------------------------------------------------------------------
+
+def _best_of(grid: Sequence, reports: Sequence[EvaluationReport]) -> tuple:
+    """(the grid value of best feature accuracy, the (value, accuracy)
+    table); the grid ascends, so ties go to the smaller value."""
+    table = [(value, report.feature_accuracy) for value, report in zip(grid, reports)]
+    return max(table, key=lambda row: row[1])[0], table
+
 
 def grid_search_c(
     manifest: CorpusManifest,
@@ -362,21 +375,15 @@ def grid_search_c(
     c_grid: Sequence[float],
 ) -> tuple[float, list[tuple[float, float]]]:
     """Sweep logistic-regression c over the grid; best is the argmax of
-    feature accuracy, ties to the smaller c. The folds are planned and the
-    features extracted once for the whole grid."""
+    feature accuracy, ties to the smaller c. One LOGOCV sweep serves the
+    whole grid, so the folds are planned and the features extracted once."""
     if not c_grid:
         raise ValueError("c grid must be non-empty")
     if any(c <= 0 for c in c_grid):
         raise ValueError("c values must be positive")
-    plan = plan_logocv(manifest, task)
-    features = extract_features(manifest, {task: (plan.ids, feature)})[task]
-    table = []
-    for c in sorted(c_grid):
-        spec = ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)
-        report = run_evaluation(manifest, task, feature, spec, features=features, plan=plan)
-        table.append((c, report.feature_accuracy))
-    best = max(table, key=lambda row: row[1])  # ascending grid => ties keep smaller c
-    return best[0], table
+    grid = sorted(c_grid)
+    return _best_of(grid, _logocv(manifest, task, [
+        (feature, ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)) for c in grid]))
 
 
 def grid_search_lag(
@@ -387,23 +394,17 @@ def grid_search_lag(
 ) -> tuple[int, list[tuple[int, float]]]:
     """Sweep the autocorrelation lag over the grid; ties to the smaller lag.
 
-    The folds are planned once, and every sample is loaded and extracted
-    once, at the largest lag; each lag's evaluation takes the columns
-    f(1..lag), which are bit-identical to extracting at that lag."""
+    One LOGOCV sweep serves the whole grid: the folds are planned once, and
+    every sample is loaded and extracted once, at the largest lag; each
+    lag's evaluation takes the columns f(1..lag), which are bit-identical
+    to extracting at that lag."""
     if not lag_grid:
         raise ValueError("lag grid must be non-empty")
     if any(lag < 1 for lag in lag_grid):
         raise ValueError("lags must be positive")
-    plan = plan_logocv(manifest, task)
-    widest = FeatureConfig(AUTOCORR, max(lag_grid))
-    features = extract_features(manifest, {task: (plan.ids, widest)})[task]
-    table = []
-    for lag in sorted(lag_grid):
-        report = run_evaluation(manifest, task, FeatureConfig(AUTOCORR, lag), classifier,
-                                features=features[:, :lag], plan=plan)
-        table.append((lag, report.feature_accuracy))
-    best = max(table, key=lambda row: row[1])
-    return best[0], table
+    grid = sorted(lag_grid)
+    return _best_of(grid, _logocv(manifest, task, [
+        (FeatureConfig(AUTOCORR, lag), classifier) for lag in grid]))
 
 
 # ----------------------------------------------------------------------

@@ -67,8 +67,8 @@ f(1..l) is bit-identical to the per-lag computation, whatever the batch,
 and to the first l values of f(1..L) for any L >= l.
 
 Batching pays for many short series, where per-call overhead dominates:
-on 140 series of 8 KiB at lag 16 the GEMM path took 4-5 ms in batches of
-12 against 16 ms one series at a time. The FFT path transforms one series
+on 140 series of 8 KiB at lag 16 the GEMM path took 3.7 ms in batches of
+19, and 3 to 4 times as long one series at a time. The FFT path transforms one series
 at a time whatever the batch, since batched transforms measured no faster,
 so a batch there shares its moment and Pearson arithmetic, which runs once
 per batch and not once per series: extract_features on 140 series of 8 KiB
@@ -210,9 +210,12 @@ GEMM_ROWS = 256
 # (16 or 12 on short series, 32 or 48-64 on long ones); those ranges take
 # 32 and 64.
 GEMM_BLOCKS = ((32, 32), (312, 12), (GEMM_MAX_LAGS, 64))
-# Bytes a batch of series may stage at once (autocorr_batch_size): 12
-# series of 8 KiB at lag 16, as fast per series as 16 or 32 were, while one
-# series at a time took 3x as long.
+# Bytes a batch of series may stage at once (autocorr_batch_size): 19
+# series of 8 KiB at lag 16, 7 at lag 128, 2 at lag 256 and 9 at lag 1024.
+# On 140 series of 8 KiB those batches extracted in 3.7, 9.0 and 22.7 ms
+# at lags 16, 128 and 256, against 4.0, 10.7 and 29.8 ms in the batches of
+# 12, 4 and 1 that a charge for larger buffers allowed; one series at a
+# time took 3 to 4 times as long.
 STAGING_BYTES = 1 << 20
 
 
@@ -326,18 +329,12 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
 def _series_staging_bytes(n: int, l: int) -> int:
     # Per series: its n bytes, stacked, about a dozen int64 or float64 moment
     # arrays of l entries and, on the GEMM path, its share of the float32
-    # flat chunk and block products. Those buffers are charged at least as
-    # chunks of rows of v = max(l, 32) bytes, each next to the row after
-    # it, and a (v, 2v) product: 73,728 bytes at 8 KiB and lag 16,
-    # where the banded buffers take 45,312. A charge of the banded buffers
-    # alone batched 19 series of 8 KiB at lag 16 instead of 12, and
-    # gridsearch lag then ran slower.
+    # buffers _gemm_products allocates: the flat chunk of (rows + 1) * w and
+    # the block products of w * (bw + l).
     per_series = n + 12 * 8 * l
     if _uses_gemm(n, l):
         bw, w, rows = _gemm_shape(n, l)
-        v = max(l, 32)
-        per_series += 4 * max((rows + 1) * w + w * (bw + l),
-                              (min(GEMM_ROWS, -(-n // v)) + v) * 2 * v)
+        per_series += 4 * ((rows + 1) * w + w * (bw + l))
     return per_series
 
 

@@ -23,7 +23,7 @@ from isatraits.classify import (
     save_model,
     spec_from_name,
 )
-from isatraits.classify import knn, tree
+from isatraits.classify import gaussian_nb, knn, tree
 from isatraits.classify.base import LEARNERS
 from isatraits.corpus import generate_synthetic_fixedwidth
 from isatraits.errors import CorruptModelFile, DimensionMismatch, SingleClassTrainingSet
@@ -191,6 +191,15 @@ class TestGaussianNB:
                 - 0.5 * (np.log(2 * np.pi * var) + (q - mean) ** 2 / var)
             )
         assert predict(model, matrix([[q]])) == [model.class_labels[int(np.argmax(scores))]]
+
+    def test_constant_training_data_predicts_the_prior_class(self):
+        # No dimension varies, so the smoothing term falls back to
+        # VAR_SMOOTHING itself; every class then has the same likelihood and
+        # the larger prior wins.
+        X = matrix([[3.0, -1.0]] * 5)
+        model = fit(spec_from_name("gnb"), X, ["b", "a", "b", "a", "b"], FEATURE)
+        assert np.all(model.parameters["variances"] == gaussian_nb.VAR_SMOOTHING)
+        assert predict(model, matrix([[3.0, -1.0], [0.0, 7.0]])) == ["b", "b"]
 
 
 class TestLogisticRegression:
@@ -568,6 +577,14 @@ class TestModelIO:
             load_model(path)
         assert "checksum" in str(err.value)
 
+    def test_malformed_checksum_line(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(fit(spec_from_name("gnb"), *blobs(np.random.default_rng(12), n_per_class=5), FEATURE), path)
+        body = path.read_text().splitlines()[0]
+        path.write_text(f"{body}\ncrc32:not-hex\n")
+        with pytest.raises(CorruptModelFile, match="malformed checksum line"):
+            load_model(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(fit(spec_from_name("gnb"), *blobs(np.random.default_rng(12), n_per_class=5), FEATURE), path)
@@ -595,6 +612,7 @@ class TestModelIO:
         ("spec", {"kind": "knn"}),
         ("feature_name", 7),
         ("lag_param", -4),
+        ("feature_name", "autocorr"),  # saved with the endsig lag_param, null
         ("class_labels", "neg,pos"),
         ("standardization_stats", [[0.0]]),
         ("n_features", "3"),
@@ -680,6 +698,14 @@ class TestTreeModelIO:
         with pytest.raises(CorruptModelFile) as err:
             load_model(dtree_file)
         assert words in str(err.value)
+
+    def test_tree_not_an_object_rejected(self, dtree_file):
+        payload = read_envelope(dtree_file)
+        grown = payload["parameters"]["tree"]
+        payload["parameters"]["tree"] = [grown[name] for name in tree.TREE_FIELDS]
+        write_envelope(dtree_file, payload)
+        with pytest.raises(CorruptModelFile, match="a tree must be an object of arrays"):
+            load_model(dtree_file)
 
     @pytest.mark.parametrize("count", [7, 9])
     def test_forest_tree_count_must_match_spec(self, count, tmp_path):

@@ -25,10 +25,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.conf"))
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "isatraits.cli", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, timeout=timeout,
     )
 
 
@@ -914,6 +914,89 @@ class TestExportCurves:
         assert [row["class"] for row in rows] == ["8"] * 4 + ["16"] * 4
         stats = run_cli("stats", "--labels", corpus / "labels.csv")
         assert "fixed width classes: 8:1 16:1" in stats.stdout
+
+
+# Each reader of an input path, called on the path in sys.argv[1]. A
+# reader that opened a FIFO would wait for a writer, so each runs in a
+# child process under a timeout: a hang fails the test instead of the run.
+READERS = {
+    "sample": "from isatraits.corpus import SampleRef; SampleRef(path, 'x').load()",
+    "labels": "from isatraits.corpus import parse_label_registry; parse_label_registry(path)",
+    "config": "import argparse; from isatraits import cli; p = argparse.ArgumentParser(); "
+              "cli._evaluate_flags(p); cli._config_flags(path, p)",
+    "model": "from isatraits.classify import load_model; load_model(path)",
+    "labels-sha256": "from isatraits import cli; cli._labels_sha256(path)",
+}
+READER_PROBE = """
+import sys
+from isatraits.errors import NotRegularFile
+path = sys.argv[1]
+try:
+    exec(sys.argv[2])
+except NotRegularFile as exc:
+    print(exc)
+else:
+    print("read")
+"""
+# A child has this long to refuse a FIFO; the refusal itself takes
+# milliseconds, and the rest is interpreter start-up.
+FIFO_TIMEOUT_S = 60
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    path = tmp_path / "q.fifo"
+    os.mkfifo(path)
+    return path
+
+
+def refused(proc, path):
+    """proc exited 1 with the one line that names path as not a regular file."""
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: {path} is not a regular file\n"
+    assert proc.stdout == ""
+
+
+@needs_fifo
+class TestNonRegularInputs:
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_each_reader_refuses_a_fifo(self, reader, fifo):
+        proc = subprocess.run([sys.executable, "-c", READER_PROBE, str(fifo), READERS[reader]],
+                              capture_output=True, text=True, timeout=FIFO_TIMEOUT_S)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{fifo} is not a regular file\n"
+
+    @pytest.mark.parametrize("stage", ["binary", "endian-model", "width-model"])
+    def test_predict_refuses_a_fifo(self, stage, fifo, models_dir):
+        paths = {f"{prefix}-model": models_dir / f"{prefix}.model"
+                 for prefix in ("endian", "isvar", "width")}
+        paths["binary"] = le_fixed32_query(fifo.parent / "q.bin")
+        paths[stage] = fifo
+        binary = paths.pop("binary")
+        argv = [arg for flag, path in paths.items() for arg in (f"--{flag}", path)]
+        refused(run_cli("predict", *argv, binary, timeout=FIFO_TIMEOUT_S), fifo)
+
+    @pytest.mark.parametrize("flag", ["--labels", "--config"])
+    def test_evaluate_refuses_a_fifo(self, flag, fifo, endian_corpus):
+        paths = {"--labels": endian_corpus / "labels.csv", flag: fifo}
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
+                       "--corpus", endian_corpus, *itertools.chain(*paths.items()),
+                       timeout=FIFO_TIMEOUT_S)
+        refused(proc, fifo)
+
+    def test_a_directory_is_refused(self, tmp_path, endian_corpus):
+        refused(run_cli("stats", "--labels", tmp_path), tmp_path)
+        refused(run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
+                        "--corpus", endian_corpus, "--labels", endian_corpus / "labels.csv",
+                        "--config", tmp_path), tmp_path)
+
+    @pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
+    def test_dev_null_is_refused(self, models_dir):
+        refused(run_cli("predict", *itertools.chain(*(
+            (f"--{prefix}-model", models_dir / f"{prefix}.model")
+            for prefix in ("endian", "isvar", "width"))), os.devnull), os.devnull)
 
 
 def cli_stdout(*argv) -> bytes:

@@ -75,6 +75,33 @@ class TestLabelRegistry:
         with pytest.raises(MalformedLabelFile):
             parse_label_registry(write_labels(tmp_path, "foo,LE,variable,32,,,\n"))
 
+    # One row per rule of a label row, each on line 3 after a good row, with
+    # words of the rule's message: the size rules are InstructionSizeSpec's.
+    @pytest.mark.parametrize("row, words", [
+        (" ,LE,fixed,32,,,", "empty isa_name"),
+        ("foo,LE,fixed,0,,,", "inst_size_bits: 0 must be positive"),
+        ("foo,LE,variable,,-8,48,", "inst_size_min: -8 must be positive"),
+        ("foo,LE,fixed,32,,,0", "word_size_bits: 0 must be positive"),
+        ("foo,LE,fixed,32,8,48,", "fixed instruction size cannot carry a min/max range"),
+        ("foo,LE,variable,,8,,", "inst_size_min and inst_size_max must appear together"),
+        ("foo,LE,variable,,,48,", "inst_size_min and inst_size_max must appear together"),
+        ("foo,LE,variable,,48,8,", "inst_size_min must be positive and at most inst_size_max"),
+        ("foo,LE,unknown,32,,,", "unknown instruction size cannot carry inst_size_bits"),
+        ("foo,LE,unknown,,8,48,", "unknown instruction size cannot carry a min/max range"),
+    ], ids=["empty-name", "zero-bits", "negative-min", "zero-word", "fixed-with-range",
+            "min-alone", "max-alone", "min-above-max", "unknown-with-bits", "unknown-with-range"])
+    def test_row_rule_broken(self, row, words, tmp_path):
+        with pytest.raises(MalformedLabelFile) as err:
+            parse_label_registry(write_labels(tmp_path, "ok,LE,fixed,32,,,\n" + row + "\n"))
+        assert err.value.line == 3
+        assert words in err.value.reason
+
+    def test_size_rules_hold_outside_label_files(self):
+        with pytest.raises(ValueError, match="must appear together"):
+            InstructionSizeSpec.variable(8)
+        with pytest.raises(ValueError, match="cannot carry a min/max range"):
+            InstructionSizeSpec(SizeKind.UNKNOWN, variable_range=(8, 48))
+
     def test_duplicate_isa(self, tmp_path):
         with pytest.raises(DuplicateIsa):
             parse_label_registry(write_labels(tmp_path, "a,LE,fixed,32,,,\na,BE,fixed,32,,,\n"))

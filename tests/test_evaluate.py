@@ -460,23 +460,30 @@ class TestGridSearch:
             for lag in (4, 16, 64)
         ]
 
-    def test_lag_sweep_plans_once(self, fixedwidth_small, monkeypatch):
-        counts = {"plan_logocv": 0, "eligible_ids": 0}
-        for name in counts:
+    def test_lag_sweep_plans_once(self, fixedwidth_small, endian_small, monkeypatch):
+        # Every LOGOCV entry point plans its folds and extracts its matrix
+        # once, however many grid points it evaluates.
+        names = ("plan_logocv", "eligible_ids", "extract_features")
+        counts = dict.fromkeys(names, 0)
+        for name in names:
             original = getattr(evaluate, name)
 
             def counted(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(evaluate, name, counted)
-        _, table = grid_search_lag(fixedwidth_small, Task.FIXED_VS_VARIABLE,
-                                   spec_from_name("knn3"), DEFAULT_LAG_GRID)
-        assert len(table) == 7
-        assert counts == {"plan_logocv": 1, "eligible_ids": 1}
-        counts.update(plan_logocv=0, eligible_ids=0)
-        run_evaluation(fixedwidth_small, Task.FIXED_VS_VARIABLE, FeatureConfig("autocorr", 16),
-                       spec_from_name("knn3"))
-        assert counts == {"plan_logocv": 1, "eligible_ids": 1}
+        calls = [
+            lambda: grid_search_lag(fixedwidth_small, Task.FIXED_VS_VARIABLE,
+                                    spec_from_name("knn3"), DEFAULT_LAG_GRID)[1],
+            lambda: grid_search_c(endian_small, Task.ENDIANNESS, FeatureConfig("endsig"),
+                                  [1e9, 1e10, 1e11])[1],
+            lambda: [run_evaluation(fixedwidth_small, Task.FIXED_VS_VARIABLE,
+                                    FeatureConfig("autocorr", 16), spec_from_name("knn3"))],
+        ]
+        for call, points in zip(calls, (7, 3, 1)):
+            counts.update(dict.fromkeys(names, 0))
+            assert len(call()) == points
+            assert counts == dict.fromkeys(names, 1)
 
     def test_c_sweep_extracts_each_sample_once(self, endian_small, monkeypatch):
         calls = []
