@@ -100,7 +100,8 @@ def _config_flags(path: str, parser: argparse.ArgumentParser) -> list[str]:
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     flags: dict[argparse.Action, str | None] = {}  # a repeated key: its last line wins
-    with open_regular(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that some editors put first.
+    with open_regular(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -308,7 +309,8 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_train(args) -> int:
     # Every stage's settings, corpus and labels are resolved before any scan.
-    by_corpus: dict[str, tuple] = {}  # corpus flag prefix -> (root, labels, its stages in STAGES order)
+    # Stages of one root and labels share one scan and one load of each sample.
+    by_corpus: dict[tuple[str, str], list] = {}  # (root, labels) -> its stages in STAGES order
     for task, prefix, corpus in STAGES:
         name = getattr(args, f"{prefix}_feature", AUTOCORR)
         classifier = getattr(args, f"{prefix}_classifier")
@@ -320,13 +322,12 @@ def cmd_train(args) -> int:
         if root is None:
             raise UsageError(f"no corpus given for the {prefix} stage: pass --{corpus}-corpus or --corpus")
         labels = getattr(args, f"{corpus}_labels") or args.labels or str(Path(root) / "labels.csv")
-        by_corpus.setdefault(corpus, (root, labels, []))[2].append(
-            (task, prefix, FeatureConfig(name, lag), spec))
+        by_corpus.setdefault((root, labels), []).append((task, prefix, FeatureConfig(name, lag), spec))
 
     # Every stage is fitted before any file is written, so a failing stage
     # leaves --out as it was.
     models = []
-    for root, labels, stages in by_corpus.values():
+    for (root, labels), stages in by_corpus.items():
         manifest = _load_manifest(root, labels, args.cap)
         ids = {task: eligible_ids(manifest, task) for task, _, _, _ in stages}
         features = extract_features(manifest, {task: (ids[task], feature)
@@ -393,7 +394,8 @@ def cmd_stats(args) -> int:
         counts: dict[str, int] = {}
         for x in labels:
             counts[x] = counts.get(x, 0) + 1
-        print(f"{title} classes: " + " ".join(f"{k}:{counts[k]}" for k in _class_order(counts, task)))
+        print(f"{title} classes: "
+              + (" ".join(f"{k}:{counts[k]}" for k in _class_order(counts, task)) or "none"))
         if labels:
             b = compute_baseline(labels)
             print(f"{title} baseline: {b.most_frequent_count}/{b.total_count} = {b.baseline:.3f}")

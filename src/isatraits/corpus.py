@@ -221,7 +221,8 @@ def parse_label_registry(path: str | Path) -> dict[str, IsaLabel]:
     """Read a label CSV into a registry. Rows with bad enum values or
     malformed integers abort parsing rather than being skipped."""
     registry: dict[str, IsaLabel] = {}
-    with open_regular(path, "r", newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first.
+    with open_regular(path, "r", newline="", encoding="utf-8-sig") as fh:
         header_seen = False
         for line_no, row in _csv_rows(fh):
             if not row or (row[0].lstrip().startswith("#")):
@@ -434,8 +435,6 @@ def generate_synthetic_fixedwidth(
     """Synthetic corpus for instruction-size tasks: back-to-back fixed-width
     instructions (synthW<bits>_i) with per-ISA opcode bytes at fixed
     offsets, plus variable-length ISAs (synthVAR_i)."""
-    if not widths_bits and variable_isas < 1:
-        raise ValueError("need at least one width or variable ISA")
     for i, w in enumerate(widths_bits):
         if w <= 0 or w % 8 != 0:
             raise ValueError(f"width {w} must be a positive multiple of 8 bits")
@@ -443,6 +442,8 @@ def generate_synthetic_fixedwidth(
             raise ValueError(f"width {w} is given more than once")
     if isas_per_width < 0 or files_per_isa < 1 or variable_isas < 0:
         raise ValueError("counts must be non-negative (files_per_isa >= 1)")
+    if (not widths_bits or isas_per_width == 0) and variable_isas == 0:
+        raise ValueError("need at least one ISA: a width with isas_per_width >= 1, or a variable ISA")
     if widths_bits:
         min_len = 64 * (max(widths_bits) // 8)
         if file_len < min_len:

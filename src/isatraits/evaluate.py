@@ -19,8 +19,10 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby, islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence, TextIO
+from typing import Callable, Hashable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -80,50 +82,45 @@ def extract_features(
     is the feature of sample ids[r]. Every sample is loaded once, in
     manifest order, and its autocorrelation extracted once, at the largest
     lag any stage asks of it; a stage at a smaller lag takes the first
-    columns, bit-identical to extracting at that lag. Runs of consecutive
-    samples of one length and lag share one autocorrelation_rows call, in
-    batches of autocorr_batch_size. Errors name the sample: every sample is
+    columns, bit-identical to extracting at that lag. The samples an
+    autocorr stage reads form runs of consecutive samples of one lag and
+    length, and each run is cut into batches of autocorr_batch_size, one
+    autocorrelation_rows call each. Errors name the sample: every sample is
     checked in manifest order before it joins a batch."""
     matrices = {key: np.empty((len(ids), feature.dim)) for key, (ids, feature) in stages.items()}
     rows: dict[int, dict[str, list[np.ndarray]]] = {}  # id -> feature name -> its stage rows
     for key, (ids, feature) in stages.items():
         for i, row in zip(ids, matrices[key]):
             rows.setdefault(i, {}).setdefault(feature.name, []).append(row)
-    batch_rows: list[list[np.ndarray]] = []
-    batch: list[np.ndarray] = []  # series of one length, extracted at batch_lag
-    batch_lag = batch_cap = 0  # batch_cap: autocorr_batch_size of the batch's length and lag
 
-    def flush() -> None:
-        for dest, values in zip(batch_rows, autocorrelation_rows(batch, batch_lag)):
-            for row in dest:
-                row[:] = values[:row.size]
-        batch_rows.clear()
-        batch.clear()
+    def autocorr_samples():
+        # Each sample loaded and its other features filled, in manifest
+        # order; one that an autocorr stage reads yields ((lag, length),
+        # its autocorr rows, its series).
+        for i in sorted(rows):
+            ref = manifest.samples[i]
+            dest = rows[i].pop(AUTOCORR, None)
+            try:
+                sample = ref.load()
+                for name, stage_rows in rows[i].items():
+                    values = extract_feature(sample, FeatureConfig(name))
+                    for row in stage_rows:
+                        row[:] = values
+                if dest:
+                    lag = max(row.size for row in dest)
+                    series = autocorr_series(sample, lag)
+            except IsaTraitsError as exc:
+                raise type(exc)(f"{ref.source_path}: {exc}") from exc
+            if dest:
+                yield (lag, series.size), dest, series
 
-    for i in sorted(rows):
-        ref = manifest.samples[i]
-        dest = rows[i].pop(AUTOCORR, None)
-        lag = max(row.size for row in dest) if dest else 0
-        try:
-            sample = ref.load()
-            for name, stage_rows in rows[i].items():
-                values = extract_feature(sample, FeatureConfig(name))
-                for row in stage_rows:
-                    row[:] = values
-            if lag:
-                series = autocorr_series(sample, lag)
-        except IsaTraitsError as exc:
-            raise type(exc)(f"{ref.source_path}: {exc}") from exc
-        if lag:
-            if batch and (lag != batch_lag or series.size != batch[0].size
-                          or len(batch) == batch_cap):
-                flush()
-            if not batch:
-                batch_lag, batch_cap = lag, autocorr_batch_size(series.size, lag)
-            batch_rows.append(dest)
-            batch.append(series)
-    if batch:
-        flush()
+    for (lag, n), run in groupby(autocorr_samples(), key=itemgetter(0)):
+        size = autocorr_batch_size(n, lag)
+        while batch := list(islice(run, size)):
+            values = autocorrelation_rows([series for _, _, series in batch], lag)
+            for (_, dest, _), sample_values in zip(batch, values):
+                for row in dest:
+                    row[:] = sample_values[:row.size]
     return matrices
 
 
@@ -361,9 +358,19 @@ def run_evaluation(
 # Grid search
 # ----------------------------------------------------------------------
 
-def _best_of(grid: Sequence, reports: Sequence[EvaluationReport]) -> tuple:
+def _grid_search(manifest: CorpusManifest, task: Task, grid: Sequence, what: str,
+                 point: Callable[..., tuple[FeatureConfig, ClassifierSpec]]) -> tuple:
     """(the grid value of best feature accuracy, the (value, accuracy)
-    table); the grid ascends, so ties go to the smaller value."""
+    table) of one LOGOCV sweep over the grid, value v evaluated at the
+    (feature, classifier) pair point(v). The folds are planned and the
+    features extracted once for the whole grid; the grid is swept in
+    ascending order, so ties go to the smaller value."""
+    if not grid:
+        raise ValueError(f"{what} grid must be non-empty")
+    if any(value <= 0 for value in grid):
+        raise ValueError(f"{what} values must be positive")
+    grid = sorted(grid)
+    reports = _logocv(manifest, task, [point(value) for value in grid])
     table = [(value, report.feature_accuracy) for value, report in zip(grid, reports)]
     return max(table, key=lambda row: row[1])[0], table
 
@@ -375,15 +382,9 @@ def grid_search_c(
     c_grid: Sequence[float],
 ) -> tuple[float, list[tuple[float, float]]]:
     """Sweep logistic-regression c over the grid; best is the argmax of
-    feature accuracy, ties to the smaller c. One LOGOCV sweep serves the
-    whole grid, so the folds are planned and the features extracted once."""
-    if not c_grid:
-        raise ValueError("c grid must be non-empty")
-    if any(c <= 0 for c in c_grid):
-        raise ValueError("c values must be positive")
-    grid = sorted(c_grid)
-    return _best_of(grid, _logocv(manifest, task, [
-        (feature, ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)) for c in grid]))
+    feature accuracy, ties to the smaller c."""
+    return _grid_search(manifest, task, c_grid, "c", lambda c: (
+        feature, ClassifierSpec(ClassifierKind.LOGISTIC_REGRESSION, c=c)))
 
 
 def grid_search_lag(
@@ -393,18 +394,11 @@ def grid_search_lag(
     lag_grid: Sequence[int],
 ) -> tuple[int, list[tuple[int, float]]]:
     """Sweep the autocorrelation lag over the grid; ties to the smaller lag.
-
-    One LOGOCV sweep serves the whole grid: the folds are planned once, and
-    every sample is loaded and extracted once, at the largest lag; each
-    lag's evaluation takes the columns f(1..lag), which are bit-identical
-    to extracting at that lag."""
-    if not lag_grid:
-        raise ValueError("lag grid must be non-empty")
-    if any(lag < 1 for lag in lag_grid):
-        raise ValueError("lags must be positive")
-    grid = sorted(lag_grid)
-    return _best_of(grid, _logocv(manifest, task, [
-        (FeatureConfig(AUTOCORR, lag), classifier) for lag in grid]))
+    Every sample is extracted once, at the largest lag; each lag's
+    evaluation takes the columns f(1..lag), which are bit-identical to
+    extracting at that lag."""
+    return _grid_search(manifest, task, lag_grid, "lag",
+                        lambda lag: (FeatureConfig(AUTOCORR, lag), classifier))
 
 
 # ----------------------------------------------------------------------

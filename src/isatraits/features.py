@@ -73,10 +73,11 @@ at a time whatever the batch, since batched transforms measured no faster,
 so a batch there shares its moment and Pearson arithmetic, which runs once
 per batch and not once per series: extract_features on 140 series of 8 KiB
 at lag 1024 took about 49 ms in batches of 9 against 59 ms one series at a
-time. autocorr_batch_size caps a batch so that its stacked bytes, moment
-arrays and, on the GEMM path, float32 buffers stay within STAGING_BYTES,
-whatever the corpus size; a series too long to share that budget is a
-batch of one, read in place.
+time. extract_features cuts the samples it reads into runs of one length
+and lag, and each run into batches of autocorr_batch_size, which caps a
+batch so that its stacked bytes, moment arrays and, on the GEMM path,
+float32 buffers stay within STAGING_BYTES, whatever the corpus size; a
+series too long to share that budget is a batch of one, read in place.
 """
 
 from __future__ import annotations
@@ -246,17 +247,6 @@ def _block_products(ext: np.ndarray, count: int, max_lag: int, size: int) -> np.
     return np.rint(np.fft.irfft(spec, size)[: max_lag + 1]).astype(np.int64)
 
 
-def _fft_row_products(series: np.ndarray, max_lag: int) -> np.ndarray:
-    n = series.size
-    block = AUTOCORR_BLOCK
-    size = _fast_len(min(n, block) + max_lag)
-    out = np.zeros(max_lag + 1, dtype=np.int64)
-    for start in range(0, n, block):
-        out += _block_products(series[start:start + block + max_lag], min(block, n - start),
-                               max_lag, size)
-    return out
-
-
 def _gemm_shape(n: int, max_lag: int) -> tuple[int, int, int]:
     """(block height bw, row width w, rows per chunk) of the banded GEMM on
     series of n bytes at lag max_lag: bw from GEMM_BLOCKS, w the least
@@ -304,9 +294,14 @@ def _gemm_products(series: np.ndarray, max_lag: int) -> np.ndarray:
 
 
 def _fft_products(series: np.ndarray, max_lag: int) -> np.ndarray:
-    out = np.empty((series.shape[0], max_lag + 1), dtype=np.int64)
+    k, n = series.shape
+    block = AUTOCORR_BLOCK
+    size = _fast_len(min(n, block) + max_lag)
+    out = np.zeros((k, max_lag + 1), dtype=np.int64)
     for row, products in zip(series, out):
-        products[:] = _fft_row_products(row, max_lag)
+        for start in range(0, n, block):
+            products += _block_products(row[start:start + block + max_lag], min(block, n - start),
+                                        max_lag, size)
     return out
 
 

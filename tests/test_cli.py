@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -18,7 +19,13 @@ from hypothesis import strategies as st
 
 from isatraits import cli, evaluate
 from isatraits.classify import fit, save_model, spec_from_name
-from isatraits.corpus import parse_label_registry, scan_corpus
+from isatraits.corpus import (
+    Endianness,
+    SampleRef,
+    parse_label_registry,
+    scan_corpus,
+    write_label_registry,
+)
 from isatraits.evaluate import AUTOCORR, DEFAULT_AUTOCORR_LAGS, DEFAULT_LOGREG_C, Task
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -195,6 +202,16 @@ class TestEvaluate:
                        "--report", report_b)
         assert proc.returncode == 0
         assert json.loads(report_b.read_text())["config"]["classifier"] == "knn5"
+
+    def test_config_file_with_byte_order_mark(self, endian_corpus, tmp_path):
+        cfg = tmp_path / "bom.conf"
+        cfg.write_bytes(b"\xef\xbb\xbfclassifier=knn1\n")
+        report = tmp_path / "report.json"
+        proc = run_cli("evaluate", "--task", "endianness", "--feature", "endsig",
+                       "--config", cfg, "--corpus", endian_corpus,
+                       "--labels", endian_corpus / "labels.csv", "--report", report)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(report.read_text())["config"]["classifier"] == "knn1"
 
     @pytest.mark.parametrize("key", ["frobnicate", "help", "config"])
     def test_unknown_config_key_is_usage_error(self, key, endian_corpus, tmp_path):
@@ -730,6 +747,44 @@ class TestTrainPredict:
         save_model(direct, tmp_path / "direct.model")
         assert (tmp_path / "direct.model").read_text() == (out / "width.model").read_text()
 
+    def test_train_shared_corpus_is_scanned_and_loaded_once(self, endian_corpus, size_corpus,
+                                                            tmp_path, monkeypatch):
+        # Both synthetic corpora under one root with one label file, as in
+        # cpu_rec; the size ISAs get a byte order too, so every stage reads them.
+        merged = tmp_path / "merged"
+        shutil.copytree(endian_corpus, merged)
+        registry = parse_label_registry(endian_corpus / "labels.csv")
+        size_labels = parse_label_registry(size_corpus / "labels.csv")
+        for n, (name, label) in enumerate(sorted(size_labels.items())):
+            shutil.copytree(size_corpus / name, merged / name)
+            registry[name] = dataclasses.replace(label, endianness=Endianness("LE" if n % 2 else "BE"))
+        write_label_registry(registry, merged / "labels.csv")
+
+        def train(out, *corpus_flags):
+            loads, scans = [], []
+            original_load, original_scan = SampleRef.load, cli.scan_corpus
+            monkeypatch.setattr(SampleRef, "load",
+                                lambda ref: loads.append(ref.source_path) or original_load(ref))
+            monkeypatch.setattr(cli, "scan_corpus",
+                                lambda *args, **kwargs: scans.append(args[0])
+                                or original_scan(*args, **kwargs))
+            assert cli.main(["train", *corpus_flags, "--isvar-lag", "64", "--width-lag", "32",
+                             "--out", str(out)]) == 0
+            monkeypatch.undo()
+            return loads, scans
+
+        loads, scans = train(tmp_path / "shared", "--corpus", str(merged))
+        assert len(scans) == 1
+        assert sorted(loads) == sorted(ref.source_path
+                                       for ref in scan_corpus(merged, registry).samples)
+        # Two spellings of one directory are two corpora: two scans, the same models.
+        _, scans = train(tmp_path / "spelled", "--endian-corpus", str(merged),
+                             "--size-corpus", f"{merged}/.")
+        assert len(scans) == 2
+        for name in ("endian", "isvar", "width"):
+            assert ((tmp_path / "shared" / f"{name}.model").read_bytes()
+                    == (tmp_path / "spelled" / f"{name}.model").read_bytes())
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_train_error_names_the_file(self, existing, endian_corpus, size_corpus, tmp_path):
         corpus = tmp_path / "size"
@@ -1073,6 +1128,13 @@ class TestStats:
         assert "17/25 = 0.680" in proc.stdout
         assert "16:6" in proc.stdout and "24:1" in proc.stdout
         assert "32:17" in proc.stdout and "128:1" in proc.stdout
+
+    def test_task_without_eligible_isas(self, size_corpus):
+        proc = run_cli("stats", "--labels", size_corpus / "labels.csv")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "endianness classes: none" in lines
+        assert "endianness baseline: n/a (no eligible ISAs)" in lines
 
     def test_file_counts_with_corpus(self, endian_corpus):
         proc = run_cli("stats", "--labels", endian_corpus / "labels.csv",

@@ -113,6 +113,12 @@ class TestLabelRegistry:
             parse_label_registry(path)
         assert err.value.line == 1
 
+    def test_byte_order_mark_ignored(self, cpurec_labels_path, tmp_path):
+        # Spreadsheets' "CSV UTF-8" export puts a BOM before the header.
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + cpurec_labels_path.read_bytes())
+        assert parse_label_registry(path) == parse_label_registry(cpurec_labels_path)
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("# comment\n" + HEADER + "\n# another\nfoo,LE,fixed,32,,,\n")
@@ -407,6 +413,9 @@ class TestSyntheticFixedWidth:
             generate_synthetic_fixedwidth([64], 1, 1, 100, 0, seed=0)  # too short
         with pytest.raises(ValueError, match="width 16 is given more than once"):
             generate_synthetic_fixedwidth([16, 32, 16], 1, 2, 4096, 1, seed=0)  # ISA names collide
+        for widths, per_width in (([16], 0), ([], 3)):  # no ISA at all
+            with pytest.raises(ValueError, match="need at least one ISA"):
+                generate_synthetic_fixedwidth(widths, per_width, 1, 4096, 0, seed=0)
 
 
 class TestWriteCorpus:

@@ -332,12 +332,14 @@ class TestBatchedExtraction:
         assert max(batches) == min(size, count)
 
     def test_first_too_short_sample_is_named(self):
-        lengths = [4096] * 5 + [100] + [4096] * 3 + [50] + [4096] * 2
-        manifest = byte_manifest(lengths)
-        ids = list(range(len(lengths)))
-        with pytest.raises(SampleTooShort) as err:
-            extract_features(manifest, {0: (ids, FeatureConfig("autocorr", 200))})
-        assert str(err.value).startswith("mem://5: ")
+        # The first short sample after a part batch, then right after a full one.
+        for head in (5, features.autocorr_batch_size(4096, 200)):
+            lengths = [4096] * head + [100] + [4096] * 3 + [50] + [4096] * 2
+            manifest = byte_manifest(lengths)
+            ids = list(range(len(lengths)))
+            with pytest.raises(SampleTooShort) as err:
+                extract_features(manifest, {0: (ids, FeatureConfig("autocorr", 200))})
+            assert str(err.value).startswith(f"mem://{head}: "), head
 
     def test_extra_memory_does_not_grow_with_the_corpus(self):
         def extra(count, lag):
@@ -422,6 +424,13 @@ class TestGridSearch:
             grid_search_c(endian_small, Task.ENDIANNESS, FeatureConfig("endsig"), [])
         with pytest.raises(ValueError):
             grid_search_c(endian_small, Task.ENDIANNESS, FeatureConfig("endsig"), [-1.0])
+
+    def test_lag_grid_validation(self, fixedwidth_small):
+        spec = spec_from_name("knn1")
+        with pytest.raises(ValueError, match="lag grid must be non-empty"):
+            grid_search_lag(fixedwidth_small, Task.FIXED_VS_VARIABLE, spec, [])
+        with pytest.raises(ValueError, match="lag values must be positive"):
+            grid_search_lag(fixedwidth_small, Task.FIXED_VS_VARIABLE, spec, [16, 0])
 
     def test_lag_sweep_on_width32_corpus(self):
         manifest = generate_synthetic_fixedwidth([32], 3, 3, 4096, 3, seed=23)
