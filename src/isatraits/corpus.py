@@ -339,26 +339,78 @@ def _endian_stream(rng: np.random.Generator, n: int, byte_order: str) -> np.ndar
     Small magnitudes keep the high bytes at 0x00 (positives) or 0xff
     (negatives), which is what makes the four endianness-signature
     bigrams dominate on real code and data.
-    """
-    kinds = rng.integers(0, 4, size=n)  # 0,1 filler; 2 int16; 3 int32
-    magnitudes = rng.geometric(0.3, size=n)
-    signs = rng.integers(0, 2, size=n) * 2 - 1
-    values = np.clip(magnitudes * signs, -32768, 32767)
-    fillers = rng.integers(0, 256, size=n, dtype=np.uint8)
 
-    # Only the tokens that reach byte n matter: about n / 2 of the n drawn.
-    lengths = np.array([1, 1, 2, 4], dtype=np.uint8)[kinds]
-    k = int(np.searchsorted(np.cumsum(lengths, dtype=np.int64), n)) + 1
-    kinds, lengths, values = kinds[:k], lengths[:k], values[:k]
+    The bytes are fixed by four draws from rng, in this order:
+
+    1. n token kinds, ``integers(0, 4)``: 0 and 1 a filler byte, 2 an
+       int16, 3 an int32. An int32 dtype draws the same values as int64.
+    2. n magnitudes, ``geometric(0.3)``, drawn as numpy draws them for
+       p < 1/3: ceil(E / -log1p(-0.3)) of n ``standard_exponential`` E.
+    3. n signs, ``integers(0, 2)``: 1 positive, 0 negative; the value is
+       the signed magnitude clipped to int16.
+    4. k filler bytes, ``integers(0, 256, dtype=uint8)``.
+
+    Only the first k tokens, about n / 2, reach byte n, and k is known
+    only once the kinds are drawn. Draws 1-3 are still taken at length n:
+    each starts where the one before it stopped, and an exponential reads
+    a varying number of words from the stream, so a shorter draw would
+    move every later one. The fillers come last, so k of them suffice.
+    """
+    kinds = rng.integers(0, 4, size=n, dtype=np.int32)
+    k = _token_count(kinds, n)
+    kinds = kinds[:k].astype(np.uint8)
     # Every token as the 4 bytes of an int32, of which it keeps the first
-    # 1, 2 or 4. The values fit in 16 bits, so an int16 is the int32's low
-    # half, which comes last in big-endian order unless shifted up.
+    # 1, 2 or 4. Each draw is cut to its first k values and let go before
+    # the next draw, which then reuses its memory.
+    exponentials = rng.standard_exponential(n)
+    magnitudes = exponentials[:k]
+    magnitudes /= -np.log1p(-0.3)
+    np.ceil(magnitudes, out=magnitudes)
+    np.minimum(magnitudes, 32768.0, out=magnitudes)  # before the cast to int32
+    words = magnitudes.astype(np.int32)
+    del exponentials, magnitudes
+    signs = rng.integers(0, 2, size=n, dtype=np.int32)[:k]
+    signs *= 2
+    signs -= 1
+    words *= signs
+    del signs
+    np.minimum(words, 32767, out=words)
+    # A filler token keeps one byte: its word's low byte becomes the filler.
+    fillers = rng.integers(0, 256, size=k, dtype=np.uint8)
+    blend = words ^ fillers
+    blend &= np.array([0xFF, 0xFF, 0, 0], dtype=np.int32).take(kinds)
+    words ^= blend
+    del blend
     if byte_order == ">":
-        values = np.where(kinds == 2, values << 16, values)
-    table = values.astype(byte_order + "i4").view(np.uint8).reshape(k, 4)
-    table[:, 0] = np.where(kinds < 2, fillers[:k], table[:, 0])
-    keep = np.arange(4) < lengths[:, None]
-    return np.compress(keep.ravel(), table)[:n]  # row-major: tokens in order
+        # Big-endian order writes the high byte first, so the filler moves
+        # to the top byte and an int16 to the top half.
+        words <<= np.array([24, 24, 16, 0], dtype=np.int32).take(kinds)
+    table = words.astype(byte_order + "i4", copy=False).view(np.uint8)
+    # Each token's keep mask is the bytes of one little-endian word: 1, 2 or 4 ones.
+    keep = np.array([0x01, 0x01, 0x0101, 0x01010101], dtype="<u4").take(kinds).view(np.bool_)
+    return np.compress(keep, table)[:n]  # row-major: tokens in order
+
+
+def _token_count(kinds: np.ndarray, n: int) -> int:
+    """How many tokens, of lengths 1, 1, 2, 4 bytes by kind, it takes to
+    reach byte n: the first k whose lengths sum to at least n.
+
+    Tokens average 2 bytes with a standard deviation under 1.3, so the
+    k-th nearly always lies within a window of 4 sqrt(n) tokens around
+    n / 2, more than 9 standard deviations wide each side. The bytes
+    before the window are counted, and only the window is summed in
+    order; if k falls outside it, the whole of kinds is.
+    """
+    lengths = np.array([1, 1, 2, 4], dtype=np.uint8)
+    margin = 4 * int(n ** 0.5) + 64
+    for lo, hi in ((max(0, n // 2 - margin), min(n, n // 2 + margin)), (0, n)):
+        head = kinds[:lo]
+        start = lo + np.count_nonzero(head >= 2) + 2 * np.count_nonzero(head == 3)
+        ends = np.cumsum(lengths.take(kinds[lo:hi]), dtype=np.int64)
+        ends += start
+        if start < n <= ends[-1]:  # always so for the whole: n tokens are n bytes or more
+            break
+    return lo + int(np.searchsorted(ends, n)) + 1
 
 
 def generate_synthetic_endian(
@@ -385,9 +437,9 @@ def generate_synthetic_endian(
             for file_idx in range(files_per_isa):
                 rng = np.random.default_rng([_STREAM_ENDIAN, seed, class_idx, isa_idx, file_idx])
                 # Made into bytes once the stream's temporaries are freed, so the
-                # bytes kept do not sit between them and fragment the heap: 80
-                # files of 64 KiB peaked at 48.7 MB RSS, against 51.8 MB with
-                # the bytes made among the temporaries.
+                # bytes kept do not sit between them and fragment the heap: 160
+                # files of 64 KiB peaked at 46.9 MB RSS in a fresh process,
+                # against 47.3 MB with the bytes made among the temporaries.
                 data = _endian_stream(rng, file_len, byte_order).tobytes()
                 samples.append(SampleRef(f"{isa}/{file_idx:04d}.bin", isa, data))
     return CorpusManifest(samples, registry)

@@ -10,7 +10,9 @@ the batched tree grower (forest_reference draws its trees' bootstraps and
 feature subsets one Python int at a time), knn_reference, the kNN vote
 one query row at a time that the whole-array vote replaced, and
 logreg_reference, the logistic-regression fit by scipy's L-BFGS-B that the
-package used before its own minimizer.
+package used before its own minimizer, and endian_stream_reference, the
+synthetic endian stream as it was drawn before it was made to assemble
+only the tokens it keeps.
 """
 
 import itertools
@@ -275,3 +277,28 @@ def logreg_reference(X, y, n_classes, c):
         options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": FTOL, "maxfun": MAX_FUN},
     )
     return result.x.reshape(d + 1, n_classes)
+
+
+def endian_stream_reference(rng, n, byte_order):
+    """The synthetic endian stream built over all n drawn tokens, with
+    numpy's geometric draw: corpus._endian_stream must match it byte for
+    byte from the same generator state."""
+    kinds = rng.integers(0, 4, size=n)  # 0,1 filler; 2 int16; 3 int32
+    magnitudes = rng.geometric(0.3, size=n)
+    signs = rng.integers(0, 2, size=n) * 2 - 1
+    values = np.clip(magnitudes * signs, -32768, 32767)
+    fillers = rng.integers(0, 256, size=n, dtype=np.uint8)
+
+    # Only the tokens that reach byte n matter: about n / 2 of the n drawn.
+    lengths = np.array([1, 1, 2, 4], dtype=np.uint8)[kinds]
+    k = int(np.searchsorted(np.cumsum(lengths, dtype=np.int64), n)) + 1
+    kinds, lengths, values = kinds[:k], lengths[:k], values[:k]
+    # Every token as the 4 bytes of an int32, of which it keeps the first
+    # 1, 2 or 4. The values fit in 16 bits, so an int16 is the int32's low
+    # half, which comes last in big-endian order unless shifted up.
+    if byte_order == ">":
+        values = np.where(kinds == 2, values << 16, values)
+    table = values.astype(byte_order + "i4").view(np.uint8).reshape(k, 4)
+    table[:, 0] = np.where(kinds < 2, fillers[:k], table[:, 0])
+    keep = np.arange(4) < lengths[:, None]
+    return np.compress(keep.ravel(), table)[:n]  # row-major: tokens in order

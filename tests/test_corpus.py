@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isatraits.corpus import (
@@ -13,6 +14,7 @@ from isatraits.corpus import (
     IsaLabel,
     SampleRef,
     SizeKind,
+    _endian_stream,
     generate_synthetic_endian,
     generate_synthetic_fixedwidth,
     parse_label_registry,
@@ -22,7 +24,7 @@ from isatraits.corpus import (
 )
 from isatraits.errors import DuplicateIsa, EmptyCorpus, MalformedLabelFile
 
-from oracles import autocorr_oracle
+from oracles import autocorr_oracle, endian_stream_reference
 
 HEADER = "isa_name,endianness,inst_size_kind,inst_size_bits,inst_size_min,inst_size_max,word_size_bits\n"
 
@@ -285,6 +287,14 @@ ENDIAN_SHA256 = {
     "synthBE_1/0001.bin": "6a80bd21eb1397c5eecea090d85de49affba8a9d7b71b24d7ae047d3518ecfea",
     "synthBE_1/0002.bin": "9b4219b45509e597cabc398c3a5d019d71334365cfe881a43e467d964c2975ff",
 }
+# An odd length, cut inside a token, with both classes; pinned from the
+# generator that drew every token at full length, as the oracle does.
+ENDIAN_ODD_SHA256 = {
+    "synthLE_0/0000.bin": "e2bb7cc0b3088768fa14645ebeb817c6745102e14f494150f5731b806686da30",
+    "synthLE_0/0001.bin": "f1ceaf62a10cb2f0ed1b0cb869a612855be7acb8f84b2f54d366131aaebae0e3",
+    "synthBE_0/0000.bin": "a38b69500cd29995a28f283e71a21c83a602e4fb0751d2eea39005461e0f1636",
+    "synthBE_0/0001.bin": "35e1df40162c8bc7cf0b65f4e8158ffda0fc651dea70831a5c7864fe33d2bdd5",
+}
 FIXEDWIDTH_SHA256 = {
     "synthW16_0/0000.bin": "03e30fb71e8c71c474c61d799d543efac16ac94d534b64e0dd4c75bf142859b0",
     "synthW16_0/0001.bin": "2c61dfc7ae84659d123103eb0470f2882009acf6c9e589f20ea9212c01188001",
@@ -315,8 +325,9 @@ FIXEDWIDTH_SHA256 = {
 
 @pytest.mark.parametrize("manifest, pinned", [
     (lambda: generate_synthetic_endian(2, 3, 4096, seed=3), ENDIAN_SHA256),
+    (lambda: generate_synthetic_endian(1, 2, 65539, seed=11), ENDIAN_ODD_SHA256),
     (lambda: generate_synthetic_fixedwidth([16, 32, 64], 2, 3, 2048, 2, seed=3), FIXEDWIDTH_SHA256),
-], ids=["endian", "fixedwidth"])
+], ids=["endian", "endian-odd", "fixedwidth"])
 def test_generated_bytes_are_pinned(manifest, pinned):
     samples = manifest().samples
     assert {ref.source_path: hashlib.sha256(ref.data).hexdigest() for ref in samples} == pinned
@@ -363,6 +374,100 @@ class TestSyntheticEndian:
             generate_synthetic_endian(0, 1, 1024, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic_endian(1, 1, 512, seed=0)
+
+
+class ScriptedGenerator:
+    """Stands in for the np.random.Generator of _endian_stream and of its
+    reference: each draw returns the values chosen for it, repeated to the
+    size asked. A geometric draw is made from the chosen exponentials as
+    numpy makes it, and they are chosen so that it gives the magnitudes."""
+
+    def __init__(self, kinds, magnitudes, signs, fillers):
+        self.chosen = {4: kinds, 2: signs, 256: fillers}  # by the draw's upper bound
+        self.exponentials = (np.asarray(magnitudes, dtype=np.float64) - 0.5) * -np.log1p(-0.3)
+        assert np.array_equal(self.geometric(0.3, len(magnitudes)), magnitudes)
+
+    def integers(self, low, high, size, dtype=np.int64):
+        return np.resize(np.asarray(self.chosen[high], dtype=dtype), size)
+
+    def geometric(self, p, size):
+        return np.ceil(-np.resize(self.exponentials, size) / np.log1p(-p)).astype(np.int64)
+
+    def standard_exponential(self, size):
+        return np.resize(self.exponentials, size)
+
+
+class TestEndianStream:
+    """_endian_stream against endian_stream_reference, the stream built
+    over all n drawn tokens with numpy's geometric draw."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1024, 70000), byte_order=st.sampled_from("<>"))
+    @example(seed=0, n=1025, byte_order="<")
+    @example(seed=1, n=1026, byte_order=">")
+    @example(seed=2, n=1027, byte_order="<")
+    @example(seed=3, n=69999, byte_order=">")
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, seed, n, byte_order):
+        got = _endian_stream(np.random.default_rng(seed), n, byte_order)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, endian_stream_reference(np.random.default_rng(seed), n, byte_order))
+
+    @pytest.mark.parametrize("byte_order, expected", [
+        ("<", "ff7f 0080 ff7f0000 0080ffff ab"),
+        (">", "7fff 8000 00007fff ffff8000 ab"),
+    ])
+    def test_clip_bytes(self, byte_order, expected):
+        """Magnitudes past int16 clip to 32767 and -32768 in int16 and
+        int32 tokens alike, and a big-endian int16 is the top half."""
+        rng = ScriptedGenerator(kinds=[2, 2, 3, 3, 0], magnitudes=[2**40, 32768, 32768, 2**40, 1],
+                                signs=[1, 0, 1, 0, 1], fillers=[0, 0, 0, 0, 0xAB])
+        got = _endian_stream(rng, 13, byte_order)
+        assert got.tobytes() == bytes.fromhex(expected)
+        assert np.array_equal(got, endian_stream_reference(rng, 13, byte_order))
+
+    # Every int token kind, clip-edge magnitude and sign between fillers;
+    # then fillers only and int32s only, whose token counts fall outside
+    # the window around n / 2 that _endian_stream sums first.
+    TOKENS = [(kind, magnitude, sign) for kind, magnitude, sign
+              in itertools.product([0, 2, 1, 3], [1, 32767, 32768, 2**40], [0, 1])]
+
+    @pytest.mark.parametrize("kinds, magnitudes, signs", [
+        tuple(zip(*TOKENS)), ([0, 1], [3], [1]), ([3], [32767, 32768, 2**40, 5], [0, 1, 1]),
+    ], ids=["every-token", "fillers-only", "int32-only"])
+    @pytest.mark.parametrize("byte_order", "<>")
+    @pytest.mark.parametrize("n", [4096, 4099])
+    def test_scripted_draws_match_reference(self, kinds, magnitudes, signs, byte_order, n):
+        rng = ScriptedGenerator(kinds, magnitudes, signs, fillers=np.arange(7, 256, 13))
+        got = _endian_stream(rng, n, byte_order)
+        assert np.array_equal(got, endian_stream_reference(rng, n, byte_order))
+
+
+class TestNumpyDrawContract:
+    """The numpy draws _endian_stream relies on to reproduce the stream of
+    its reference: the same values, and the stream left at the same place."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_geometric_is_ceil_of_standard_exponential(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        geometric = a.geometric(0.3, size=4097)
+        exponentials = b.standard_exponential(4097)
+        assert np.array_equal(geometric, np.ceil(exponentials / -np.log1p(-0.3))), (
+            "numpy's geometric(0.3) is no longer ceil(standard_exponential / -log1p(-0.3)); "
+            "_endian_stream draws its magnitudes so and must follow the new geometric draw")
+        assert a.integers(0, 2**32, size=3).tolist() == b.integers(0, 2**32, size=3).tolist(), (
+            "numpy's geometric(0.3) no longer reads as much of the stream as "
+            "standard_exponential; every draw _endian_stream makes after it would move")
+
+    @pytest.mark.parametrize("high", [2, 4])
+    def test_int32_integers_draw_as_int64(self, high):
+        a, b = np.random.default_rng(high), np.random.default_rng(high)
+        int64 = a.integers(0, high, size=4097)
+        int32 = b.integers(0, high, size=4097, dtype=np.int32)
+        assert np.array_equal(int64, int32), (
+            f"numpy's integers(0, {high}) draws other values for int32 than for int64; "
+            "_endian_stream draws its kinds and signs as int32")
+        assert a.integers(0, 2**32, size=3).tolist() == b.integers(0, 2**32, size=3).tolist(), (
+            f"numpy's integers(0, {high}) reads the stream differently for int32 and int64")
 
 
 class TestSyntheticFixedWidth:
