@@ -63,6 +63,8 @@ class ClassifierSpec:
             raise ValueError(f"logistic regression c must be positive, got {self.c}")
         if self.kind is ClassifierKind.RANDOM_FOREST and self.trees < 1:
             raise ValueError(f"random forest needs >= 1 tree, got {self.trees}")
+        if self.seed < 0:  # as load_model requires of a model file
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -94,24 +96,12 @@ CLASSIFIER_NAMES: dict[str, ClassifierSpec] = {
 SUITE_NAMES = tuple(CLASSIFIER_NAMES)
 
 
-def spec_from_name(
-    name: str,
-    c: float | None = None,
-    trees: int | None = None,
-    seed: int | None = None,
-    standardize: bool = False,
-) -> ClassifierSpec:
+def spec_from_name(name: str, **overrides: Any) -> ClassifierSpec:
+    """The suite's spec of that name with the given fields (say c, trees,
+    seed or standardize) replaced."""
     if name not in CLASSIFIER_NAMES:
         raise ValueError(f"unknown classifier {name!r}; valid: {', '.join(SUITE_NAMES)}")
-    spec = CLASSIFIER_NAMES[name]
-    updates: dict[str, Any] = {"standardize": standardize}
-    if c is not None:
-        updates["c"] = c
-    if trees is not None:
-        updates["trees"] = trees
-    if seed is not None:
-        updates["seed"] = seed
-    return replace(spec, **updates)
+    return replace(CLASSIFIER_NAMES[name], **overrides)
 
 
 def name_of_spec(spec: ClassifierSpec) -> str:
@@ -166,6 +156,9 @@ def fit(spec: ClassifierSpec, X: np.ndarray, y: Sequence[str], feature: FeatureC
     if len(matrix) < 2:
         raise DimensionMismatch(f"training needs >= 2 samples, got {len(matrix)}")
 
+    for label in y:  # a model file's class labels are strings
+        if not isinstance(label, str):
+            raise ValueError(f"class labels must be strings, got {label!r}")
     class_labels = sorted(set(y))
     if len(class_labels) < 2:
         raise SingleClassTrainingSet(f"training set has a single class {class_labels[0]!r}")

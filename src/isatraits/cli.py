@@ -11,6 +11,10 @@ builds and parses with that command's parser alone; the full parser,
 built by build_parser from the same table, serves --help, --version, a
 missing or unknown command and the report of an unrecognized argument.
 
+evaluate, gridsearch and train build each (feature, classifier) pair they
+run with _resolve, which fills an unset lag or c from the tuned tables in
+evaluate; predict prints the object predict_unknown returns.
+
 Exit codes: 0 success, 1 runtime/data error, 2 usage error. A --config
 file's key=value lines are read as flags placed before the command line's
 own, so argparse checks them and any explicit flag overrides them.
@@ -27,7 +31,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
-from .classify import SUITE_NAMES, fit, load_model, save_model, spec_from_name
+from .classify import SUITE_NAMES, ClassifierSpec, fit, load_model, save_model, spec_from_name
 from .corpus import (
     CorpusManifest,
     SampleRef,
@@ -166,17 +170,22 @@ def _load_manifest(corpus: str, labels: str, cap: int | None) -> CorpusManifest:
     return _scan(corpus, parse_label_registry(labels), cap)
 
 
-def _resolve_lag(lag: int | None, task: Task, classifier: str, flag: str = "--lag") -> int:
-    if lag is not None:
-        return lag
-    default = DEFAULT_AUTOCORR_LAGS.get((task, classifier))
-    if default is None:
-        raise UsageError(f"no default lag for task {task.value} with classifier {classifier}; pass {flag}")
-    return default
-
-
-def _resolve_c(c: float | None, task: Task, feature: str) -> float:
-    return c if c is not None else DEFAULT_LOGREG_C.get((task, feature), 1.0)
+def _resolve(task: Task, feature: str, classifier: str, lag: int | None, c: float | None,
+             lag_flag: str = "--lag", **spec) -> tuple[FeatureConfig, ClassifierSpec]:
+    """The feature and classifier a command runs. An autocorr feature takes
+    the lag given or else the tuned lag of (task, classifier); another
+    feature takes none. The classifier takes the c given or else the tuned
+    c of (task, feature), or 1.0, and spec's other fields as given."""
+    if feature != AUTOCORR:
+        lag = None
+    elif lag is None:
+        lag = DEFAULT_AUTOCORR_LAGS.get((task, classifier))
+        if lag is None:
+            raise UsageError(f"no default lag for task {task.value} with classifier {classifier};"
+                             f" pass {lag_flag}")
+    if c is None:
+        c = DEFAULT_LOGREG_C.get((task, feature), 1.0)
+    return FeatureConfig(feature, lag), spec_from_name(classifier, c=c, **spec)
 
 
 def _class_order(classes, task: Task) -> list[str]:
@@ -231,15 +240,8 @@ def cmd_synth(args) -> int:
 
 def cmd_evaluate(args) -> int:
     task = Task(args.task)
-    lag = _resolve_lag(args.lag, task, args.classifier) if args.feature == AUTOCORR else None
-    feature = FeatureConfig(args.feature, lag)
-    spec = spec_from_name(
-        args.classifier,
-        c=_resolve_c(args.c, task, args.feature),
-        trees=args.trees,
-        seed=args.seed,
-        standardize=args.standardize,
-    )
+    feature, spec = _resolve(task, args.feature, args.classifier, args.lag, args.c,
+                             trees=args.trees, seed=args.seed, standardize=args.standardize)
     manifest = _load_manifest(args.corpus, args.labels, args.cap)
     report = run_evaluation(manifest, task, feature, spec)
 
@@ -287,15 +289,15 @@ def cmd_gridsearch(args) -> int:
     if args.mode == "c":
         if args.feature is None:
             raise UsageError("gridsearch c requires --feature")
-        lag = _resolve_lag(args.lag, task, "logreg") if args.feature == AUTOCORR else None
+        feature, _ = _resolve(task, args.feature, "logreg", args.lag, None)
         grid = _parse_int_list(args.grid, "--grid", as_float=True) if args.grid else list(DEFAULT_C_GRID)
         manifest = _load_manifest(args.corpus, args.labels, args.cap)
-        best, table = grid_search_c(manifest, task, FeatureConfig(args.feature, lag), grid)
+        best, table = grid_search_c(manifest, task, feature, grid)
         print(f"best c: {best:g}")
     else:
-        spec = spec_from_name(args.classifier, c=_resolve_c(args.c, task, AUTOCORR),
-                              trees=args.trees, seed=args.seed)
         grid = _parse_int_list(args.grid, "--grid") if args.grid else list(DEFAULT_LAG_GRID)
+        _, spec = _resolve(task, AUTOCORR, args.classifier, max(grid), args.c,
+                           trees=args.trees, seed=args.seed)
         manifest = _load_manifest(args.corpus, args.labels, args.cap)
         best, table = grid_search_lag(manifest, task, spec, grid)
         print(f"best lag: {best}")
@@ -312,17 +314,14 @@ def cmd_train(args) -> int:
     # Stages of one root and labels share one scan and one load of each sample.
     by_corpus: dict[tuple[str, str], list] = {}  # (root, labels) -> its stages in STAGES order
     for task, prefix, corpus in STAGES:
-        name = getattr(args, f"{prefix}_feature", AUTOCORR)
-        classifier = getattr(args, f"{prefix}_classifier")
-        lag = (_resolve_lag(getattr(args, f"{prefix}_lag"), task, classifier, f"--{prefix}-lag")
-               if name == AUTOCORR else None)
-        spec = spec_from_name(classifier, c=_resolve_c(getattr(args, f"{prefix}_c"), task, name),
-                              seed=args.seed)
+        feature, spec = _resolve(task, getattr(args, f"{prefix}_feature", AUTOCORR),
+                                 getattr(args, f"{prefix}_classifier"), getattr(args, f"{prefix}_lag"),
+                                 getattr(args, f"{prefix}_c"), f"--{prefix}-lag", seed=args.seed)
         root = getattr(args, f"{corpus}_corpus") or args.corpus
         if root is None:
             raise UsageError(f"no corpus given for the {prefix} stage: pass --{corpus}-corpus or --corpus")
         labels = getattr(args, f"{corpus}_labels") or args.labels or str(Path(root) / "labels.csv")
-        by_corpus.setdefault((root, labels), []).append((task, prefix, FeatureConfig(name, lag), spec))
+        by_corpus.setdefault((root, labels), []).append((task, prefix, feature, spec))
 
     # Every stage is fitted before any file is written, so a failing stage
     # leaves --out as it was.
@@ -346,15 +345,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     models = [load_model(getattr(args, f"{prefix}_model")) for _, prefix, _ in STAGES]
-    result = predict_unknown(SampleRef(args.binary, "unknown").load(), *models)
-    payload = {
-        "endianness": result.endianness,
-        "size_kind": result.size_kind,
-        "per_stage_details": result.per_stage,
-    }
-    if result.fixed_bits is not None:
-        payload["fixed_bits"] = result.fixed_bits
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(predict_unknown(SampleRef(args.binary, "unknown").load(), *models), sort_keys=True))
     return 0
 
 
@@ -365,16 +356,15 @@ def cmd_export_curves(args) -> int:
     if not curves:
         raise EmptyLabelList("no samples matched the requested grouping")
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        out.write("class,k,mean_f_k\n")
-        for klass in _class_order(curves, task):
-            for k, value in enumerate(curves[klass], start=1):
-                out.write(f"{klass},{k},{float(value)!r}\n")
-    finally:
-        if args.out:
-            out.close()
-            print(f"curves: {args.out}")
+    text = "class,k,mean_f_k\n" + "".join(f"{klass},{k},{float(value)!r}\n"
+                                         for klass in _class_order(curves, task)
+                                         for k, value in enumerate(curves[klass], start=1))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"curves: {args.out}")
+    else:
+        sys.stdout.write(text)
     return 0
 
 

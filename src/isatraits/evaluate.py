@@ -1,5 +1,6 @@
 """Leave-one-group-out evaluation, baselines, grid search, and the
-two-stage unknown-binary pipeline.
+two-stage unknown-binary pipeline, whose predict_unknown returns the JSON
+object `isatraits predict` prints.
 
 LOGOCV holds out every sample of one ISA per fold, so a fold's model has
 never seen its test ISA. Feature accuracy is the unweighted mean of the
@@ -22,7 +23,7 @@ from enum import Enum
 from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Hashable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Hashable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -405,26 +406,21 @@ def grid_search_lag(
 # Two-stage prediction for a single unknown binary
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnknownPrediction:
-    endianness: str
-    size_kind: str
-    fixed_bits: int | None
-    per_stage: dict[str, dict]
+# What each stage's model may predict: LE/BE, fixed/variable, or decimal
+# bit widths.
+_STAGE_CLASSES: dict[Task, Callable[[str], bool]] = {
+    Task.ENDIANNESS: lambda label: label in ("LE", "BE"),
+    Task.FIXED_VS_VARIABLE: lambda label: label in (SizeKind.FIXED.value, SizeKind.VARIABLE.value),
+    Task.FIXED_WIDTH: lambda label: label.isascii() and label.isdecimal(),
+}
 
 
 def _check_stage_model(task: Task, model: TrainedModel) -> None:
     """Model files come from outside the program, so each must predict its
-    own stage's classes (LE/BE, fixed/variable, or decimal bit widths) from
-    a feature this program extracts, with as many dimensions as it has."""
+    own stage's classes from a feature this program extracts, with as many
+    dimensions as it has."""
     labels = model.class_labels
-    if task is Task.ENDIANNESS:
-        ok = set(labels) <= {"LE", "BE"}
-    elif task is Task.FIXED_VS_VARIABLE:
-        ok = set(labels) <= {SizeKind.FIXED.value, SizeKind.VARIABLE.value}
-    else:
-        ok = all(label.isascii() and label.isdecimal() for label in labels)
-    if not ok:
+    if not all(map(_STAGE_CLASSES[task], labels)):
         raise IsaTraitsError(f"not a {task.value} model: its classes are {', '.join(labels)}",
                              stage=task.value)
     try:
@@ -437,32 +433,18 @@ def _check_stage_model(task: Task, model: TrainedModel) -> None:
                              f" has {feature.dim}", stage=task.value)
 
 
-def _run_stage(binary, task: Task, model: TrainedModel, shared: np.ndarray | None,
-               per_stage: dict[str, dict]) -> str:
-    """One stage's prediction; its details go to per_stage[task.value]."""
-    try:
-        if model.feature_name == AUTOCORR and shared is not None and model.lag_param <= shared.size:
-            values = shared[:model.lag_param]
-        else:
-            values = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
-        prediction = predict(model, values[None])[0]
-    except IsaTraitsError as exc:
-        exc.stage = task.value
-        raise
-    per_stage[task.value] = {"prediction": prediction, "feature": model.feature_name,
-                             "classifier": name_of_spec(model.spec)}
-    return prediction
-
-
 def predict_unknown(
     binary,
     endian_model: TrainedModel,
     isvar_model: TrainedModel,
     width_model: TrainedModel,
-) -> UnknownPrediction:
-    """Stage 1 predicts endianness, stage 2 fixed vs variable size; only
-    fixed-size predictions proceed to the width stage. Errors carry the
-    stage they came from. The autocorrelation is extracted once, at the
+) -> dict[str, Any]:
+    """The object `isatraits predict` prints: endianness, size_kind,
+    per_stage_details (each run stage's prediction, feature and classifier
+    name, by task name) and fixed_bits, an int present only when size_kind
+    is fixed. Stage 1 predicts endianness, stage 2 fixed vs variable size;
+    only fixed-size predictions proceed to the width stage. Errors carry
+    the stage they came from. The autocorrelation is extracted once, at the
     largest stage lag the binary is long enough for, and each stage takes
     its first columns. Each model must be one fitted for its stage."""
     models = {Task.ENDIANNESS: endian_model, Task.FIXED_VS_VARIABLE: isvar_model,
@@ -472,13 +454,28 @@ def predict_unknown(
     lags = [m.lag_param for m in models.values()
             if m.feature_name == AUTOCORR and m.lag_param <= len(binary.data) - 2]
     shared = extract_feature(binary, FeatureConfig(AUTOCORR, max(lags))) if lags else None
-    per_stage: dict[str, dict] = {}
-    endianness = _run_stage(binary, Task.ENDIANNESS, endian_model, shared, per_stage)
-    size_kind = _run_stage(binary, Task.FIXED_VS_VARIABLE, isvar_model, shared, per_stage)
-    fixed_bits = None
-    if size_kind == SizeKind.FIXED.value:
-        fixed_bits = int(_run_stage(binary, Task.FIXED_WIDTH, width_model, shared, per_stage))
-    return UnknownPrediction(endianness, size_kind, fixed_bits, per_stage)
+    details: dict[str, dict] = {}
+
+    def run(task: Task) -> str:
+        model = models[task]
+        try:
+            if model.feature_name == AUTOCORR and shared is not None and model.lag_param <= shared.size:
+                values = shared[:model.lag_param]
+            else:
+                values = extract_feature(binary, FeatureConfig(model.feature_name, model.lag_param))
+            prediction = predict(model, values[None])[0]
+        except IsaTraitsError as exc:
+            exc.stage = task.value
+            raise
+        details[task.value] = {"prediction": prediction, "feature": model.feature_name,
+                               "classifier": name_of_spec(model.spec)}
+        return prediction
+
+    result = {"endianness": run(Task.ENDIANNESS), "size_kind": run(Task.FIXED_VS_VARIABLE),
+              "per_stage_details": details}
+    if result["size_kind"] == SizeKind.FIXED.value:
+        result["fixed_bits"] = int(run(Task.FIXED_WIDTH))
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -77,6 +77,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             spec_from_name("svm")
 
+    @pytest.mark.parametrize("name", ["knn3", "rforest"])
+    def test_negative_seed_refused(self, name):
+        # load_model refuses a model file with such a seed, and a forest
+        # could not draw from it.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            spec_from_name(name, seed=-1)
+
 
 class TestLearnerTable:
     def test_every_kind_has_a_learner(self):
@@ -512,6 +519,13 @@ class TestFitErrors:
         with pytest.raises(DimensionMismatch):
             fit(spec_from_name("knn1"), matrix([[0.0]]), ["a"], FEATURE)
 
+    @pytest.mark.parametrize("labels, shown", [([0, 1], "0"), (["a", b"b"], "b'b'"),
+                                               (["a", None], "None")])
+    def test_class_labels_must_be_strings(self, labels, shown):
+        # load_model refuses a model file whose class labels are not strings.
+        with pytest.raises(ValueError, match=f"class labels must be strings, got {shown}$"):
+            fit(spec_from_name("knn1"), matrix([[0.0], [1.0]]), labels, FEATURE)
+
     def test_predict_dimension_check(self):
         model = fit(spec_from_name("knn1"), matrix([[0.0], [1.0]]), ["a", "b"], FEATURE)
         with pytest.raises(DimensionMismatch):
@@ -892,6 +906,29 @@ def saved_payloads(fuzz_dir):
         save_model(fit(spec_from_name(name, trees=3, standardize=name == "knn3"), X, y, FEATURE), path)
         payloads[name] = read_envelope(path)
     return payloads
+
+
+class TestSaveLoadProperty:
+    @given(name=st.sampled_from(SUITE_NAMES), standardize=st.booleans(),
+           seed=st.integers(0, 2**70),
+           labels=st.lists(st.text(max_size=8), min_size=2, max_size=4, unique=True),
+           data_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_fitted_model_loads_back(self, name, standardize, seed, labels, data_seed,
+                                           fuzz_dir):
+        """Whatever the learner, seed and text labels, the file save_model
+        writes loads into the same spec and labels, predicting the same."""
+        rng = np.random.default_rng(data_seed)
+        X = matrix(np.vstack([rng.normal(3.0 * i, 1.0, size=(3, 3)) for i in range(len(labels))]))
+        y = [label for label in labels for _ in range(3)]
+        model = fit(spec_from_name(name, trees=3, seed=seed, standardize=standardize), X, y, FEATURE)
+        path = fuzz_dir / "roundtrip.model"
+        save_model(model, path)
+        loaded = load_model(path)
+        queries = matrix(rng.normal(0.0, 3.0 * len(labels), size=(20, 3)))
+        assert loaded.spec == model.spec
+        assert loaded.class_labels == model.class_labels
+        assert predict(loaded, queries) == predict(model, queries)
 
 
 class TestLoadModelProperty:

@@ -26,7 +26,7 @@ from isatraits.corpus import (
     scan_corpus,
     write_label_registry,
 )
-from isatraits.evaluate import AUTOCORR, DEFAULT_AUTOCORR_LAGS, DEFAULT_LOGREG_C, Task
+from isatraits.evaluate import AUTOCORR, DEFAULT_AUTOCORR_LAGS, DEFAULT_LOGREG_C, FeatureConfig, Task
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*.conf"))
@@ -627,6 +627,27 @@ class TestGridsearch:
         assert proc.returncode == 1
         assert "lag" in proc.stderr.lower()
 
+    # The golden outputs sweep knn3 and fix --lag, so these pin the tuned
+    # defaults that reach the sweeps when no --c or --lag is given.
+    @pytest.mark.parametrize("task", cli.TASK_NAMES)
+    def test_lag_sweep_of_logreg_takes_the_tuned_c(self, task, size_corpus, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "grid_search_lag", lambda _manifest, _task, spec, grid:
+                            seen.append(spec) or (grid[0], [(grid[0], 1.0)]))
+        assert cli.main(["gridsearch", "lag", "--task", task, "--classifier", "logreg",
+                         "--grid", "16,32", "--corpus", str(size_corpus),
+                         "--labels", str(size_corpus / "labels.csv")]) == 0
+        assert seen == [spec_from_name("logreg", c=DEFAULT_LOGREG_C.get((Task(task), AUTOCORR), 1.0))]
+
+    @pytest.mark.parametrize("task", ["isvar", "fixedwidth"])
+    def test_c_sweep_of_autocorr_takes_the_tuned_lag(self, task, size_corpus, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "grid_search_c", lambda _manifest, _task, feature, grid:
+                            seen.append(feature) or (grid[0], [(grid[0], 1.0)]))
+        assert cli.main(["gridsearch", "c", "--task", task, "--feature", AUTOCORR, "--grid", "1,10",
+                         "--corpus", str(size_corpus), "--labels", str(size_corpus / "labels.csv")]) == 0
+        assert seen == [FeatureConfig(AUTOCORR, DEFAULT_AUTOCORR_LAGS[(Task(task), "logreg")])]
+
 
 class TestTrainPredict:
     def test_predict_le_fixed32(self, models_dir, tmp_path):
@@ -949,6 +970,15 @@ class TestExportCurves:
             rows = list(csv.DictReader(fh))
         assert {row["class"] for row in rows} == {"fixed", "variable"}
         assert len(rows) == 2 * 16
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_out_that_cannot_be_written_is_not_reported(self, size_corpus):
+        proc = run_cli("export-curves", "--lag", 512, "--corpus", size_corpus,
+                       "--labels", size_corpus / "labels.csv", "--out", "/dev/full")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_fixed_bits_grouping(self, size_corpus):
         proc = run_cli("export-curves", "--lag", 8, "--group-by", "fixed-bits",

@@ -552,19 +552,19 @@ class TestPredictUnknown:
     def test_le_fixed32_end_to_end(self, stage_models):
         binary = BinarySample(le_fixed32_binary(), "unknown", "mem://query")
         result = predict_unknown(binary, *stage_models)
-        assert result.endianness == "LE"
-        assert result.size_kind == "fixed"
-        assert result.fixed_bits == 32
-        assert set(result.per_stage) == {"endianness", "isvar", "fixedwidth"}
+        assert result["endianness"] == "LE"
+        assert result["size_kind"] == "fixed"
+        assert result["fixed_bits"] == 32
+        assert set(result["per_stage_details"]) == {"endianness", "isvar", "fixedwidth"}
 
     def test_variable_prediction_skips_width(self, stage_models):
         rng = np.random.default_rng(5)
         binary = BinarySample(rng.integers(0, 256, 8192, dtype=np.uint8).tobytes(),
                               "unknown", "mem://noise")
         result = predict_unknown(binary, *stage_models)
-        assert result.size_kind == "variable"
-        assert result.fixed_bits is None
-        assert "fixedwidth" not in result.per_stage
+        assert result["size_kind"] == "variable"
+        assert "fixed_bits" not in result
+        assert "fixedwidth" not in result["per_stage_details"]
 
     def test_autocorr_extracted_once_for_both_size_stages(self, stage_models, monkeypatch):
         calls = []
@@ -572,7 +572,7 @@ class TestPredictUnknown:
         monkeypatch.setattr(evaluate, "autocorrelation_feature",
                             lambda binary, l: calls.append(l) or original(binary, l))
         binary = BinarySample(le_fixed32_binary(), "unknown", "mem://query")
-        assert predict_unknown(binary, *stage_models).fixed_bits == 32
+        assert predict_unknown(binary, *stage_models)["fixed_bits"] == 32
         assert calls == [32]
 
     def test_stage_lags_share_the_largest_that_fits(self, stage_models, monkeypatch):
