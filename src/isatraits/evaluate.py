@@ -421,8 +421,8 @@ def _check_stage_model(task: Task, model: TrainedModel) -> None:
     dimensions as it has."""
     labels = model.class_labels
     if not all(map(_STAGE_CLASSES[task], labels)):
-        raise IsaTraitsError(f"not a {task.value} model: its classes are {', '.join(labels)}",
-                             stage=task.value)
+        raise IsaTraitsError(f"not a model for the {task.value} stage: its classes are "
+                             f"{', '.join(labels)}", stage=task.value)
     try:
         feature = FeatureConfig(model.feature_name, model.lag_param)
     except ValueError as exc:

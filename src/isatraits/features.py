@@ -29,12 +29,14 @@ p[k] = sum_i s[i]*s[i+k], k = 0..l, by one of two paths:
 * GEMM (l <= GEMM_LAGS, or l <= GEMM_MAX_LAGS on a series of at least
   GEMM_WIDE_ROWS rows of width l): banded float32 matrix products. Each
   series is read as rows of width w, a multiple of the block height bw
-  that GEMM_BLOCKS gives lag l, with w >= bw + l, at most GEMM_ROWS rows
-  at a time, each chunk of every series in the batch copied once into one
-  reused flat float32 buffer, with the row after it. Block b of every row
-  (its bw bytes at offset b*bw) is multiplied by band b (the bw + l bytes
-  from the same offset, read in place with row stride w), in one batched
-  product per chunk; diagonal k of each (bw, bw + l) product sums
+  that GEMM_BLOCKS gives lag l, with w >= bw + l, in chunks of at most
+  GEMM_ROWS rows. A worker takes a group of consecutive chunks at once
+  (more than one only on a series too long to share a batch, below) and
+  copies it, for every series in the batch, into one reused flat float32
+  buffer, with the row after it. Block b of every row (its bw bytes at
+  offset b*bw) is multiplied by band b (the bw + l bytes from the same
+  offset, read in place with row stride w), in one batched product per
+  group; diagonal k of each (bw, bw + l) product sums
   s[i]*s[i+k] over the chunk's i in block b, so p[k] is diagonal k summed
   over the blocks. Only the band of diagonals 0..l is multiplied:
   2 * (bw + l) flops per byte. Every entry sums at most GEMM_ROWS byte
@@ -56,8 +58,25 @@ The GEMM path's cost per byte grows with l and, on short series, with its
 per-chunk work, so on 8 KiB the FFT is faster at lag 512, while at lags
 257-512 the GEMM path is faster from GEMM_WIDE_ROWS rows of width l up
 (12 KiB at lag 512). Both paths keep a series uint8 and copy it only one
-chunk or block at a time, so a batch of one needs O(GEMM_ROWS * l + l**2)
-or O(block + l) extra memory, never O(n).
+group of chunks or one block at a time, so a batch of one needs
+O(GEMM_ROWS * l + l**2) or O(block + l) extra memory a worker, never O(n).
+
+A series too long to share a batch (autocorr_batch_size 1) is split over
+threads (_split_plan, _split): the caller and helpers that each call
+starts and joins take GEMM chunk groups or FFT blocks from one shared
+iterator, each into its own buffers and partial sums, which are added at
+the end. Every partial sum is an exact integer below 2**53, so the result
+is bit-identical for any split and any number of workers. There is one
+worker per CPU the process may run on, at most one per chunk or block and
+no more than fit their buffers, as _worker_bytes counts them, in
+STAGING_BYTES (one worker at lags 256 and 512, whose buffers are about
+0.6 and 1.9 MiB); each takes as many chunks at once, up to GEMM_GROUP, as
+that budget allows. Short series, one chunk or one block each, and every
+series that shares a batch run on the caller alone, as does everything on
+one CPU. A helper's error is raised in the caller once every helper has
+ended. On 4 MiB at lag 128 (2 vCPUs, one BLAS thread) the kernel took
+about 9.5 ms against 14 ms on one worker taking one chunk at a time, and
+at lag 1024 about 70 against 115 ms (tables in CHANGES.md).
 
 The window sums Sx, Sy, Sxx and Syy of every lag come from the series
 total, the lag-0 product and cumulative sums over the first and last l
@@ -77,14 +96,18 @@ time. extract_features cuts the samples it reads into runs of one length
 and lag, and each run into batches of autocorr_batch_size, which caps a
 batch so that its stacked bytes, moment arrays and, on the GEMM path,
 float32 buffers stay within STAGING_BYTES, whatever the corpus size; a
-series too long to share that budget is a batch of one, read in place.
+series too long to share that budget is a batch of one, read in place,
+and charged for every worker's buffers.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -211,6 +234,13 @@ GEMM_ROWS = 256
 # (16 or 12 on short series, 32 or 48-64 on long ones); those ranges take
 # 32 and 64.
 GEMM_BLOCKS = ((32, 32), (312, 12), (GEMM_MAX_LAGS, 64))
+# Most GEMM chunks a worker takes at once: one copy, one batched product
+# and one diagonal sum serve them all, so the per-call work and, with
+# several workers, the hand-overs of Python's lock come once a group. On
+# 4 MiB at lag 16 one worker took 8.4 ms in groups of 8 against 11.5 ms a
+# chunk at a time, and two workers 4.7 ms against 12.8 (2 vCPUs, one BLAS
+# thread; tables in CHANGES.md).
+GEMM_GROUP = 8
 # Bytes a batch of series may stage at once (autocorr_batch_size): 19
 # series of 8 KiB at lag 16, 7 at lag 128, 2 at lag 256 and 9 at lag 1024.
 # On 140 series of 8 KiB those batches extracted in 3.7, 9.0 and 22.7 ms
@@ -247,6 +277,7 @@ def _block_products(ext: np.ndarray, count: int, max_lag: int, size: int) -> np.
     return np.rint(np.fft.irfft(spec, size)[: max_lag + 1]).astype(np.int64)
 
 
+@lru_cache(maxsize=128)
 def _gemm_shape(n: int, max_lag: int) -> tuple[int, int, int]:
     """(block height bw, row width w, rows per chunk) of the banded GEMM on
     series of n bytes at lag max_lag: bw from GEMM_BLOCKS, w the least
@@ -260,49 +291,169 @@ def _gemm_shape(n: int, max_lag: int) -> tuple[int, int, int]:
     return bw, w, -(-total // chunks)
 
 
-def _gemm_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+def _gemm_buffer_bytes(n: int, max_lag: int, group: int = 1) -> int:
+    # One worker's float32 buffers for one series: the rows of group chunks
+    # and the row after them, and their block products of w * (bw + l).
+    bw, w, rows = _gemm_shape(n, max_lag)
+    return 4 * ((group * rows + 1) * w + group * w * (bw + max_lag))
+
+
+def _worker_bytes(n: int, max_lag: int, group: int = 1) -> int:
+    """What one worker of the kernel allocates for one series of n bytes: on
+    the GEMM path its float32 buffers for group chunks and its float64
+    partial sums (and a unit's diagonal sums), on the FFT path one block's
+    transforms (tracemalloc measured 32 bytes a point at lags 257-4096) and
+    its int64 partial sums."""
+    if _uses_gemm(n, max_lag):
+        return _gemm_buffer_bytes(n, max_lag, group) + 2 * 8 * (max_lag + 1)
+    return 32 * _fast_len(min(n, AUTOCORR_BLOCK) + max_lag) + 8 * (max_lag + 1)
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _split_plan(n: int, max_lag: int) -> tuple[int, int]:
+    """(workers, group) of the kernel on series of n bytes at lag max_lag.
+    A series that shares a batch with others (autocorr_batch_size) or has
+    one chunk (GEMM) or block (FFT) runs as one worker taking one unit at a
+    time: no helper starts. A longer series runs on one worker per CPU, at
+    most one per unit and no more than fit their buffers in STAGING_BYTES
+    (at least one), each taking group consecutive chunks at once: at most
+    GEMM_GROUP, as many as the workers' buffers fit in STAGING_BYTES and no
+    more than leave each worker one group."""
+    if _uses_gemm(n, max_lag):
+        _, w, rows = _gemm_shape(n, max_lag)
+        units, most = -(-n // (rows * w)), GEMM_GROUP
+    else:
+        units, most = -(-n // AUTOCORR_BLOCK), 1
+    if units == 1 or 2 * _series_staging_bytes(n, max_lag, (1, 1)) <= STAGING_BYTES:
+        return 1, 1
+    workers = max(1, min(units, _cpus(), STAGING_BYTES // _worker_bytes(n, max_lag)))
+    group = 1
+    while (group < most and (group + 1) * workers <= units
+           and workers * _worker_bytes(n, max_lag, group + 1) <= STAGING_BYTES):
+        group += 1
+    return workers, group
+
+
+def _split(starts: Iterable, workers: int, work: Callable[[Iterator], np.ndarray]) -> np.ndarray:
+    """The sum of work(units) over workers threads, the caller and
+    workers - 1 helpers, which all take their units from one shared iterator
+    over starts. Each work returns exact integer partial sums, so the total
+    is the same for any split. The helpers are joined before this returns
+    or raises, and the first error a worker raised is raised here."""
+    if workers <= 1:
+        return work(iter(starts))
+    shared, lock, errors = iter(starts), threading.Lock(), []
+    parts = []
+
+    def units():
+        while not errors:
+            with lock:
+                start = next(shared, None)
+            if start is None:
+                return
+            yield start
+
+    def run():
+        try:
+            parts.append(work(units()))
+        except BaseException as exc:  # raised in the caller
+            errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=run)
+            try:
+                helper.start()
+            except RuntimeError:  # no thread to be had: fewer workers do it all
+                break
+            started.append(helper)
+        run()
+    except BaseException as exc:
+        errors.append(exc)
+    finally:
+        for helper in started:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return sum(parts[1:], parts[0])
+
+
+def _gemm_products(series: np.ndarray, max_lag: int, workers: int | None = None,
+                   group: int | None = None) -> np.ndarray:
     # Row r of a chunk of series j is s[r*w:(r+1)*w], zero past the end of
-    # the series; flat[j] holds the chunk's rows and the row after them.
-    # Block b of a row is its bw bytes at offset b*bw, and band b the bw + l
-    # bytes from there on, which run into the next row: x[j, b] and y[j, b]
-    # read them from every row in place (row stride w >= bw + l, so both are
-    # plain BLAS operands). prod[j, b] = x[j, b].T @ y[j, b] holds at [a, a + k]
-    # the sum of s[i] * s[i + k] over the chunk's i = b*bw + a (mod w), so
-    # diagonal k of prod[j], summed over its blocks, is the chunk's p[k].
+    # the series. A worker takes group consecutive chunks at once: flat[j]
+    # holds their rows and the row after them, and chunk c of them starts at
+    # flat[j, c*rows*w]. Block b of a row is its bw bytes at offset b*bw, and
+    # band b the bw + l bytes from there on, which run into the next row:
+    # x[j, c, b] and y[j, c, b] read them from every row of chunk c in place
+    # (row stride w >= bw + l, so both are plain BLAS operands).
+    # prod[j, c, b] = x[j, c, b].T @ y[j, c, b] holds at [a, a + k] the sum of
+    # s[i] * s[i + k] over chunk c's i = b*bw + a (mod w), so diagonal k of
+    # prod[j], summed over its chunks and blocks, is the group's p[k]. Each
+    # worker owns these buffers and takes group starts from one shared
+    # iterator; workers and group default to _split_plan's.
     k, n = series.shape
     bw, w, rows = _gemm_shape(n, max_lag)
     blocks, band = w // bw, bw + max_lag
     step = rows * w
-    flat = np.empty((k, step + w), dtype=np.float32)
-    item = flat.itemsize
-    x = np.lib.stride_tricks.as_strided(
-        flat, shape=(k, blocks, bw, rows), strides=(flat.strides[0], bw * item, item, w * item))
-    y = np.lib.stride_tricks.as_strided(
-        flat, shape=(k, blocks, rows, band), strides=(flat.strides[0], bw * item, w * item, item))
-    prod = np.empty((k, blocks, bw, band), dtype=np.float32)
-    diagonals = np.lib.stride_tricks.as_strided(
-        prod, shape=(k, max_lag + 1, blocks, bw),
-        strides=(prod.strides[0], item, bw * band * item, (band + 1) * item))
-    out = np.zeros((k, max_lag + 1), dtype=np.float64)  # integer sums below 2**53: exact
-    for start in range(0, n, step):
-        seg = series[:, start:start + step + w]
-        flat[:, :seg.shape[1]] = seg
-        flat[:, seg.shape[1]:] = 0
-        np.matmul(x, y, out=prod)
-        out += diagonals.sum(axis=(2, 3), dtype=np.float64)
-    return out.astype(np.int64)
+    plan = _split_plan(n, max_lag)
+    workers = plan[0] if workers is None else workers
+    group = plan[1] if group is None else group
+    span = group * step
+
+    def work(starts: Iterator[int]) -> np.ndarray:
+        flat = np.empty((k, span + w), dtype=np.float32)
+        item = flat.itemsize
+        x = np.lib.stride_tricks.as_strided(
+            flat, shape=(k, group, blocks, bw, rows),
+            strides=(flat.strides[0], step * item, bw * item, item, w * item))
+        y = np.lib.stride_tricks.as_strided(
+            flat, shape=(k, group, blocks, rows, band),
+            strides=(flat.strides[0], step * item, bw * item, w * item, item))
+        prod = np.empty((k, group, blocks, bw, band), dtype=np.float32)
+        diagonals = np.lib.stride_tricks.as_strided(
+            prod, shape=(k, max_lag + 1, group, blocks, bw),
+            strides=(prod.strides[0], item, prod.strides[1], bw * band * item, (band + 1) * item))
+        out = np.zeros((k, max_lag + 1), dtype=np.float64)  # integer sums below 2**53: exact
+        for start in starts:
+            seg = series[:, start:start + span + w]
+            flat[:, :seg.shape[1]] = seg
+            flat[:, seg.shape[1]:] = 0
+            chunks = -(-seg.shape[1] // step)
+            if chunks < group:  # the series' last group, so no further start comes
+                x, y, prod = x[:, :chunks], y[:, :chunks], prod[:, :chunks]
+                diagonals = diagonals[:, :, :chunks]
+            np.matmul(x, y, out=prod)
+            out += diagonals.sum(axis=(2, 3, 4), dtype=np.float64)
+        return out
+
+    return _split(range(0, n, span), workers, work).astype(np.int64)
 
 
-def _fft_products(series: np.ndarray, max_lag: int) -> np.ndarray:
+def _fft_products(series: np.ndarray, max_lag: int, workers: int | None = None) -> np.ndarray:
+    # Each worker takes (series, block start) pairs from one shared iterator
+    # into its own int64 sums; workers defaults to _split_plan's.
     k, n = series.shape
     block = AUTOCORR_BLOCK
     size = _fast_len(min(n, block) + max_lag)
-    out = np.zeros((k, max_lag + 1), dtype=np.int64)
-    for row, products in zip(series, out):
-        for start in range(0, n, block):
-            products += _block_products(row[start:start + block + max_lag], min(block, n - start),
-                                        max_lag, size)
-    return out
+
+    def work(units: Iterator[tuple[int, int]]) -> np.ndarray:
+        out = np.zeros((k, max_lag + 1), dtype=np.int64)
+        for j, start in units:
+            out[j] += _block_products(series[j, start:start + block + max_lag],
+                                      min(block, n - start), max_lag, size)
+        return out
+
+    workers = _split_plan(n, max_lag)[0] if workers is None else workers
+    return _split(itertools.product(range(k), range(0, n, block)), workers, work)
 
 
 def _uses_gemm(n: int, max_lag: int) -> bool:
@@ -314,22 +465,25 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     uint8 series, or over each row of a (k, n) stack of them: by float32
     matrix products for max_lag <= GEMM_LAGS and for max_lag <= GEMM_MAX_LAGS
     on a series of at least GEMM_WIDE_ROWS rows of width max_lag, by FFTs over
-    blocks of AUTOCORR_BLOCK bytes otherwise. Both are exact, so the choice
-    changes only the time taken."""
+    blocks of AUTOCORR_BLOCK bytes otherwise. Both are exact, and split a long
+    series over _split_plan's threads, so the path and the split change only the
+    time taken."""
     stack = series.reshape(-1, series.shape[-1])
     kernel = _gemm_products if _uses_gemm(stack.shape[1], max_lag) else _fft_products
     return kernel(stack, max_lag).reshape(series.shape[:-1] + (max_lag + 1,))
 
 
-def _series_staging_bytes(n: int, l: int) -> int:
+def _series_staging_bytes(n: int, l: int, plan: tuple[int, int] | None = None) -> int:
     # Per series: its n bytes, stacked, about a dozen int64 or float64 moment
-    # arrays of l entries and, on the GEMM path, its share of the float32
-    # buffers _gemm_products allocates: the flat chunk of (rows + 1) * w and
-    # the block products of w * (bw + l).
-    per_series = n + 12 * 8 * l
+    # arrays of l entries (the first worker's partial sums among them), on
+    # the GEMM path its share of the first worker's float32 buffers, and
+    # everything each further worker allocates (_worker_bytes), for the
+    # (workers, group) of plan, by default _split_plan's. The first worker's
+    # FFT buffers are one series' worth whatever the batch.
+    workers, group = _split_plan(n, l) if plan is None else plan
+    per_series = n + 12 * 8 * l + (workers - 1) * _worker_bytes(n, l, group)
     if _uses_gemm(n, l):
-        bw, w, rows = _gemm_shape(n, l)
-        per_series += 4 * ((rows + 1) * w + w * (bw + l))
+        per_series += _gemm_buffer_bytes(n, l, group)
     return per_series
 
 

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isatraits import cli, evaluate
+from isatraits import cli, evaluate, features
 from isatraits.classify import fit, save_model, spec_from_name
 from isatraits.corpus import (
     Endianness,
     SampleRef,
+    generate_synthetic_fixedwidth,
     parse_label_registry,
     scan_corpus,
     write_label_registry,
@@ -844,7 +846,7 @@ class TestTrainPredict:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.count("\n") == 1
-        assert proc.stderr.startswith(f"error: [stage={stage}] not a {stage} model")
+        assert proc.stderr.startswith(f"error: [stage={stage}] not a model for the {stage} stage")
 
     # One CRC-valid model field naming a feature the model cannot have read,
     # rejected before anything is extracted.
@@ -1403,3 +1405,80 @@ def test_a_run_that_succeeds_builds_no_full_parser(models_dir, endian_corpus, mo
     out = capsys.readouterr().out
     assert json.loads(out.splitlines()[0])["endianness"] == "LE"
     assert "classifier: knn1" in out and "classifier: knn3" in out
+
+
+@pytest.fixture(scope="module")
+def large_binary(tmp_path_factory):
+    """A 1 MiB + 3 B binary: the kernels split it over many chunks or blocks
+    and a ragged last one."""
+    manifest = generate_synthetic_fixedwidth([32], 1, 1, (1 << 20) + 3, 0, seed=3)
+    path = tmp_path_factory.mktemp("large") / "large.bin"
+    path.write_bytes(manifest.samples[0].load().data)
+    return path
+
+
+@pytest.fixture(scope="module")
+def lag1024_models(tmp_path_factory, endian_corpus, size_corpus):
+    """Stage models at lag 1024: predict on the large binary takes the FFT
+    path over many blocks."""
+    out = tmp_path_factory.mktemp("lag1024")
+    proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", size_corpus,
+                   "--isvar-lag", 1024, "--width-lag", 1024, "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def predict_argv(models: Path, binary: Path) -> list[str]:
+    return ["predict", *(arg for _, prefix, _ in cli.STAGES
+                         for arg in (f"--{prefix}-model", str(models / f"{prefix}.model"))),
+            str(binary)]
+
+
+def test_a_helpers_memory_error_exits_1_with_one_line(models_dir, large_binary, monkeypatch,
+                                                     capsys):
+    # np.matmul fails on the kernel's helper threads only; the caller's
+    # first product waits until a helper has failed.
+    monkeypatch.setattr(features, "_cpus", lambda: 4)
+    failed = threading.Event()
+    matmul = np.matmul
+
+    def failing_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise MemoryError("helper")
+        failed.wait(timeout=30)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", failing_off_the_main_thread)
+    before = threading.active_count()
+    assert cli.main(predict_argv(models_dir, large_binary)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory: helper\n"
+    assert threading.active_count() == before
+
+
+# Runs one CLI command pinned to one CPU, where starting a thread fails.
+ONE_CPU = """
+import os, sys, threading
+os.sched_setaffinity(0, {{{cpu}}})
+
+def refuse(thread):
+    raise AssertionError("a helper thread started")
+
+threading.Thread.start = refuse
+from isatraits.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("models", ["models_dir", "lag1024_models"])
+def test_one_cpu_starts_no_helper_and_prints_the_same_bytes(models, large_binary, request):
+    argv = predict_argv(request.getfixturevalue(models), large_binary)
+    code = ONE_CPU.format(cpu=min(os.sched_getaffinity(0)))
+    pinned = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True)
+    free = subprocess.run([sys.executable, "-m", "isatraits.cli", *argv], capture_output=True)
+    assert (pinned.returncode, pinned.stderr) == (0, b""), pinned.stderr
+    assert (free.returncode, free.stderr) == (0, b""), free.stderr
+    assert pinned.stdout == free.stdout and json.loads(free.stdout)
+

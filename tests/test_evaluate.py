@@ -608,6 +608,6 @@ class TestPredictUnknown:
     ])
     def test_model_of_another_stage_rejected(self, stage_models, order, stage):
         binary = BinarySample(le_fixed32_binary(), "unknown", "mem://query")
-        with pytest.raises(IsaTraitsError, match=f"not a {stage} model") as err:
+        with pytest.raises(IsaTraitsError, match=f"not a model for the {stage} stage") as err:
             predict_unknown(binary, *(stage_models[i] for i in order))
         assert err.value.stage == stage

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from isatraits.features import (
     BIGRAM_DIM,
     ENDSIG_CHUNK,
     GEMM_BLOCKS,
+    GEMM_GROUP,
     GEMM_LAGS,
     GEMM_MAX_LAGS,
     GEMM_ROWS,
@@ -535,6 +538,137 @@ class TestAutocorrKernel:
         paths = [ref.source_path for ref in manifest.samples]
         assert sorted(loads) == sorted(paths)
         assert sorted(extractions) == sorted((ref.data, 32) for ref in manifest.samples)
+
+
+def split_lags():
+    """A lag in each GEMM_BLOCKS range and at each range's ends, and lags
+    of the FFT path."""
+    lags = {1}
+    for top, _ in GEMM_BLOCKS:
+        lags |= {top, top + 1}
+    return sorted(lags | {16, 100, 400, GEMM_MAX_LAGS + 1, 1024})
+
+
+def split_lengths(lag):
+    """Series lengths at the first unit boundaries of the kernels at lag:
+    1 to 3 GEMM chunks of GEMM_ROWS rows and 1 to 3 FFT blocks, and one byte
+    on either side of them."""
+    ends = [units * AUTOCORR_BLOCK for units in (1, 2, 3)]
+    if lag <= GEMM_MAX_LAGS:
+        ends += [units * GEMM_ROWS * features._gemm_shape(0, lag)[1] for units in (1, 2, 3)]
+    return sorted({end + d for end in ends for d in (-1, 0, 1) if end + d >= lag + 2})
+
+
+class TestKernelSplit:
+    """The kernels split a long series' chunks or blocks over worker threads,
+    and sum the workers' exact integer partial sums: bit-identical to one
+    worker for any split."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_split_equals_one_worker(self, data):
+        lag = data.draw(st.sampled_from(split_lags()), "lag")
+        n = data.draw(st.sampled_from(split_lengths(lag)), "n")
+        fill = data.draw(st.sampled_from(["random", "0xff"]), "fill")
+        k = data.draw(st.integers(1, 2), "series")
+        workers = data.draw(st.integers(1, 4), "workers")
+        stack = np.stack([filled_series(n, fill, seed=n + j) for j in range(k)])
+        if features._uses_gemm(n, lag):
+            group = data.draw(st.integers(1, 3), "group")
+            expected = features._gemm_products(stack, lag, workers=1, group=1)
+            before = threading.active_count()
+            split = features._gemm_products(stack, lag, workers=workers, group=group)
+        else:
+            expected = features._fft_products(stack, lag, workers=1)
+            before = threading.active_count()
+            split = features._fft_products(stack, lag, workers=workers)
+        assert threading.active_count() == before
+        assert split.dtype == np.int64 and np.array_equal(split, expected)
+
+    def test_split_of_a_long_series_equals_int64_dots(self, monkeypatch):
+        monkeypatch.setattr(features, "_cpus", lambda: 4)
+        series = filled_series((1 << 20) + 3, "random", seed=3)
+        for lag in (16, 128, 1024):
+            assert features._split_plan(series.size, lag)[0] > 1, lag
+            products = lagged_products(series, lag)
+            for k in (0, 1, lag // 2, lag):
+                assert int(products[k]) == direct_lagged_product(series, k), (lag, k)
+
+    @pytest.mark.parametrize("lag", [1, 16, 32, 33, 128, 256, 312, 313, 512, 513, 1024])
+    def test_series_that_share_a_batch_start_no_helper(self, lag, monkeypatch):
+        # Short series, one chunk or block each, and every series that
+        # autocorr_batch_size batches with others, run on the caller alone.
+        monkeypatch.setattr(features, "_cpus", lambda: 64)
+        for n in (lag + 2, 4096, 8192, 65536):
+            if n <= AUTOCORR_BLOCK or autocorr_batch_size(n, lag) > 1:
+                assert features._split_plan(n, lag) == (1, 1), n
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
+    def test_workers_buffers_fit_the_staging_bytes(self, cpus, monkeypatch):
+        monkeypatch.setattr(features, "_cpus", lambda: cpus)
+        for n, lag in itertools.product([(1 << 20) + 3, 4 << 20, 16 << 20],
+                                        [1, 16, 64, 128, 256, 512, 1024, 4096]):
+            workers, group = features._split_plan(n, lag)
+            assert 1 <= workers <= cpus and 1 <= group <= GEMM_GROUP, (n, lag)
+            assert (workers, group) == (1, 1) or \
+                workers * features._worker_bytes(n, lag, group) <= STAGING_BYTES, (n, lag)
+            assert autocorr_batch_size(n, lag) == 1
+
+    def test_one_cpu_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(features, "_cpus", lambda: 1)
+
+        def refuse(thread):
+            raise AssertionError("a helper started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        series = filled_series((1 << 20) + 3, "random", seed=3)
+        for lag in (16, 128, 1024):
+            assert lagged_products(series, lag)[0] == direct_lagged_product(series, 0)
+
+    def test_each_unit_goes_to_one_worker(self):
+        # More workers than cores and a tiny switch interval: a unit taken
+        # twice or lost would show in the counts.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 8):
+                counts = features._split(range(5000), workers, lambda units: np.bincount(
+                    np.fromiter(units, dtype=np.intp), minlength=5000))
+                assert counts.tolist() == [1] * 5000, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_helpers_error_reaches_the_caller(self, monkeypatch):
+        # np.matmul fails on helper threads only; the caller's first product
+        # waits until a helper has failed, so a helper surely takes a unit.
+        monkeypatch.setattr(features, "_cpus", lambda: 4)
+        failed = threading.Event()
+        matmul = np.matmul
+
+        def failing_off_the_main_thread(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise MemoryError("helper")
+            failed.wait(timeout=30)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", failing_off_the_main_thread)
+        series = filled_series((1 << 20) + 3, "random", seed=3)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="helper"):
+            lagged_products(series, 64)
+        assert threading.active_count() == before
+
+    def test_a_thread_that_cannot_start_leaves_the_work_to_the_others(self, monkeypatch):
+        monkeypatch.setattr(features, "_cpus", lambda: 4)
+
+        def no_thread(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        series = filled_series((1 << 20) + 3, "0xff", seed=0)
+        expected = features._gemm_products(series[None], 64, workers=1, group=1)[0]
+        assert np.array_equal(lagged_products(series, 64), expected)
 
 
 class TestMeanCurve:
