@@ -61,22 +61,24 @@ per-chunk work, so on 8 KiB the FFT is faster at lag 512, while at lags
 group of chunks or one block at a time, so a batch of one needs
 O(GEMM_ROWS * l + l**2) or O(block + l) extra memory a worker, never O(n).
 
-A series too long to share a batch (autocorr_batch_size 1) is split over
-threads (_split_plan, _split): the caller and helpers that each call
-starts and joins take GEMM chunk groups or FFT blocks from one shared
-iterator, each into its own buffers and partial sums, which are added at
-the end. Every partial sum is an exact integer below 2**53, so the result
-is bit-identical for any split and any number of workers. There is one
+One cached function, _plan, counts what a kernel call allocates and draws
+every choice from that count: the path, the batch (autocorr_batch_size,
+below) and the split. A series too long to share a batch is split over
+threads (_split): the caller and helpers that each call starts and joins
+take GEMM chunk groups or FFT blocks from one shared iterator, each into
+its own buffers and partial sums, which are added at the end. Every
+partial sum is an exact integer below 2**53, so the result is
+bit-identical for any split and any number of workers. There is one
 worker per CPU the process may run on, at most one per chunk or block and
-no more than fit their buffers, as _worker_bytes counts them, in
-STAGING_BYTES (one worker at lags 256 and 512, whose buffers are about
-0.6 and 1.9 MiB); each takes as many chunks at once, up to GEMM_GROUP, as
-that budget allows. Short series, one chunk or one block each, and every
-series that shares a batch run on the caller alone, as does everything on
-one CPU. A helper's error is raised in the caller once every helper has
-ended. On 4 MiB at lag 128 (2 vCPUs, one BLAS thread) the kernel took
-about 9.5 ms against 14 ms on one worker taking one chunk at a time, and
-at lag 1024 about 70 against 115 ms (tables in CHANGES.md).
+no more than fit their buffers in STAGING_BYTES (one worker at lags 256
+and 512, whose buffers are about 0.6 and 1.9 MiB); each takes as many
+chunks at once, up to GEMM_GROUP, as that budget allows. Short series,
+one chunk or one block each, and every series that shares a batch run on
+the caller alone, as does everything on one CPU. A helper's error is
+raised in the caller once every helper has ended. On 4 MiB at lag 128 (2
+vCPUs, one BLAS thread) the kernel took about 9.5 ms against 14 ms on one
+worker taking one chunk at a time, and at lag 1024 about 70 against 115
+ms (tables in CHANGES.md).
 
 The window sums Sx, Sy, Sxx and Syy of every lag come from the series
 total, the lag-0 product and cumulative sums over the first and last l
@@ -96,8 +98,7 @@ time. extract_features cuts the samples it reads into runs of one length
 and lag, and each run into batches of autocorr_batch_size, which caps a
 batch so that its stacked bytes, moment arrays and, on the GEMM path,
 float32 buffers stay within STAGING_BYTES, whatever the corpus size; a
-series too long to share that budget is a batch of one, read in place,
-and charged for every worker's buffers.
+series too long to share that budget is a batch of one, read in place.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -291,24 +292,6 @@ def _gemm_shape(n: int, max_lag: int) -> tuple[int, int, int]:
     return bw, w, -(-total // chunks)
 
 
-def _gemm_buffer_bytes(n: int, max_lag: int, group: int = 1) -> int:
-    # One worker's float32 buffers for one series: the rows of group chunks
-    # and the row after them, and their block products of w * (bw + l).
-    bw, w, rows = _gemm_shape(n, max_lag)
-    return 4 * ((group * rows + 1) * w + group * w * (bw + max_lag))
-
-
-def _worker_bytes(n: int, max_lag: int, group: int = 1) -> int:
-    """What one worker of the kernel allocates for one series of n bytes: on
-    the GEMM path its float32 buffers for group chunks and its float64
-    partial sums (and a unit's diagonal sums), on the FFT path one block's
-    transforms (tracemalloc measured 32 bytes a point at lags 257-4096) and
-    its int64 partial sums."""
-    if _uses_gemm(n, max_lag):
-        return _gemm_buffer_bytes(n, max_lag, group) + 2 * 8 * (max_lag + 1)
-    return 32 * _fast_len(min(n, AUTOCORR_BLOCK) + max_lag) + 8 * (max_lag + 1)
-
-
 def _cpus() -> int:
     """How many CPUs this process may run on."""
     try:
@@ -317,28 +300,51 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _split_plan(n: int, max_lag: int) -> tuple[int, int]:
-    """(workers, group) of the kernel on series of n bytes at lag max_lag.
-    A series that shares a batch with others (autocorr_batch_size) or has
-    one chunk (GEMM) or block (FFT) runs as one worker taking one unit at a
-    time: no helper starts. A longer series runs on one worker per CPU, at
-    most one per unit and no more than fit their buffers in STAGING_BYTES
-    (at least one), each taking group consecutive chunks at once: at most
-    GEMM_GROUP, as many as the workers' buffers fit in STAGING_BYTES and no
-    more than leave each worker one group."""
-    if _uses_gemm(n, max_lag):
-        _, w, rows = _gemm_shape(n, max_lag)
-        units, most = -(-n // (rows * w)), GEMM_GROUP
+class _Plan(NamedTuple):
+    gemm: bool  # the GEMM path, else the FFT
+    charge: int  # bytes one series costs its batch
+    batch: int  # autocorr_batch_size
+    workers: int
+    group: int  # GEMM chunks a worker takes at once
+    worker_bytes: int  # what each worker allocates, at that group
+
+
+@lru_cache(maxsize=128)
+def _plan(n: int, l: int, cpus: int) -> _Plan:
+    """Every choice of the kernel on series of n bytes at lag l, from one
+    count of what a worker allocates: on the GEMM path its float32 buffers
+    for group chunks (their rows, the row after them and their block
+    products of w * (bw + l)), its float64 partial sums and a unit's
+    diagonal sums; on the FFT path one block's transforms (tracemalloc
+    measured 32 bytes a point at lags 257-4096) and its int64 partial sums.
+    A series costs its batch its n bytes, stacked, about a dozen int64 or
+    float64 moment arrays of l entries (the partial sums among them) and,
+    on the GEMM path, its share of one group's float32 buffers; the FFT
+    path transforms one series at a time, so its buffers are one series'
+    worth whatever the batch. A series that shares a batch, or has one
+    chunk (GEMM) or block (FFT), runs as one worker taking one unit at a
+    time. A longer series runs on one worker per CPU, at most one per unit
+    and no more than fit their buffers in STAGING_BYTES (at least one),
+    each taking as many consecutive chunks at once as fit that budget: at
+    most GEMM_GROUP and no more than leave each worker one group."""
+    gemm = l <= GEMM_LAGS or (l <= GEMM_MAX_LAGS and n >= GEMM_WIDE_ROWS * l)
+    sums, charge = 8 * (l + 1), n + 12 * 8 * l
+    if gemm:  # a worker allocates fixed + group * per_group bytes
+        bw, w, rows = _gemm_shape(n, l)
+        units = -(-n // (rows * w))
+        fixed, per_group = 4 * w + 2 * sums, 4 * w * (rows + bw + l)
+        charge += 4 * w + per_group
     else:
-        units, most = -(-n // AUTOCORR_BLOCK), 1
-    if units == 1 or 2 * _series_staging_bytes(n, max_lag, (1, 1)) <= STAGING_BYTES:
-        return 1, 1
-    workers = max(1, min(units, _cpus(), STAGING_BYTES // _worker_bytes(n, max_lag)))
-    group = 1
-    while (group < most and (group + 1) * workers <= units
-           and workers * _worker_bytes(n, max_lag, group + 1) <= STAGING_BYTES):
-        group += 1
-    return workers, group
+        units = -(-n // AUTOCORR_BLOCK)
+        fixed, per_group = 32 * _fast_len(min(n, AUTOCORR_BLOCK) + l) + sums, 0
+    batch = max(1, STAGING_BYTES // charge)
+    workers = group = 1
+    if batch == 1:
+        workers = max(1, min(units, cpus, STAGING_BYTES // (fixed + per_group)))
+        if gemm:
+            group = max(1, min(GEMM_GROUP, units // workers,
+                               (STAGING_BYTES - workers * fixed) // (workers * per_group)))
+    return _Plan(gemm, charge, batch, workers, group, fixed + group * per_group)
 
 
 def _split(starts: Iterable, workers: int, work: Callable[[Iterator], np.ndarray]) -> np.ndarray:
@@ -386,8 +392,7 @@ def _split(starts: Iterable, workers: int, work: Callable[[Iterator], np.ndarray
     return sum(parts[1:], parts[0])
 
 
-def _gemm_products(series: np.ndarray, max_lag: int, workers: int | None = None,
-                   group: int | None = None) -> np.ndarray:
+def _gemm_products(series: np.ndarray, max_lag: int, workers: int, group: int) -> np.ndarray:
     # Row r of a chunk of series j is s[r*w:(r+1)*w], zero past the end of
     # the series. A worker takes group consecutive chunks at once: flat[j]
     # holds their rows and the row after them, and chunk c of them starts at
@@ -399,14 +404,11 @@ def _gemm_products(series: np.ndarray, max_lag: int, workers: int | None = None,
     # s[i] * s[i + k] over chunk c's i = b*bw + a (mod w), so diagonal k of
     # prod[j], summed over its chunks and blocks, is the group's p[k]. Each
     # worker owns these buffers and takes group starts from one shared
-    # iterator; workers and group default to _split_plan's.
+    # iterator.
     k, n = series.shape
     bw, w, rows = _gemm_shape(n, max_lag)
     blocks, band = w // bw, bw + max_lag
     step = rows * w
-    plan = _split_plan(n, max_lag)
-    workers = plan[0] if workers is None else workers
-    group = plan[1] if group is None else group
     span = group * step
 
     def work(starts: Iterator[int]) -> np.ndarray:
@@ -438,9 +440,9 @@ def _gemm_products(series: np.ndarray, max_lag: int, workers: int | None = None,
     return _split(range(0, n, span), workers, work).astype(np.int64)
 
 
-def _fft_products(series: np.ndarray, max_lag: int, workers: int | None = None) -> np.ndarray:
+def _fft_products(series: np.ndarray, max_lag: int, workers: int) -> np.ndarray:
     # Each worker takes (series, block start) pairs from one shared iterator
-    # into its own int64 sums; workers defaults to _split_plan's.
+    # into its own int64 sums.
     k, n = series.shape
     block = AUTOCORR_BLOCK
     size = _fast_len(min(n, block) + max_lag)
@@ -452,12 +454,7 @@ def _fft_products(series: np.ndarray, max_lag: int, workers: int | None = None) 
                                       min(block, n - start), max_lag, size)
         return out
 
-    workers = _split_plan(n, max_lag)[0] if workers is None else workers
     return _split(itertools.product(range(k), range(0, n, block)), workers, work)
-
-
-def _uses_gemm(n: int, max_lag: int) -> bool:
-    return max_lag <= GEMM_LAGS or (max_lag <= GEMM_MAX_LAGS and n >= GEMM_WIDE_ROWS * max_lag)
 
 
 def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
@@ -466,34 +463,22 @@ def lagged_products(series: np.ndarray, max_lag: int) -> np.ndarray:
     matrix products for max_lag <= GEMM_LAGS and for max_lag <= GEMM_MAX_LAGS
     on a series of at least GEMM_WIDE_ROWS rows of width max_lag, by FFTs over
     blocks of AUTOCORR_BLOCK bytes otherwise. Both are exact, and split a long
-    series over _split_plan's threads, so the path and the split change only the
+    series over _plan's threads, so the path and the split change only the
     time taken."""
     stack = series.reshape(-1, series.shape[-1])
-    kernel = _gemm_products if _uses_gemm(stack.shape[1], max_lag) else _fft_products
-    return kernel(stack, max_lag).reshape(series.shape[:-1] + (max_lag + 1,))
-
-
-def _series_staging_bytes(n: int, l: int, plan: tuple[int, int] | None = None) -> int:
-    # Per series: its n bytes, stacked, about a dozen int64 or float64 moment
-    # arrays of l entries (the first worker's partial sums among them), on
-    # the GEMM path its share of the first worker's float32 buffers, and
-    # everything each further worker allocates (_worker_bytes), for the
-    # (workers, group) of plan, by default _split_plan's. The first worker's
-    # FFT buffers are one series' worth whatever the batch.
-    workers, group = _split_plan(n, l) if plan is None else plan
-    per_series = n + 12 * 8 * l + (workers - 1) * _worker_bytes(n, l, group)
-    if _uses_gemm(n, l):
-        per_series += _gemm_buffer_bytes(n, l, group)
-    return per_series
+    plan = _plan(stack.shape[1], max_lag, _cpus())
+    if plan.gemm:
+        products = _gemm_products(stack, max_lag, plan.workers, plan.group)
+    else:
+        products = _fft_products(stack, max_lag, plan.workers)
+    return products.reshape(series.shape[:-1] + (max_lag + 1,))
 
 
 def autocorr_batch_size(n: int, l: int) -> int:
     """How many series of n bytes autocorrelation_rows takes at once at lag l:
     as many as fit STAGING_BYTES, each costing its bytes, its moment arrays
-    and its GEMM buffers (_series_staging_bytes). The FFT path's buffers are
-    one series' worth whatever the batch, since it transforms one series at
-    a time."""
-    return max(1, STAGING_BYTES // _series_staging_bytes(n, l))
+    and its GEMM buffers (_plan)."""
+    return _plan(n, l, _cpus()).batch
 
 
 def autocorr_series(sample: BinarySample, l: int) -> np.ndarray:

@@ -12,13 +12,17 @@ one query row at a time that the whole-array vote replaced, and
 logreg_reference, the logistic-regression fit by scipy's L-BFGS-B that the
 package used before its own minimizer, and endian_stream_reference, the
 synthetic endian stream as it was drawn before it was made to assemble
-only the tokens it keeps.
+only the tokens it keeps, and PlanReference, the lagged-product kernel's
+path, batch and thread split as separate helpers computed them before one
+plan replaced them.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from isatraits import features
 
 
 def pearson_oracle(x, y):
@@ -302,3 +306,57 @@ def endian_stream_reference(rng, n, byte_order):
     table[:, 0] = np.where(kinds < 2, fillers[:k], table[:, 0])
     keep = np.arange(4) < lengths[:, None]
     return np.compress(keep.ravel(), table)[:n]  # row-major: tokens in order
+
+
+class PlanReference:
+    """The lagged-product kernel's choices as five helpers that call one
+    another made them before features._plan replaced them: the path
+    (uses_gemm), the batch (autocorr_batch_size, from series_staging_bytes)
+    and the (workers, group) of a series too long to share a batch
+    (split_plan), for the CPUs features._cpus reports."""
+
+    @staticmethod
+    def uses_gemm(n, max_lag):
+        return max_lag <= features.GEMM_LAGS or (
+            max_lag <= features.GEMM_MAX_LAGS and n >= features.GEMM_WIDE_ROWS * max_lag)
+
+    @staticmethod
+    def gemm_buffer_bytes(n, max_lag, group=1):
+        bw, w, rows = features._gemm_shape(n, max_lag)
+        return 4 * ((group * rows + 1) * w + group * w * (bw + max_lag))
+
+    @classmethod
+    def worker_bytes(cls, n, max_lag, group=1):
+        if cls.uses_gemm(n, max_lag):
+            return cls.gemm_buffer_bytes(n, max_lag, group) + 2 * 8 * (max_lag + 1)
+        block = min(n, features.AUTOCORR_BLOCK)
+        return 32 * features._fast_len(block + max_lag) + 8 * (max_lag + 1)
+
+    @classmethod
+    def split_plan(cls, n, max_lag):
+        if cls.uses_gemm(n, max_lag):
+            _, w, rows = features._gemm_shape(n, max_lag)
+            units, most = -(-n // (rows * w)), features.GEMM_GROUP
+        else:
+            units, most = -(-n // features.AUTOCORR_BLOCK), 1
+        budget = features.STAGING_BYTES
+        if units == 1 or 2 * cls.series_staging_bytes(n, max_lag, (1, 1)) <= budget:
+            return 1, 1
+        workers = max(1, min(units, features._cpus(), budget // cls.worker_bytes(n, max_lag)))
+        group = 1
+        while (group < most and (group + 1) * workers <= units
+               and workers * cls.worker_bytes(n, max_lag, group + 1) <= budget):
+            group += 1
+        return workers, group
+
+    @classmethod
+    def series_staging_bytes(cls, n, l, plan=None):
+        workers, group = cls.split_plan(n, l) if plan is None else plan
+        per_series = n + 12 * 8 * l + (workers - 1) * cls.worker_bytes(n, l, group)
+        if cls.uses_gemm(n, l):
+            per_series += cls.gemm_buffer_bytes(n, l, group)
+        return per_series
+
+    @classmethod
+    def autocorr_batch_size(cls, n, l):
+        return max(1, features.STAGING_BYTES // cls.series_staging_bytes(n, l))

@@ -341,6 +341,21 @@ class TestBatchedExtraction:
                 extract_features(manifest, {0: (ids, FeatureConfig("autocorr", 200))})
             assert str(err.value).startswith(f"mem://{head}: "), head
 
+    def test_a_lag_longer_than_every_sample_reserves_no_matrix(self):
+        # A (samples x lag) float64 matrix reserved up front would take 1.6 GB
+        # here; the lag must fail as too short, naming the first sample.
+        manifest = byte_manifest([2048] * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SampleTooShort) as err:
+                extract_features(manifest, {0: ([0, 1], FeatureConfig("autocorr", 10**8))})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "mem://0: autocorrelation with lag 100000000 needs >= " \
+            "100000002 bytes, got 2048"
+        assert peak < 1 << 20
+
     def test_extra_memory_does_not_grow_with_the_corpus(self):
         def extra(count, lag):
             manifest = byte_manifest([8192] * count, seed=count)
@@ -358,8 +373,8 @@ class TestBatchedExtraction:
             small, large = extra(100, lag), extra(1000, lag)
             assert small < features.STAGING_BYTES + (512 << 10), lag
             # Holding one more 8 KiB series per sample would add 7 MiB; the
-            # per-sample bookkeeping, a dict and a list of row views to fill
-            # for each sample, adds about 0.4.
+            # per-sample bookkeeping, a dict and a list of (stage, row) pairs
+            # to fill for each sample, adds about 0.3.
             assert large - small < 900 * 1024, lag
 
 

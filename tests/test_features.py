@@ -41,7 +41,7 @@ from isatraits.features import (
     lagged_products,
 )
 
-from oracles import autocorr_oracle, autocorr_reference, bigram_count_oracle
+from oracles import PlanReference, autocorr_oracle, autocorr_reference, bigram_count_oracle
 
 
 def sample(data: bytes, isa="test") -> BinarySample:
@@ -432,9 +432,9 @@ class TestAutocorrKernel:
     def test_path_chosen_from_lag_and_size(self, lag, n, path, monkeypatch):
         taken = []
         for name in ("_gemm_products", "_fft_products"):
-            def spy(series, max_lag, kernel=getattr(features, name), name=name):
+            def spy(series, max_lag, *split, kernel=getattr(features, name), name=name):
                 taken.append(name)
-                return kernel(series, max_lag)
+                return kernel(series, max_lag, *split)
             monkeypatch.setattr(features, name, spy)
         series = np.frombuffer(random_bytes(n, seed=lag), dtype=np.uint8)
         expected = [direct_lagged_product(series, k) for k in range(lag + 1)]
@@ -487,15 +487,16 @@ class TestAutocorrKernel:
         tracemalloc.start()
         try:
             for lag in range(1, GEMM_MAX_LAGS + 1):
-                if not features._uses_gemm(n, lag):
+                plan = features._plan(n, lag, features._cpus())
+                if not plan.gemm:
                     continue
                 size = autocorr_batch_size(n, lag)
-                charged = features._series_staging_bytes(n, lag) - n
+                charged = plan.charge - n
                 assert size == 1 or size * (charged + n) <= STAGING_BYTES
                 stack = rng.integers(0, 256, (size, n), dtype=np.uint8)
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                features._gemm_products(stack, lag)
+                features._gemm_products(stack, lag, plan.workers, plan.group)
                 peak = tracemalloc.get_traced_memory()[1] - before
                 assert peak <= size * charged + cast_buffers, lag
         finally:
@@ -559,6 +560,22 @@ def split_lengths(lag):
     return sorted({end + d for end in ends for d in (-1, 0, 1) if end + d >= lag + 2})
 
 
+def plan_cases():
+    """(n, lag) pairs on which the plan must match PlanReference: lengths
+    around the powers of two 2^8 to 2^24 and at three times them, and the
+    path's GEMM_WIDE_ROWS * lag edge, by every 7th lag below 600, each
+    GEMM_BLOCKS, GEMM_LAGS and GEMM_MAX_LAGS edge with its neighbours, and
+    lags of the FFT path."""
+    lags = set(range(1, 600, 7)) | {599, 700, 1024, 2048, 4096}
+    for edge in [top for top, _ in GEMM_BLOCKS] + [GEMM_LAGS, GEMM_MAX_LAGS]:
+        lags |= {edge - 2, edge - 1, edge, edge + 1, edge + 2}
+    lengths = {m for e in range(8, 25)
+               for m in (2**e - 1, 2**e, 2**e + 1, 2**e + 3, 3 * 2**e)}
+    return [(n, lag) for lag in sorted(lags)
+            for n in sorted(lengths | {GEMM_WIDE_ROWS * lag - 1, GEMM_WIDE_ROWS * lag})
+            if n >= lag + 2]
+
+
 class TestKernelSplit:
     """The kernels split a long series' chunks or blocks over worker threads,
     and sum the workers' exact integer partial sums: bit-identical to one
@@ -573,7 +590,7 @@ class TestKernelSplit:
         k = data.draw(st.integers(1, 2), "series")
         workers = data.draw(st.integers(1, 4), "workers")
         stack = np.stack([filled_series(n, fill, seed=n + j) for j in range(k)])
-        if features._uses_gemm(n, lag):
+        if features._plan(n, lag, 1).gemm:
             group = data.draw(st.integers(1, 3), "group")
             expected = features._gemm_products(stack, lag, workers=1, group=1)
             before = threading.active_count()
@@ -585,11 +602,21 @@ class TestKernelSplit:
         assert threading.active_count() == before
         assert split.dtype == np.int64 and np.array_equal(split, expected)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8, 64])
+    def test_plan_matches_the_separate_helpers(self, cpus, monkeypatch):
+        monkeypatch.setattr(features, "_cpus", lambda: cpus)
+        for n, lag in plan_cases():
+            plan = features._plan(n, lag, features._cpus())
+            expected = (PlanReference.uses_gemm(n, lag), PlanReference.autocorr_batch_size(n, lag),
+                        *PlanReference.split_plan(n, lag))
+            assert (plan.gemm, autocorr_batch_size(n, lag), plan.workers, plan.group) == expected, \
+                (n, lag)
+
     def test_split_of_a_long_series_equals_int64_dots(self, monkeypatch):
         monkeypatch.setattr(features, "_cpus", lambda: 4)
         series = filled_series((1 << 20) + 3, "random", seed=3)
         for lag in (16, 128, 1024):
-            assert features._split_plan(series.size, lag)[0] > 1, lag
+            assert features._plan(series.size, lag, features._cpus()).workers > 1, lag
             products = lagged_products(series, lag)
             for k in (0, 1, lag // 2, lag):
                 assert int(products[k]) == direct_lagged_product(series, k), (lag, k)
@@ -601,17 +628,19 @@ class TestKernelSplit:
         monkeypatch.setattr(features, "_cpus", lambda: 64)
         for n in (lag + 2, 4096, 8192, 65536):
             if n <= AUTOCORR_BLOCK or autocorr_batch_size(n, lag) > 1:
-                assert features._split_plan(n, lag) == (1, 1), n
+                plan = features._plan(n, lag, features._cpus())
+                assert (plan.workers, plan.group) == (1, 1), n
 
     @pytest.mark.parametrize("cpus", [1, 2, 4, 64])
     def test_workers_buffers_fit_the_staging_bytes(self, cpus, monkeypatch):
         monkeypatch.setattr(features, "_cpus", lambda: cpus)
         for n, lag in itertools.product([(1 << 20) + 3, 4 << 20, 16 << 20],
                                         [1, 16, 64, 128, 256, 512, 1024, 4096]):
-            workers, group = features._split_plan(n, lag)
+            plan = features._plan(n, lag, features._cpus())
+            workers, group = plan.workers, plan.group
             assert 1 <= workers <= cpus and 1 <= group <= GEMM_GROUP, (n, lag)
             assert (workers, group) == (1, 1) or \
-                workers * features._worker_bytes(n, lag, group) <= STAGING_BYTES, (n, lag)
+                workers * plan.worker_bytes <= STAGING_BYTES, (n, lag)
             assert autocorr_batch_size(n, lag) == 1
 
     def test_one_cpu_starts_no_helper(self, monkeypatch):

@@ -1,4 +1,5 @@
-"""No module of the package imports scipy.
+"""No module of the package imports scipy, and the CLI starts without the
+standard library's process and logging machinery.
 
 The package runs on numpy alone: even the logistic-regression fit has its
 own L-BFGS minimizer, because importing scipy.optimize costs more than half
@@ -6,9 +7,17 @@ a second and about 50 MB of a fresh process, against milliseconds for a
 fit. An import of scipy anywhere in the package, even one deferred into a
 function, would put that cost back on a command; this test fails on it
 before it ships.
+
+The lagged-product kernels split a series over plain threads. Importing
+concurrent.futures, which imports logging, or multiprocessing would add
+several milliseconds to every command's cold start (python -X importtime),
+so importing isatraits.cli must load none of them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "isatraits"
@@ -60,3 +69,12 @@ def test_guard_sees_every_import_form():
         "lazy = lambda: __import__('scipy')",
     ])
     assert scipy_imports(source) == [1, 2, 3, 7, 9, 10, 11]
+
+
+def test_cli_import_loads_no_executor_or_logging():
+    code = ("import sys, isatraits.cli; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'logging'))))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert out.stdout.split() == []
