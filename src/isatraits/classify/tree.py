@@ -18,28 +18,28 @@ s-th value. So no tree keeps a generator: one array operation draws every
 tree's bootstrap, and one the feature subsets of all the nodes a step
 splits.
 
-Layout. A tree is five parallel arrays over its nodes in preorder (root
-0, a node's left child right after it): feature (int64, -1 at a leaf),
-threshold (float64, 0.0 at a leaf), left and right (int64 child indices,
--1 at a leaf) and value (int64, the majority class of the node's
-training samples, lowest class on ties). Children always have larger
-indices than their parent, so every walk from the root ends.
+Layout. A tree is five parallel arrays over its nodes in the order they
+were grown (root 0, a split's two children side by side, left first):
+feature (int64, -1 at a leaf), threshold (float64, 0.0 at a leaf), left
+and right (int64 child indices, -1 at a leaf) and value (int64, the
+majority class of the node's training samples, lowest class on ties).
+Children always have larger indices than their parent, so every walk from
+the root ends.
 
 Growth. All trees of one fit grow together in lock-step, their state held
-in flat arrays (_Nodes) rather than per tree: every node's tree, depth,
-class counts and split, and one row buffer in which each tree's sample
-rows sit and every node's rows form one segment, partitioned in place as
-nodes split. Each tree keeps a stack of its nodes that can still split
-(two or more rows, not all of one class), linked through the arrays. A
-step pops the top node of every tree's stack, draws each such node's
-feature subset, scores every (node, candidate feature) column of the step
-in one vectorised pass, and for the nodes with a positive-gain split
-partitions their segments, bincounts the children's classes and pushes
-the right child, then the left, of those that can split. So each tree's
-nodes are split, and numbered by its node draws, in the preorder a
-recursive grower visits them in. Leaves never enter a stack; when the
-last stack empties, subtree sizes summed level by level give every node
-its preorder index.
+in flat arrays (_Nodes) rather than per tree: every node's tree, class
+counts and split, and one row buffer in which each tree's sample rows sit
+and every node's rows form one segment, partitioned in place as nodes
+split. Each tree keeps a stack of its nodes that can still split (two or
+more rows, not all of one class), linked through the arrays. A step pops
+the top node of every tree's stack, draws each such node's feature
+subset, scores every (node, candidate feature) column of the step in one
+vectorised pass, and for the nodes with a positive-gain split partitions
+their segments, bincounts the children's classes and pushes the right
+child, then the left, of those that can split. So each tree's nodes are
+split, and numbered by its node draws, in the preorder a recursive grower
+visits them in, while each node keeps the place it was made at. Leaves
+never enter a stack.
 
 A column sorts its rows by the key (rank of the value within its feature,
 class), with ranks computed once per fit; that orders them as a stable
@@ -47,12 +47,12 @@ argsort of the values does, up to the order inside groups of equal
 values, and a cut only falls between such groups, so the class counts on
 each side of every cut are the same. The gain arithmetic is the
 per-feature formula in the same float operation order, so, given the same
-draws, the trees are identical node for node to growing each tree
-recursively, one feature at a time (tests/oracles.py keeps that grower,
-and the draws as a loop over Python ints, as the reference). A step's
-columns are scored in chunks of CHUNK_CELLS (rows x columns x classes),
-which bounds its temporaries whatever the number of trees; a decision
-tree is the same grower with one tree and all features.
+draws, the trees, walked from the root, are identical node for node to
+growing each tree recursively, one feature at a time (tests/oracles.py
+keeps that grower, and the draws as a loop over Python ints, as the
+reference). A step's columns are scored in chunks of CHUNK_CELLS (rows x
+columns x classes), which bounds its temporaries whatever the number of
+trees; a decision tree is the same grower with one tree and all features.
 
 Prediction advances the node indices of all (row, tree) pairs together,
 one tree level per step. Forest votes are summed and ties go to the
@@ -204,13 +204,13 @@ def _best_splits(X, ranks, keys, n_classes, rows, start, size, counts, subsets):
 
 class _Nodes:
     """The nodes of the trees being grown, in creation order, as growable
-    arrays: each node's tree and depth, the segment rows[start:start + size]
-    of the row buffer holding its rows, its class counts and majority
-    class, its split (feature -1 at a leaf; the left child is first_child,
-    the right one the next node) and the node below it on its tree's stack
-    of nodes still to split (-1 at the bottom)."""
+    arrays: each node's tree, the segment rows[start:start + size] of the
+    row buffer holding its rows, its class counts and majority class, its
+    split (feature -1 at a leaf; the left child is first_child, the right
+    one the next node) and the node below it on its tree's stack of nodes
+    still to split (-1 at the bottom)."""
 
-    FIELDS = ("tree", "depth", "start", "size", "value", "feature", "first_child", "below")
+    FIELDS = ("tree", "start", "size", "value", "feature", "first_child", "below")
 
     def __init__(self, n_classes: int, capacity: int):
         self.count = 0
@@ -223,7 +223,7 @@ class _Nodes:
         for name, row in zip(self.FIELDS, self.ints):
             setattr(self, name, row)
 
-    def add(self, tree, depth, start, size, counts) -> np.ndarray:
+    def add(self, tree, start, size, counts) -> np.ndarray:
         """Append leaves (to be split later, perhaps); return their ids."""
         ids = np.arange(self.count, self.count + tree.size)
         self.count += tree.size
@@ -233,7 +233,7 @@ class _Nodes:
             self.threshold = np.pad(self.threshold, (0, more))
             self.counts = np.pad(self.counts, ((0, more), (0, 0)))
             self._views()
-        self.tree[ids], self.depth[ids], self.start[ids], self.size[ids] = tree, depth, start, size
+        self.tree[ids], self.start[ids], self.size[ids] = tree, start, size
         self.value[ids] = np.argmax(counts, axis=1)  # first max = lowest class
         self.feature[ids] = self.first_child[ids] = self.below[ids] = -1
         self.threshold[ids] = 0.0
@@ -246,33 +246,23 @@ class _Nodes:
         return (size >= 2) & (self.counts[ids].max(axis=1) < size)
 
     def trees(self, n_trees: int) -> list[dict[str, np.ndarray]]:
-        """One preorder array tree per tree. A node's index in its tree is
-        its parent's plus one, plus the left subtree's size for a right
-        child; subtree sizes are summed bottom-up and indices handed out
-        top-down, one depth level of split nodes at a time."""
+        """One array tree per tree, its nodes in the order they were made:
+        a stable sort by tree, which puts each tree's root (nodes
+        0..n_trees-1) first and both children of a split, made together,
+        side by side after it."""
         count = self.count
-        feature, first = self.feature[:count], self.first_child[:count]
-        split = np.flatnonzero(feature >= 0)
-        split = split[np.argsort(self.depth[split], kind="stable")]
-        bounds = np.flatnonzero(np.diff(self.depth[split])) + 1
-        levels = [split[a:b] for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), split.size])]
-        subtree = np.ones(count, dtype=np.int64)
-        for level in reversed(levels):
-            subtree[level] += subtree[first[level]] + subtree[first[level] + 1]
-        index = np.zeros(count, dtype=np.int64)
-        for level in levels:
-            index[first[level]] = index[level] + 1
-            index[first[level] + 1] = index[level] + 1 + subtree[first[level]]
-
-        sizes = subtree[:n_trees]  # the roots are nodes 0..n_trees-1
+        order = np.argsort(self.tree[:count], kind="stable")  # the node at each place of the joined trees
+        sizes = np.bincount(self.tree[:count], minlength=n_trees)
         ends = np.cumsum(sizes)
-        order = np.empty(count, dtype=np.int64)  # the node at each place of the joined trees
-        order[(ends - sizes)[self.tree[:count]] + index] = np.arange(count)
-        first, is_split = first[order], feature[order] >= 0
-        joined = {"feature": feature[order],
+        place = np.empty(count, dtype=np.int64)  # each node's index in its tree
+        place[order] = np.arange(count) - np.repeat(ends - sizes, sizes)
+        feature = self.feature[order]
+        is_split = feature >= 0
+        left = np.where(is_split, place[self.first_child[order]], -1)
+        joined = {"feature": feature,
                   "threshold": self.threshold[order],
-                  "left": np.where(is_split, index[first], -1),
-                  "right": np.where(is_split, index[first + 1], -1),
+                  "left": left,
+                  "right": np.where(is_split, left + 1, -1),
                   "value": self.value[order]}
         ends = ends.tolist()
         return [{name: joined[name][a:b] for name in TREE_FIELDS}
@@ -300,7 +290,7 @@ def _grow(
     trees = np.arange(n_trees)
     root_counts = np.bincount((trees[:, None] * n_classes + y[roots]).ravel(),
                               minlength=n_trees * n_classes).reshape(n_trees, n_classes)
-    root_ids = nodes.add(trees, np.zeros_like(trees), m * trees, np.full(n_trees, m), root_counts)
+    root_ids = nodes.add(trees, m * trees, np.full(n_trees, m), root_counts)
     top = np.where(nodes.can_split(root_ids), root_ids, -1)  # each tree's next node to split
 
     while True:
@@ -331,8 +321,8 @@ def _grow(
         child_counts = np.bincount(child * n_classes + y[moved],
                                    minlength=2 * node.size * n_classes)
         tree = nodes.tree[node]
-        children = nodes.add(np.repeat(tree, 2), np.repeat(nodes.depth[node] + 1, 2), child_start,
-                             child_size, child_counts.reshape(-1, n_classes))
+        children = nodes.add(np.repeat(tree, 2), child_start, child_size,
+                             child_counts.reshape(-1, n_classes))
         nodes.first_child[node] = children[::2]
 
         # Push the right child, then the left, where they can split.

@@ -333,7 +333,11 @@ def cmd_train(args) -> int:
                                                for task, _, feature, _ in stages})
         for task, prefix, feature, spec in stages:
             y = [task_label(manifest.label_of(manifest.samples[i]), task) for i in ids[task]]
-            models.append((prefix, fit(spec, features[task], y, feature)))
+            try:
+                models.append((prefix, fit(spec, features[task], y, feature)))
+            except IsaTraitsError as exc:
+                exc.stage = task.value
+                raise
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

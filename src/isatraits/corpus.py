@@ -468,12 +468,11 @@ def _fixed_width_file(rng: np.random.Generator, file_len: int, width_bytes: int,
 
 
 def _variable_width_file(rng: np.random.Generator, file_len: int) -> bytes:
-    # Instruction lengths drawn per-instruction from 1..6 bytes; contents
-    # uniform, so no lag shows consistent structure.
-    lengths = rng.integers(1, 7, size=file_len)
-    total = int(np.searchsorted(np.cumsum(lengths), file_len) + 1)
-    n_bytes = int(lengths[:total].sum())
-    return rng.integers(0, 256, size=n_bytes, dtype=np.uint8)[:file_len].tobytes()
+    # Uniform bytes, so no lag shows consistent structure. The draw of 1..6
+    # byte instruction lengths shapes no byte; it stays so that the bytes
+    # start at the same stream position and every corpus keeps its bytes.
+    rng.integers(1, 7, size=file_len)
+    return rng.integers(0, 256, size=file_len, dtype=np.uint8).tobytes()
 
 
 def generate_synthetic_fixedwidth(

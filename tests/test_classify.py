@@ -391,10 +391,30 @@ def forest(n_trees, seed):
     return spec_from_name("rforest", trees=n_trees, seed=seed)
 
 
+def walk_from_root(flat):
+    """The nodes a walk from node 0 reaches, in preorder."""
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if flat["feature"][node] >= 0:
+            stack += [int(flat["right"][node]), int(flat["left"][node])]
+    return order
+
+
 def assert_same_tree(flat, reference):
+    """The grown tree, renumbered in preorder by a walk from its root,
+    equals the reference flattened in preorder."""
+    order = walk_from_root(flat)
+    assert sorted(order) == list(range(flat["value"].size))
+    index = {node: i for i, node in enumerate(order)}
+    index[-1] = -1
+    walked = {name: flat[name][order].tolist() for name in ("feature", "threshold", "value")}
+    for side in ("left", "right"):
+        walked[side] = [index[int(child)] for child in flat[side][order]]
     expected = flatten_reference(reference)
     for name in tree.TREE_FIELDS:
-        assert flat[name].tolist() == expected[name], name
+        assert walked[name] == expected[name], name
 
 
 @pytest.mark.parametrize("name, X, y, n_classes", TREE_CASES, ids=[c[0] for c in TREE_CASES])
@@ -413,6 +433,21 @@ class TestFlatTrees:
         assert len(flat) == n_trees
         for grown, expected in zip(flat, reference):
             assert_same_tree(grown, expected)
+
+    @pytest.mark.parametrize("n_trees", [None, 1, 7, 100])
+    def test_nodes_in_growth_order(self, name, X, y, n_classes, n_trees):
+        # None grows a decision tree. Node 0 is the root, a split's children
+        # are neighbours after it, and a walk from the root reaches every
+        # node once.
+        if n_trees is None:
+            grown = [tree.train_tree(X, y, n_classes, DTREE)["tree"]]
+        else:
+            grown = tree.train_forest(X, y, n_classes, forest(n_trees, seed=5))["trees"]
+        for flat in grown:
+            split = np.flatnonzero(flat["feature"] >= 0)
+            assert (flat["right"][split] == flat["left"][split] + 1).all()
+            assert (flat["left"][split] > split).all()
+            assert sorted(walk_from_root(flat)) == list(range(flat["value"].size))
 
     def test_predict_matches_walk(self, name, X, y, n_classes):
         queries = np.vstack([X, np.random.default_rng(22).normal(size=(25, X.shape[1]))])

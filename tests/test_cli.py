@@ -740,6 +740,26 @@ class TestTrainPredict:
         assert proc.stderr.count("\n") == 1
         assert word in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_train_on_a_corpus_without_size_labels_names_the_isvar_stage(self, endian_corpus,
+                                                                         tmp_path):
+        proc = run_cli("train", "--corpus", endian_corpus, "--out", tmp_path / "models")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: [stage=isvar] ") and proc.stderr.count("\n") == 1, \
+            proc.stderr
+        assert not (tmp_path / "models").exists()
+
+    def test_train_on_one_width_names_the_fixedwidth_stage(self, endian_corpus, tmp_path):
+        one_width = tmp_path / "one_width"
+        proc = run_cli("synth", "fixedwidth", "--widths", "16", "--isas-per-width", 2,
+                       "--files", 3, "--len", 4096, "--variable", 2, "--seed", 3, "--out", one_width)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("train", "--endian-corpus", endian_corpus, "--size-corpus", one_width,
+                       "--out", tmp_path / "models")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: [stage=fixedwidth] ") and \
+            proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "models").exists()
+
     def test_train_extracts_each_size_sample_once(self, endian_corpus, size_corpus, tmp_path,
                                                   monkeypatch):
         calls = []
