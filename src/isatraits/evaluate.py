@@ -20,7 +20,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Sequence, TextIO
@@ -35,12 +35,12 @@ from .features import (
     BIGRAMS,
     ENDSIG,
     FeatureConfig,
-    autocorr_batch_size,
     autocorr_series,
     autocorrelation_feature,
     autocorrelation_rows,
     bigram_histogram,
     endianness_signatures,
+    split_autocorr_run,
 )
 
 
@@ -85,12 +85,18 @@ def extract_features(
     lag any stage asks of it; a stage at a smaller lag takes the first
     columns, bit-identical to extracting at that lag. The samples an
     autocorr stage reads form runs of consecutive samples of one lag and
-    length, and each run is cut into batches of autocorr_batch_size, one
-    autocorrelation_rows call each. Errors name the sample: every sample is
-    checked in manifest order before it joins a batch. A stage's matrix is
-    reserved once a sample has been read and, for an autocorr stage, shown
-    long enough for the lag, so a lag no sample is long enough for fails as
-    too short, not as out of memory."""
+    length, and split_autocorr_run cuts each run into batches of
+    autocorr_batch_size, one autocorrelation_rows call each, which the
+    caller and, on a run whose batches hold enough work, one helper per
+    further CPU take in turn. Each batch fills its rows by position, so
+    every matrix is bit-identical on any number of CPUs. Loading, the
+    length check, the other features and the reservation of a matrix run
+    as the workers take the next batch, under one lock, once per sample and
+    in manifest order. Errors name the sample: every sample is checked
+    before it joins a batch. A stage's matrix is reserved once a sample has
+    been read and, for an autocorr stage, shown long enough for the lag, so
+    a lag no sample is long enough for fails as too short, not as out of
+    memory."""
     matrices: dict[Hashable, np.ndarray] = {}
     rows: dict[int, dict[str, list[tuple[Hashable, int]]]] = {}  # id -> name -> (stage, row)
     for key, (ids, feature) in stages.items():
@@ -112,8 +118,9 @@ def extract_features(
 
     def autocorr_samples():
         # Each sample loaded and its other features filled, in manifest
-        # order; one that an autocorr stage reads yields ((lag, length),
-        # its autocorr rows, its series).
+        # order, on whichever worker takes the next batch; one that an
+        # autocorr stage reads yields ((lag, length), its autocorr rows, its
+        # series).
         for i in sorted(rows):
             ref = manifest.samples[i]
             dest = rows[i].pop(AUTOCORR, None)
@@ -131,12 +138,14 @@ def extract_features(
             if dest:
                 yield (lag, series.size), dest, series
 
+    def extract(batch):
+        (lag, _), _, _ = batch[0]
+        values = autocorrelation_rows([series for _, _, series in batch], lag)
+        for (_, dest, _), sample_values in zip(batch, values):
+            fill(dest, sample_values)
+
     for (lag, n), run in groupby(autocorr_samples(), key=itemgetter(0)):
-        size = autocorr_batch_size(n, lag)
-        while batch := list(islice(run, size)):
-            values = autocorrelation_rows([series for _, _, series in batch], lag)
-            for (_, dest, _), sample_values in zip(batch, values):
-                fill(dest, sample_values)
+        split_autocorr_run(run, n, lag, extract)
     return {key: matrices[key] if key in matrices else np.empty((0, feature.dim))
             for key, (_, feature) in stages.items()}
 

@@ -63,22 +63,31 @@ O(GEMM_ROWS * l + l**2) or O(block + l) extra memory a worker, never O(n).
 
 One cached function, _plan, counts what a kernel call allocates and draws
 every choice from that count: the path, the batch (autocorr_batch_size,
-below) and the split. A series too long to share a batch is split over
-threads (_split): the caller and helpers that each call starts and joins
-take GEMM chunk groups or FFT blocks from one shared iterator, each into
-its own buffers and partial sums, which are added at the end. Every
-partial sum is an exact integer below 2**53, so the result is
-bit-identical for any split and any number of workers. There is one
-worker per CPU the process may run on, at most one per chunk or block and
-no more than fit their buffers in STAGING_BYTES (one worker at lags 256
-and 512, whose buffers are about 0.6 and 1.9 MiB); each takes as many
-chunks at once, up to GEMM_GROUP, as that budget allows. Short series,
-one chunk or one block each, and every series that shares a batch run on
-the caller alone, as does everything on one CPU. A helper's error is
-raised in the caller once every helper has ended. On 4 MiB at lag 128 (2
-vCPUs, one BLAS thread) the kernel took about 9.5 ms against 14 ms on one
-worker taking one chunk at a time, and at lag 1024 about 70 against 115
-ms (tables in CHANGES.md).
+below) and the two splits over threads, both made by _split: the caller
+and helpers that each call starts and joins take units from one shared
+iterator, and every helper is joined before the call returns or raises,
+with the first error a worker raised. On one CPU neither starts a thread.
+
+* A series too long to share a batch splits its kernel: the workers take
+  GEMM chunk groups or FFT blocks, each into its own buffers and partial
+  sums, which are added at the end. Every partial sum is an exact integer
+  below 2**53, so the result is bit-identical for any split and any number
+  of workers. There is one worker per CPU the process may run on, at most
+  one per chunk or block and no more than fit their buffers in
+  STAGING_BYTES (one worker at lags 256 and 512, whose buffers are about
+  0.6 and 1.9 MiB); each takes as many chunks at once, up to GEMM_GROUP, as
+  that budget allows. On 4 MiB at lag 128 (2 vCPUs, one BLAS thread) the
+  kernel took about 9.5 ms against 14 ms on one worker taking one chunk at
+  a time, and at lag 1024 about 70 against 115 ms (tables in CHANGES.md).
+* Series that share a batch, and short series, one chunk or block each,
+  run the kernel on one worker. A run of series that share batches splits
+  its batches instead (split_autocorr_run): the workers take whole batches,
+  one per CPU, when a full batch holds at least BATCH_WORK byte-lags and
+  the run has a second batch; each holds one batch of at most
+  STAGING_BYTES at a time. A series too long to share a batch gets no batch
+  helper, so threads never nest. On 140 series of 8 KiB at lag 1024, whose
+  batches of 9 take the FFT path, extract_features took about 23.5 ms on
+  two workers against 29 on one, and at lag 512 19 against 27.
 
 The window sums Sx, Sy, Sxx and Syy of every lag come from the series
 total, the lag-0 product and cumulative sums over the first and last l
@@ -89,16 +98,15 @@ and to the first l values of f(1..L) for any L >= l.
 
 Batching pays for many short series, where per-call overhead dominates:
 on 140 series of 8 KiB at lag 16 the GEMM path took 3.7 ms in batches of
-19, and 3 to 4 times as long one series at a time. The FFT path transforms one series
-at a time whatever the batch, since batched transforms measured no faster,
-so a batch there shares its moment and Pearson arithmetic, which runs once
-per batch and not once per series: extract_features on 140 series of 8 KiB
-at lag 1024 took about 49 ms in batches of 9 against 59 ms one series at a
-time. extract_features cuts the samples it reads into runs of one length
-and lag, and each run into batches of autocorr_batch_size, which caps a
-batch so that its stacked bytes, moment arrays and, on the GEMM path,
-float32 buffers stay within STAGING_BYTES, whatever the corpus size; a
-series too long to share that budget is a batch of one, read in place.
+19, and 3 to 4 times as long one series at a time. The FFT path
+transforms one series at a time whatever the batch, since batched
+transforms measured no faster, so a batch there shares its moment and
+Pearson arithmetic, which runs once per batch and not once per series.
+extract_features cuts the samples it reads into runs of one length and
+lag, and each run into batches of autocorr_batch_size, which caps a batch
+so that its stacked bytes, moment arrays and, on the GEMM path, float32
+buffers stay within STAGING_BYTES, whatever the corpus size; a series too
+long to share that budget is a batch of one, read in place.
 """
 
 from __future__ import annotations
@@ -249,6 +257,33 @@ GEMM_GROUP = 8
 # 12, 4 and 1 that a charge for larger buffers allowed; one series at a
 # time took 3 to 4 times as long.
 STAGING_BYTES = 1 << 20
+# Least work, in byte-lags (batch * n * l), that a full batch of a run must
+# hold for the run's batches to go to one worker per CPU (_plan,
+# split_autocorr_run): a worker runs a whole batch, which must release the
+# GIL long enough to pay for a thread and the hand-overs. extract_features
+# on about 1.1 MiB of series a run, one worker against two, in process (2
+# shared vCPUs, one BLAS thread, medians of 15 alternating runs, ms; two
+# faster in k of 15):
+#
+#   n        l     path  batch  log2 work  1 worker  2 workers  k
+#   1 KiB    512   FFT   20     23.3       66.2      86.1       0
+#   2 KiB    512   FFT   20     24.3       39.6      42.0       1
+#   2 KiB    1024  FFT   10     24.3       57.3      57.8       9
+#   4 KiB    512   FFT   19     25.2       29.8      24.1       14
+#   4 KiB    1024  FFT   10     25.3       37.7      36.0       13
+#   8 KiB    512   FFT   18     26.2       27.2      20.6       15
+#   8 KiB    1024  FFT   9      26.2       27.1      19.2       15
+#   32 KiB   1024  FFT   8      28.0       28.4      18.3       15
+#   8 KiB    128   GEMM  7      22.8       7.7       7.0        13
+#   8 KiB    256   GEMM  2      22.0       17.9      19.5       7
+#   16 KiB   256   GEMM  2      23.0       11.1      9.0        13
+#   64 KiB   128   GEMM  3      24.6       3.8       3.1        15
+#   128 KiB  64    GEMM  4      25.0       2.4       2.2        12
+#
+# The FFT path's short blocks hold the GIL for most of their time, so its
+# batches below 2^25 gained nothing or lost. The GEMM batches below it
+# gained up to 19% or lost 9%; one floor keeps both paths to one rule.
+BATCH_WORK = 1 << 25
 
 
 @lru_cache(maxsize=128)
@@ -307,6 +342,7 @@ class _Plan(NamedTuple):
     workers: int
     group: int  # GEMM chunks a worker takes at once
     worker_bytes: int  # what each worker allocates, at that group
+    batch_workers: int  # workers that take whole batches of this shape
 
 
 @lru_cache(maxsize=128)
@@ -326,7 +362,10 @@ def _plan(n: int, l: int, cpus: int) -> _Plan:
     time. A longer series runs on one worker per CPU, at most one per unit
     and no more than fit their buffers in STAGING_BYTES (at least one),
     each taking as many consecutive chunks at once as fit that budget: at
-    most GEMM_GROUP and no more than leave each worker one group."""
+    most GEMM_GROUP and no more than leave each worker one group. A run of
+    series that share batches gets one batch worker per CPU when a full
+    batch holds at least BATCH_WORK byte-lags (batch * n * l), and the
+    caller alone otherwise; a series too long to share a batch gets none."""
     gemm = l <= GEMM_LAGS or (l <= GEMM_MAX_LAGS and n >= GEMM_WIDE_ROWS * l)
     sums, charge = 8 * (l + 1), n + 12 * 8 * l
     if gemm:  # a worker allocates fixed + group * per_group bytes
@@ -338,21 +377,24 @@ def _plan(n: int, l: int, cpus: int) -> _Plan:
         units = -(-n // AUTOCORR_BLOCK)
         fixed, per_group = 32 * _fast_len(min(n, AUTOCORR_BLOCK) + l) + sums, 0
     batch = max(1, STAGING_BYTES // charge)
-    workers = group = 1
+    workers = group = batch_workers = 1
     if batch == 1:
         workers = max(1, min(units, cpus, STAGING_BYTES // (fixed + per_group)))
         if gemm:
             group = max(1, min(GEMM_GROUP, units // workers,
                                (STAGING_BYTES - workers * fixed) // (workers * per_group)))
-    return _Plan(gemm, charge, batch, workers, group, fixed + group * per_group)
+    elif batch * n * l >= BATCH_WORK:
+        batch_workers = cpus
+    return _Plan(gemm, charge, batch, workers, group, fixed + group * per_group, batch_workers)
 
 
 def _split(starts: Iterable, workers: int, work: Callable[[Iterator], np.ndarray]) -> np.ndarray:
     """The sum of work(units) over workers threads, the caller and
     workers - 1 helpers, which all take their units from one shared iterator
-    over starts. Each work returns exact integer partial sums, so the total
-    is the same for any split. The helpers are joined before this returns
-    or raises, and the first error a worker raised is raised here."""
+    over starts, under one lock. A kernel's work returns exact integer
+    partial sums, so the total is the same for any split. The helpers are
+    joined before this returns or raises, and the first error a worker
+    raised is raised here."""
     if workers <= 1:
         return work(iter(starts))
     shared, lock, errors = iter(starts), threading.Lock(), []
@@ -479,6 +521,26 @@ def autocorr_batch_size(n: int, l: int) -> int:
     as many as fit STAGING_BYTES, each costing its bytes, its moment arrays
     and its GEMM buffers (_plan)."""
     return _plan(n, l, _cpus()).batch
+
+
+def split_autocorr_run(run: Iterator, n: int, l: int, extract: Callable[[list], None]) -> None:
+    """Cut run, the items of series of n bytes at lag l, into batches of
+    autocorr_batch_size items and call extract on each batch, in the caller
+    and, on batches of a shape that _plan gives helpers, on up to one helper
+    per further CPU. The workers take batches from one shared iterator, so
+    run is read under a lock, in order; a helper is started only for a
+    batch already read, and every helper is joined before this returns or
+    raises."""
+    plan = _plan(n, l, _cpus())
+    batches = iter(lambda: list(itertools.islice(run, plan.batch)), [])
+    head = list(itertools.islice(batches, plan.batch_workers))
+
+    def work(batches: Iterator[list]) -> int:
+        for batch in batches:
+            extract(batch)
+        return 0
+
+    _split(itertools.chain(head, batches), len(head), work)
 
 
 def autocorr_series(sample: BinarySample, l: int) -> np.ndarray:

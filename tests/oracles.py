@@ -313,7 +313,8 @@ class PlanReference:
     another made them before features._plan replaced them: the path
     (uses_gemm), the batch (autocorr_batch_size, from series_staging_bytes)
     and the (workers, group) of a series too long to share a batch
-    (split_plan), for the CPUs features._cpus reports."""
+    (split_plan), for the CPUs features._cpus reports; and the workers that
+    take whole batches of series that share them (batch_workers)."""
 
     @staticmethod
     def uses_gemm(n, max_lag):
@@ -360,3 +361,10 @@ class PlanReference:
     @classmethod
     def autocorr_batch_size(cls, n, l):
         return max(1, features.STAGING_BYTES // cls.series_staging_bytes(n, l))
+
+    @classmethod
+    def batch_workers(cls, n, l):
+        size = cls.autocorr_batch_size(n, l)
+        if size == 1 or size * n * l < features.BATCH_WORK:
+            return 1
+        return features._cpus()

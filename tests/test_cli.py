@@ -26,6 +26,7 @@ from isatraits.corpus import (
     generate_synthetic_fixedwidth,
     parse_label_registry,
     scan_corpus,
+    write_corpus,
     write_label_registry,
 )
 from isatraits.evaluate import AUTOCORR, DEFAULT_AUTOCORR_LAGS, DEFAULT_LOGREG_C, FeatureConfig, Task
@@ -649,6 +650,25 @@ class TestGridsearch:
         assert cli.main(["gridsearch", "c", "--task", task, "--feature", AUTOCORR, "--grid", "1,10",
                          "--corpus", str(size_corpus), "--labels", str(size_corpus / "labels.csv")]) == 0
         assert seen == [FeatureConfig(AUTOCORR, DEFAULT_AUTOCORR_LAGS[(Task(task), "logreg")])]
+
+
+def test_lag_16_on_the_suite_corpus_starts_no_thread(tmp_path, monkeypatch):
+    # The benchmark's lag-16 evaluate and its lag-sweep cold-start probe, on
+    # its 140 samples of 8 KiB: their batches hold too little work to hand
+    # to helpers, however many CPUs there are.
+    labels = write_corpus(generate_synthetic_fixedwidth([16, 32, 64], 3, 10, 8192, 5, seed=1),
+                          tmp_path / "size")
+    corpus = ["--corpus", str(tmp_path / "size"), "--labels", str(labels)]
+    monkeypatch.setattr(features, "_cpus", lambda: 4)
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: starts.append(thread) or start(thread))
+    assert cli.main(["evaluate", "--task", "isvar", "--feature", "autocorr", "--lag", "16",
+                     "--classifier", "logreg", "--jobs", "1", *corpus]) == 0
+    assert cli.main(["gridsearch", "lag", "--task", "isvar", "--classifier", "knn3",
+                     "--grid", "16", *corpus]) == 0
+    assert starts == []
 
 
 class TestTrainPredict:

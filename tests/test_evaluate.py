@@ -1,9 +1,13 @@
 import hashlib
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isatraits import evaluate, features
 from isatraits.classify import fit, spec_from_name
@@ -356,7 +360,11 @@ class TestBatchedExtraction:
             "100000002 bytes, got 2048"
         assert peak < 1 << 20
 
-    def test_extra_memory_does_not_grow_with_the_corpus(self):
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_extra_memory_does_not_grow_with_the_corpus(self, cpus, monkeypatch):
+        # Each worker holds one batch, so a helper adds at most one more.
+        monkeypatch.setattr(features, "_cpus", lambda: cpus)
+
         def extra(count, lag):
             manifest = byte_manifest([8192] * count, seed=count)
             stage = {0: (range(count), FeatureConfig("autocorr", lag))}
@@ -369,13 +377,146 @@ class TestBatchedExtraction:
             assert result[0].shape == (count, lag)
             return peak - current  # what extraction held beyond its result
 
+        bound = cpus * features.STAGING_BYTES + (512 << 10)
         for lag in (16, 1024):  # 8 KiB series: the GEMM and the FFT path
             small, large = extra(100, lag), extra(1000, lag)
-            assert small < features.STAGING_BYTES + (512 << 10), lag
+            assert small < bound, lag
             # Holding one more 8 KiB series per sample would add 7 MiB; the
             # per-sample bookkeeping, a dict and a list of (stage, row) pairs
-            # to fill for each sample, adds about 0.3.
-            assert large - small < 900 * 1024, lag
+            # to fill for each sample, adds about 0.3. With helpers the peak
+            # is the workers' sum at one moment, which a longer run is likelier
+            # to catch at its top, so the longer run is held to the bound.
+            if cpus == 1:
+                assert large - small < 900 * 1024, lag
+            else:
+                assert large < bound + 900 * 1024, lag
+
+
+def extract_on(cpus, floor, manifest, stages):
+    """extract_features with features._cpus reporting cpus and BATCH_WORK set
+    to floor; the matrices and whether every helper was joined."""
+    saved = features._cpus, features.BATCH_WORK
+    features._cpus, features.BATCH_WORK = (lambda: cpus), floor
+    features._plan.cache_clear()
+    try:
+        before = threading.active_count()
+        matrices = extract_features(manifest, stages)
+        return matrices, threading.active_count() == before
+    finally:
+        features._cpus, features.BATCH_WORK = saved
+        features._plan.cache_clear()
+
+
+class TestBatchWorkers:
+    """extract_features hands the batches of a run to one worker per CPU when
+    _plan gives that shape helpers. Rows are filled by position, so every
+    matrix is bit-identical on any number of CPUs, and the samples are still
+    loaded and checked once each, in manifest order, under one lock."""
+
+    # Runs of 8 KiB at lag 1024 take helpers: 9 series a batch, 2^26 byte-lags.
+    LAG = 1024
+
+    def size(self):
+        size = features.autocorr_batch_size(8192, self.LAG)
+        assert size * 8192 * self.LAG >= features.BATCH_WORK
+        return size
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matrices_are_bit_identical_on_any_cpus(self, data):
+        # Floor 0 gives helpers to every run of two batches or more, the
+        # GEMM path's too; the real floor to the FFT path's long batches.
+        lag = data.draw(st.sampled_from([16, 128, 256, 512, 1024]), "lag")
+        runs = data.draw(st.lists(st.tuples(st.sampled_from([1100, 4096, 8192]), st.integers(1, 25)),
+                                  min_size=1, max_size=4), "runs")
+        lengths = [n for n, count in runs for _ in range(count)][:40]
+        floor = data.draw(st.sampled_from([0, features.BATCH_WORK]), "floor")
+        manifest = byte_manifest(lengths, seed=data.draw(st.integers(0, 3), "seed"))
+        ids = list(range(len(lengths)))
+        stages = {"wide": (ids, FeatureConfig("autocorr", lag)),
+                  "narrow": (ids[1::3], FeatureConfig("autocorr", lag // 2)),
+                  "endsig": (ids[::2], FeatureConfig("endsig"))}
+        expected, _ = extract_on(1, floor, manifest, stages)
+        for cpus in (2, 3, 4):
+            matrices, joined = extract_on(cpus, floor, manifest, stages)
+            assert joined, cpus
+            for key, matrix in expected.items():
+                assert np.array_equal(matrices[key], matrix), (cpus, key)
+
+    def test_more_workers_than_cores_lose_no_row(self):
+        # Batches of three 4 KiB or 2 KiB series at lag 256 and a tiny switch
+        # interval: a row filled twice, lost or misplaced, or a matrix
+        # reserved twice, would show against one worker.
+        lengths = [4096] * 60 + [2048] * 7 + [4096] * 9
+        manifest = byte_manifest(lengths, seed=5)
+        ids = list(range(len(lengths)))
+        stages = {0: (ids, FeatureConfig("autocorr", 256)), 1: (ids[::2], FeatureConfig("endsig"))}
+        expected, _ = extract_on(1, 0, manifest, stages)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            matrices, joined = extract_on(8, 0, manifest, stages)
+        finally:
+            sys.setswitchinterval(interval)
+        assert joined
+        assert all(np.array_equal(matrices[key], expected[key]) for key in stages)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_short_sample_in_a_late_batch_is_named(self, cpus, monkeypatch):
+        # Past the batches read before any helper starts.
+        monkeypatch.setattr(features, "_cpus", lambda: cpus)
+        short = 6 * self.size() + 2
+        lengths = [8192] * short + [1000] + [8192] * self.size()
+        before = threading.active_count()
+        with pytest.raises(SampleTooShort) as err:
+            extract_features(byte_manifest(lengths),
+                             {0: (range(len(lengths)), FeatureConfig("autocorr", self.LAG))})
+        assert threading.active_count() == before
+        assert str(err.value) == \
+            f"mem://{short}: autocorrelation with lag 1024 needs >= 1026 bytes, got 1000"
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_workers_error_reaches_the_caller(self, cpus, monkeypatch):
+        # With helpers, autocorrelation_rows fails on helper threads only and
+        # the caller's first batch waits until one has failed; on one CPU the
+        # caller's second batch fails.
+        monkeypatch.setattr(features, "_cpus", lambda: cpus)
+        failed, callers = threading.Event(), []
+        original = evaluate.autocorrelation_rows
+
+        def failing(batch, l):
+            callers.append(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread() or len(callers) == 2:
+                failed.set()
+                raise MemoryError("worker")
+            if cpus > 1:
+                failed.wait(timeout=30)
+            return original(batch, l)
+
+        monkeypatch.setattr(evaluate, "autocorrelation_rows", failing)
+        lengths = [8192] * (6 * self.size())
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker"):
+            extract_features(byte_manifest(lengths),
+                             {0: (range(len(lengths)), FeatureConfig("autocorr", self.LAG))})
+        assert threading.active_count() == before
+        assert any(t is not threading.main_thread() for t in callers) == (cpus > 1)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_each_sample_is_loaded_once_in_manifest_order(self, cpus, monkeypatch):
+        monkeypatch.setattr(features, "_cpus", lambda: cpus)
+        loads, starts = [], []
+        load, start = SampleRef.load, threading.Thread.start
+        monkeypatch.setattr(SampleRef, "load", lambda ref: loads.append(ref.source_path) or load(ref))
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starts.append(thread) or start(thread))
+        lengths = [8192] * (5 * self.size()) + [4096] * 30 + [8192] * (3 * self.size())
+        manifest = byte_manifest(lengths)
+        ids = list(range(len(lengths)))
+        extract_features(manifest, {0: (ids, FeatureConfig("autocorr", self.LAG)),
+                                    1: (ids[::3], FeatureConfig("endsig"))})
+        assert loads == [ref.source_path for ref in manifest.samples]
+        assert bool(starts) == (cpus > 1)
 
 
 # sha256 of report_to_dict's JSON (indent=2) for every suite classifier at lag

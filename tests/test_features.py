@@ -608,9 +608,9 @@ class TestKernelSplit:
         for n, lag in plan_cases():
             plan = features._plan(n, lag, features._cpus())
             expected = (PlanReference.uses_gemm(n, lag), PlanReference.autocorr_batch_size(n, lag),
-                        *PlanReference.split_plan(n, lag))
-            assert (plan.gemm, autocorr_batch_size(n, lag), plan.workers, plan.group) == expected, \
-                (n, lag)
+                        *PlanReference.split_plan(n, lag), PlanReference.batch_workers(n, lag))
+            assert (plan.gemm, autocorr_batch_size(n, lag), plan.workers, plan.group,
+                    plan.batch_workers) == expected, (n, lag)
 
     def test_split_of_a_long_series_equals_int64_dots(self, monkeypatch):
         monkeypatch.setattr(features, "_cpus", lambda: 4)
@@ -624,7 +624,8 @@ class TestKernelSplit:
     @pytest.mark.parametrize("lag", [1, 16, 32, 33, 128, 256, 312, 313, 512, 513, 1024])
     def test_series_that_share_a_batch_start_no_helper(self, lag, monkeypatch):
         # Short series, one chunk or block each, and every series that
-        # autocorr_batch_size batches with others, run on the caller alone.
+        # autocorr_batch_size batches with others run the kernel on one
+        # worker: such batches go to helpers whole, if at all.
         monkeypatch.setattr(features, "_cpus", lambda: 64)
         for n in (lag + 2, 4096, 8192, 65536):
             if n <= AUTOCORR_BLOCK or autocorr_batch_size(n, lag) > 1:
@@ -642,6 +643,7 @@ class TestKernelSplit:
             assert (workers, group) == (1, 1) or \
                 workers * plan.worker_bytes <= STAGING_BYTES, (n, lag)
             assert autocorr_batch_size(n, lag) == 1
+            assert plan.batch_workers == 1, (n, lag)  # so threads never nest
 
     def test_one_cpu_starts_no_helper(self, monkeypatch):
         monkeypatch.setattr(features, "_cpus", lambda: 1)
